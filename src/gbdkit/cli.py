@@ -12,7 +12,7 @@ import time
 
 from . import specfmt
 from .bijections import relabel
-from .diagram import DiagramHandle
+from .diagram import DEFAULT_DEPTH, DiagramHandle
 from .dot import render_dot
 from .dynamics import (
     minimality_certificate,
@@ -94,7 +94,7 @@ def cmd_probe_irreducible(args):
     started = time.perf_counter()
     d = _load(args.spec)
     v = irreducible_probe(d, args.src, args.dst, args.level,
-                          args.depth or 24)
+                          args.depth or DEFAULT_DEPTH)
     recheck = "unknown depth exhausted"
     if v.is_yes:
         v.witness.validate(d)
@@ -154,7 +154,7 @@ def cmd_orbit_visit(args):
     d = _load(args.spec)
     x = _generator(d, args.generator)
     c = _cylinder(d, args.cylinder)
-    v = orbit_visits_cylinder(d, x, c, args.depth or 24)
+    v = orbit_visits_cylinder(d, x, c, args.depth or DEFAULT_DEPTH)
     recheck = "unknown depth exhausted"
     if v.is_yes:
         w = v.witness
@@ -172,7 +172,7 @@ def cmd_orbit_transitive(args):
     d = _load(args.spec)
     x = _generator(d, args.generator)
     v = transitivity_probe(d, x, args.cyl_depth, _window(args.window, d, 6),
-                           args.depth or 24)
+                           args.depth or DEFAULT_DEPTH)
     return _emit(args, "orbit transitive", d,
                  _verdict_payload(v, "per-cylinder verdicts embedded"),
                  started, v)
@@ -288,7 +288,6 @@ def cmd_construct_flatten(args):
 # --- export ------------------------------------------------------------------------
 
 def cmd_export_dot(args):
-    started = time.perf_counter()
     d = _load(args.spec)
     lo, hi = _window(args.window, d, radius=4)
     win = LevelWindow({n: (lo, hi) for n in range(args.levels + 1)})

@@ -24,6 +24,11 @@ from .windows import LevelWindow
 FLAG_VERIFY_LEVELS = 4
 FLAG_VERIFY_RADIUS = 16
 
+# default bounds of the probes, the orbit probes and the CLI
+DEFAULT_DEPTH = 24
+DEFAULT_RADIUS = 16
+DEFAULT_HORIZON = 512
+
 
 @dataclass(frozen=True)
 class LevelRule:
@@ -405,7 +410,8 @@ class DiagramHandle:
 
     # -- misc -------------------------------------------------------------
 
-    def default_window(self, levels: int, radius: int) -> LevelWindow:
+    def default_window(self, levels: int = 5,
+                       radius: int = DEFAULT_RADIUS) -> LevelWindow:
         return LevelWindow.uniform(self.indexing, levels, radius)
 
     def fingerprint(self) -> str:

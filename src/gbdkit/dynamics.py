@@ -2,7 +2,7 @@
 
 The orbit of x visits the cylinder of a prefix c exactly when some level
 m admits a finite path from the prefix's end vertex to the generator's
-trace vertex at m.  Yes verdicts come from exact path counts.  No
+trace vertex at m.  Yes verdicts carry that connecting path.  No
 verdicts need the trace separated from the cylinder at *every* level:
 a globally backed invariant plus a certified eventual-linear trace turn
 that into finitely many exact checks plus a per-residue slope
@@ -15,10 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .diagram import DiagramHandle, FullOutColumnFlag
+from .diagram import (
+    DEFAULT_DEPTH,
+    DEFAULT_HORIZON,
+    DEFAULT_RADIUS,
+    DiagramHandle,
+    FullOutColumnFlag,
+)
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
-from .paths import Edge, FinitePath, count_paths, enumerate_paths
+from .paths import Edge, FinitePath, enumerate_paths
 from .verdicts import (
     CONE,
     RESIDUE,
@@ -27,10 +33,6 @@ from .verdicts import (
     Verdict,
     find_invariants,
 )
-
-DEFAULT_DEPTH = 24
-DEFAULT_RADIUS = 16
-DEFAULT_HORIZON = 512
 
 
 # --- metric and tail equivalence ----------------------------------------------
@@ -91,8 +93,8 @@ def tail_equivalent(x: PathGenerator, y: PathGenerator,
 
 # --- orbit probes ---------------------------------------------------------------
 
-def _global_invariants(d: DiagramHandle, radius: int = DEFAULT_RADIUS):
-    window = d.default_window(5, radius)
+def _global_invariants(d: DiagramHandle):
+    window = d.default_window()
     invs = [inv for inv in find_invariants(d, window, (TRIANGULAR, RESIDUE, CONE),
                                            include_slope_only=True)
             if inv.is_global]
@@ -160,15 +162,19 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
 
-    def found(m: int) -> Verdict:
-        connecting, _ = enumerate_paths(d, j, ell, x.vertex_at(m), m, cap=1)
-        x.validate_to(m + 1)
-        return Verdict.yes(witness={"level": m, "connecting_path": connecting[0],
-                                    "cylinder": c})
+    def first_visit(levels) -> Optional[Verdict]:
+        for m in levels:
+            connecting, _ = enumerate_paths(d, j, ell, x.vertex_at(m), m, cap=1)
+            if connecting:
+                x.validate_to(m + 1)
+                return Verdict.yes(witness={"level": m,
+                                            "connecting_path": connecting[0],
+                                            "cylinder": c})
+        return None
 
-    for m in range(ell + 1, ell + depth + 1):
-        if count_paths(d, j, ell, x.vertex_at(m), m) > 0:
-            return found(m)
+    found = first_visit(range(ell + 1, ell + depth + 1))
+    if found is not None:
+        return found
 
     ev = x.eventual(horizon)
     if ev is not None and ev.certified:
@@ -176,9 +182,10 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
             M = _eternal_separation(inv, j, ell, ev)
             if M is None:
                 continue
-            for m in range(ell + 1, M):
-                if count_paths(d, j, ell, x.vertex_at(m), m) > 0:
-                    return found(m)
+            # levels up to ell + depth were searched above
+            found = first_visit(range(ell + depth + 1, M))
+            if found is not None:
+                return found
             return Verdict.no(certificate=inv,
                               separated_from_level=M,
                               generator=x.describe(),

@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import BandedFlag, DiagramHandle
+from .diagram import DEFAULT_HORIZON, BandedFlag, DiagramHandle
 from .errors import InvalidEdgeError, InvariantError, UnknownKindError
 from .paths import Edge, FinitePath
-
-DEFAULT_HORIZON = 512
 
 PathPrefix = FinitePath  # a prefix anchored at level 0 names a cylinder set
 

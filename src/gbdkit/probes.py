@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass, field
 
 from .diagram import (
+    DEFAULT_DEPTH,
+    DEFAULT_RADIUS,
     BandedFlag,
     BoundedSizeFlag,
     DiagramHandle,
     FullOutColumnFlag,
 )
 from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
-from .paths import FinitePath, count_paths, enumerate_paths
+from .paths import FinitePath, backward_reach_set, enumerate_paths
 from .verdicts import (
     ALL_KINDS,
     CLOPEN,
@@ -33,13 +35,6 @@ from .verdicts import (
 )
 from .windows import LevelWindow
 
-DEFAULT_DEPTH = 24
-DEFAULT_RADIUS = 16
-
-
-def _default_window(d, levels=5, radius=DEFAULT_RADIUS) -> LevelWindow:
-    return d.default_window(levels, radius)
-
 
 def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
                       depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -49,10 +44,10 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
     d.indexing.check(i)
     d.indexing.check(j)
     for m in range(n0 + 1, n0 + depth + 1):
-        if count_paths(d, i, n0, j, m) > 0:
-            witness, _ = enumerate_paths(d, i, n0, j, m, cap=1)
+        witness, _ = enumerate_paths(d, i, n0, j, m, cap=1)
+        if witness:
             return Verdict.yes(witness=witness[0], level=m)
-    for inv in find_invariants(d, _default_window(d)):
+    for inv in find_invariants(d, d.default_window()):
         if inv.excludes_pair(i, j):
             return Verdict.no(certificate=inv, source=i, target=j)
     return Verdict.unknown(depth=depth)
@@ -62,7 +57,7 @@ def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None,
                           kinds=ALL_KINDS) -> list:
     """All window-verified non-reachability invariants of the requested kinds."""
     if window is None:
-        window = _default_window(d)
+        window = d.default_window()
     return find_invariants(d, window, kinds)
 
 
@@ -76,7 +71,7 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
     vertices may reconnect outside it.
     """
     if window is None:
-        window = _default_window(d, levels)
+        window = d.default_window(levels)
     nodes = []
     for n in window.levels:
         if n > levels:
@@ -127,7 +122,7 @@ def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     lengths = [m for m in range(1, horizon + 1)
-               if count_paths(d, i, 0, i, m) > 0]
+               if i in backward_reach_set(d, i, m, 0)]
     if not lengths:
         return None, []
     return math.gcd(*lengths), lengths
@@ -169,7 +164,7 @@ def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
     total = t_rule.partial_sum(n, m)
     lo, hi = d.indexing.clamp(v - total, v + total)
     reach = sorted(u for u in range(lo, hi + 1)
-                   if count_paths(d, v, n, u, m) > 0)
+                   if v in backward_reach_set(d, u, m, n))
     return (v - total, v + total), reach
 
 
@@ -208,7 +203,7 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
         return Verdict.yes(witness={
             "reason": "row-width bound keeps every forward cone finite",
             "t": d.t_rule()(ell)})
-    for inv in find_invariants(d, _default_window(d), (TRIANGULAR,)):
+    for inv in find_invariants(d, d.default_window(), (TRIANGULAR,)):
         if inv.is_global and inv.params[0] == "upper" and inv.params[1] >= 0 \
                 and d.indexing.mode == "one_sided":
             return Verdict.yes(witness={
@@ -248,7 +243,7 @@ def full_out_row_check(d: DiagramHandle, levels: int = 4,
                        window: LevelWindow | None = None) -> Verdict:
     """Per level: is there a vertex whose edges cover the whole next level?"""
     if window is None:
-        window = _default_window(d, levels + 1)
+        window = d.default_window(levels + 1)
     focs = d.get_flags(FullOutColumnFlag)
     if focs:
         witness = {}
@@ -306,7 +301,7 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
-    invs = [inv for inv in find_invariants(d, _default_window(d)) if inv.is_global]
+    invs = [inv for inv in find_invariants(d, d.default_window()) if inv.is_global]
     reducibility = next((inv for inv in invs if _has_excluding_power(d, inv)), None)
 
     foc = d.get_flag(FullOutColumnFlag)
@@ -317,7 +312,7 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
         ok = True
         for w in range(lo, hi + 1):
             hit = next((m for m in range(0, horizon + 1)
-                        if count_paths(d, w, 0, u, m) > 0), None)
+                        if w in backward_reach_set(d, u, m, 0)), None)
             if hit is None:
                 ok = False
                 break

@@ -21,7 +21,6 @@ from .bijections import VertexBijectionSeq, cone_shift, fill_sequence, relabel
 from .diagram import DiagramHandle
 from .errors import ConflictError, IndexingMismatchError, NoBoundedSizeFlagError
 from .generators import PathGenerator
-from .probes import compact_cylinder_check, full_out_row_check  # noqa: F401
 from .verdicts import TRIANGULAR, find_invariants
 
 

@@ -159,6 +159,15 @@ def test_path_validation():
         FinitePath(0, 1, (Edge(0, 1, 1, 3),)).validate(rs)  # copy too large
 
 
+def test_deep_sweep_without_recursion_limit():
+    o1 = make_diagram("odometer_one_sided")
+    assert count_paths(o1, 1, 0, 1, 1200) == 2 ** 1200
+    paths, truncated = enumerate_paths(o1, 1, 0, 1, 1200, cap=1)
+    assert truncated and len(paths) == 1
+    assert len(paths[0]) == 1200
+    assert set(paths[0].vertex_trace()) == {1}
+
+
 def test_level_order_rejected():
     rs = make_diagram("renewal_shift")
     with pytest.raises(ValueError):
