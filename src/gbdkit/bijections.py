@@ -374,14 +374,19 @@ def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:
     return False
 
 
+def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> list:
+    """Row of d at level n, target v, with its sources pushed through g_n,
+    sorted by pushed source: the row the g-relabeled diagram has at g_{n+1}(v)."""
+    return sorted((g.forward(n, w), m) for w, m in d.in_edges(n, v))
+
+
 def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
     """Diagram carrying the same edges under relabeled vertex ids."""
     _check_compatible(d, g)
     tgt = g.target_indexing
 
     def rows(n, v_new):
-        v = g.inverse(n + 1, v_new)
-        return sorted((g.forward(n, w), m) for w, m in d.in_edges(n, v))
+        return pushed_row(d, g, n, g.inverse(n + 1, v_new))
 
     def cols(n, w_new):
         w = g.inverse(n, w_new)

@@ -2,6 +2,13 @@
 
 Exit codes: 0 for pass/Yes, 1 for No, 3 for Unknown, 2 for usage or
 parse errors, so scripts can branch on verdicts.
+
+Every command is one row of COMMANDS.  A command function takes the
+parsed arguments and the loaded diagram and returns (payload, outcome)
+or (payload, outcome, artifact); `_run` loads --spec, times the call,
+prints the probe report and maps the outcome (a Verdict, a bool or an
+exit code) to the exit code.  With --out, the artifact (when there is
+one) or else the printed text goes to that file.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from .dynamics import (
     orbit_visits_cylinder,
     transitivity_probe,
 )
-from .errors import GbdError
+from .errors import GbdError, SchemaError
 from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from_trace
-from .iso import IsoWitness, iso_search, verify_permutation_identity
+from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
+from .paths import FinitePath
 from .probes import (
     bounded_size_params,
     classify_irreducibility_type,
@@ -44,42 +52,73 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
 
-def _load(path: str) -> DiagramHandle:
-    return specfmt.load_spec_file(path)
+# --- argument types ----------------------------------------------------------------
+
+def _span(text: str) -> tuple:
+    """`lo:hi`, two integers with lo <= hi."""
+    lo, _, hi = text.partition(":")
+    try:
+        span = int(lo), int(hi)
+    except ValueError:
+        span = None
+    if span is None or span[0] > span[1]:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with integers lo <= hi, got {text!r}")
+    return span
 
 
-def _window(arg: str | None, d: DiagramHandle, radius: int = 16):
-    if arg is None:
-        return d.indexing.default_interval(radius)
-    lo, _, hi = arg.partition(":")
-    return int(lo), int(hi)
+def _anchor(text: str) -> tuple:
+    """`vertex:level`, two integers."""
+    v, _, n = text.partition(":")
+    try:
+        return int(v), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected vertex:level with integers, got {text!r}") from None
+
+
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+# --- shared pieces ---------------------------------------------------------------
+
+def _window(span, d: DiagramHandle, radius: int) -> tuple:
+    """The given lo:hi span, or d's default interval of this radius."""
+    return span or d.indexing.default_interval(radius)
+
+
+def _level_window(args, d: DiagramHandle, radius: int) -> LevelWindow:
+    """The --window span (or d's default) on every level 0..--levels."""
+    span = _window(args.window, d, radius)
+    return LevelWindow({n: span for n in range(args.levels + 1)})
 
 
 def _generator(d: DiagramHandle, arg: str) -> PathGenerator:
     return parse_generator(d, specfmt.parse_document(arg))
 
 
-def _cylinder(d: DiagramHandle, arg: str):
+def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
     doc = specfmt.parse_document(arg)
     if "vertex" in doc and "trace" not in doc:
-        return cylinder_at(d, int(doc["vertex"]))
-    return prefix_from_trace(d, doc["trace"])
-
-
-def _emit(args, command: str, d: DiagramHandle, payload, started: float,
-          verdict: Verdict | None = None) -> int:
-    text = probe_report(command, d, payload, time.perf_counter() - started)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    if verdict is None:
-        return EXIT_YES
-    if verdict.is_yes:
-        return EXIT_YES
-    if verdict.is_no:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+        try:
+            vertex = int(doc["vertex"])
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"cylinder vertex must be an integer, got {doc['vertex']!r}") from None
+        return cylinder_at(d, vertex)
+    trace = doc.get("trace")
+    if not isinstance(trace, list) or not trace \
+            or not all(isinstance(v, int) for v in trace):
+        raise SchemaError('cylinder needs {"vertex": v} or a nonempty integer '
+                          '{"trace": [v0, v1, ...]}')
+    return prefix_from_trace(d, trace)
 
 
 def _verdict_payload(v: Verdict, recheck: str) -> dict:
@@ -88,246 +127,231 @@ def _verdict_payload(v: Verdict, recheck: str) -> dict:
     return payload
 
 
+def _exit_code(outcome) -> int:
+    """Exit code of a Verdict, a bool (True is Yes) or an exit code."""
+    if isinstance(outcome, Verdict):
+        return EXIT_YES if outcome.is_yes else EXIT_NO if outcome.is_no \
+            else EXIT_UNKNOWN
+    if isinstance(outcome, bool):
+        return EXIT_YES if outcome else EXIT_NO
+    return outcome
+
+
+def _write(args, text: str, artifact: str | None = None) -> None:
+    """Print text; --out gets the artifact when there is one, else the text."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text if artifact is None else artifact)
+    sys.stdout.write(text)
+
+
+def _run(args) -> int:
+    """Load --spec, run the command, print its probe report; the exit code."""
+    started = time.perf_counter()
+    d = specfmt.load_spec_file(args.spec)
+    payload, outcome, *artifact = args.fn(args, d)
+    text = probe_report(f"{args.group} {args.cmd}", d, payload,
+                        time.perf_counter() - started)
+    _write(args, text, *artifact)
+    return _exit_code(outcome)
+
+
+def _run_text(args) -> int:
+    """Runner of `export dot` and `report`, which print raw text, not a report."""
+    d = specfmt.load_spec_file(args.spec) if "spec" in args else None
+    code, text = args.fn(args, d)
+    _write(args, text)
+    return code
+
+
 # --- probe ----------------------------------------------------------------------
 
-def cmd_probe_irreducible(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    v = irreducible_probe(d, args.src, args.dst, args.level,
-                          args.depth or DEFAULT_DEPTH)
+def cmd_probe_irreducible(args, d):
+    v = irreducible_probe(d, args.src, args.dst, args.level, args.depth)
     recheck = "unknown depth exhausted"
     if v.is_yes:
         v.witness.validate(d)
         recheck = "witness path re-validated edge-by-edge"
     elif v.is_no:
         recheck = "invariant re-verified on its window at load time"
-    return _emit(args, "probe irreducible", d,
-                 _verdict_payload(v, recheck), started, v)
+    return _verdict_payload(v, recheck), v
 
 
-def cmd_probe_connected(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    lo, hi = _window(args.window, d, radius=8)
-    win = LevelWindow({n: (lo, hi) for n in range(args.levels + 1)})
-    v = connected_probe(d, args.levels, win)
-    return _emit(args, "probe connected", d,
-                 _verdict_payload(v, "union-find over windowed edges"),
-                 started, v)
+def cmd_probe_connected(args, d):
+    v = connected_probe(d, args.levels, _level_window(args, d, 8))
+    return _verdict_payload(v, "union-find over windowed edges"), v
 
 
-def cmd_probe_period(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    g, lengths = period_of_index(d, args.index, args.depth or 8)
+def cmd_probe_period(args, d):
+    g, lengths = period_of_index(d, args.index, args.depth)
     payload = {"period": g, "return_lengths": lengths,
                "recheck": "every return length divisible by the gcd: "
                           + str(all(l % g == 0 for l in lengths) if g else "n/a")}
-    code = _emit(args, "probe period", d, payload, started)
-    return code if g is not None else EXIT_UNKNOWN
+    return payload, EXIT_YES if g is not None else EXIT_UNKNOWN
 
 
-def cmd_probe_bounded_size(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_probe_bounded_size(args, d):
     t, L, exact = bounded_size_params(d, args.level, _window(args.window, d, 8))
-    payload = {"t_lower": t, "L_lower": L, "exact": exact}
-    return _emit(args, "probe bounded-size", d, payload, started)
+    return {"t_lower": t, "L_lower": L, "exact": exact}, EXIT_YES
 
 
-def cmd_probe_classify(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    cls = classify_irreducibility_type(d, horizon=args.depth or 64,
-                                       window=_window(args.window, d))
-    payload = cls.describe()
-    code = _emit(args, "probe classify", d, payload, started)
-    if cls.kind == "unknown":
-        return EXIT_UNKNOWN
-    return code
+def cmd_probe_classify(args, d):
+    cls = classify_irreducibility_type(d, horizon=args.depth,
+                                       window=_window(args.window, d, 16))
+    return cls.describe(), EXIT_UNKNOWN if cls.kind == "unknown" else EXIT_YES
 
 
 # --- orbit ----------------------------------------------------------------------
 
-def cmd_orbit_visit(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_orbit_visit(args, d):
     x = _generator(d, args.generator)
     c = _cylinder(d, args.cylinder)
-    v = orbit_visits_cylinder(d, x, c, args.depth or DEFAULT_DEPTH)
+    v = orbit_visits_cylinder(d, x, c, args.depth)
     recheck = "unknown depth exhausted"
     if v.is_yes:
-        w = v.witness
-        full = list(c.edges) + list(w["connecting_path"].edges)
-        from .paths import FinitePath
+        full = list(c.edges) + list(v.witness["connecting_path"].edges)
         FinitePath(0, c.start_vertex, tuple(full)).validate(d)
         recheck = "prefix + connecting path re-validated as one chain"
     elif v.is_no:
         recheck = "separation re-derived from the embedded invariant"
-    return _emit(args, "orbit visit", d, _verdict_payload(v, recheck), started, v)
+    return _verdict_payload(v, recheck), v
 
 
-def cmd_orbit_transitive(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_orbit_transitive(args, d):
     x = _generator(d, args.generator)
     v = transitivity_probe(d, x, args.cyl_depth, _window(args.window, d, 6),
-                           args.depth or DEFAULT_DEPTH)
-    return _emit(args, "orbit transitive", d,
-                 _verdict_payload(v, "per-cylinder verdicts embedded"),
-                 started, v)
+                           args.depth)
+    return _verdict_payload(v, "per-cylinder verdicts embedded"), v
 
 
-def cmd_orbit_minimal(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_orbit_minimal(args, d):
     v = minimality_certificate(d, horizon=args.depth,
-                               window=_window(args.window, d))
-    return _emit(args, "orbit minimal", d,
-                 _verdict_payload(v, "forced bounds / missed cylinder embedded"),
-                 started, v)
+                               window=_window(args.window, d, 16))
+    return _verdict_payload(v, "forced bounds / missed cylinder embedded"), v
 
 
 # --- iso ------------------------------------------------------------------------
 
-def cmd_iso_check(args):
-    started = time.perf_counter()
-    dA = _load(args.spec)
-    dB = _load(args.spec_b)
+def cmd_iso_check(args, dA):
+    dB = specfmt.load_spec_file(args.spec_b)
     g = specfmt.parse_bijection(args.bijection)
     ok = verify_permutation_identity(dA, dB, g, args.levels)
     payload = {"identity_holds": ok, "levels": args.levels,
                "recheck": "row-by-row exact comparison through the bijection"}
-    code = _emit(args, "iso check", dA, payload, started)
-    return code if ok else EXIT_NO
+    return payload, ok
 
 
-def cmd_iso_search(args):
-    started = time.perf_counter()
-    dA = _load(args.spec)
-    dB = _load(args.spec_b)
-    lo, hi = _window(args.window, dA, radius=8)
-    wa = LevelWindow({n: (lo, hi) for n in range(args.levels + 1)})
-    lob, hib = _window(args.window, dB, radius=8)
-    wb = LevelWindow({n: (lob, hib) for n in range(args.levels + 1)})
-    res = iso_search(dA, dB, args.levels, wa, wb, budget=args.budget)
+def cmd_iso_search(args, dA):
+    dB = specfmt.load_spec_file(args.spec_b)
+    res = iso_search(dA, dB, args.levels, _level_window(args, dA, 8),
+                     _level_window(args, dB, 8), budget=args.budget)
     if isinstance(res, IsoWitness):
-        from .iso import verify_witness
         payload = {"witness": res.describe(),
                    "nodes_explored": res.nodes_explored,
                    "recheck": f"witness verified: {verify_witness(dA, dB, res)}"}
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(specfmt.witness_text(res.tables))
-        code = _emit(argparse.Namespace(out=None), "iso search", dA, payload,
-                     started)
-        return code
+        return payload, EXIT_YES, specfmt.witness_text(res.tables)
     payload = {"result": "none_within_budget",
                "nodes_explored": res.nodes_explored, "budget": res.budget,
                "recheck": "bounded search only; not a non-isomorphism proof"}
-    _emit(argparse.Namespace(out=args.out), "iso search", dA, payload, started)
-    return EXIT_UNKNOWN
+    return payload, EXIT_UNKNOWN
 
 
-def cmd_iso_relabel(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    g = specfmt.parse_bijection(args.bijection)
-    d2 = relabel(d, g)
-    lo, hi = _window(args.window, d2, radius=6)
-    doc = specfmt.explicit_spec_of_window(d2, args.levels, (lo, hi))
+def cmd_iso_relabel(args, d):
+    d2 = relabel(d, specfmt.parse_bijection(args.bijection))
+    doc = specfmt.explicit_spec_of_window(d2, args.levels,
+                                          _window(args.window, d2, 6))
     payload = {"relabeled_window_spec": doc,
                "recheck": "exported rows re-derived from the bijection"}
-    return _emit(args, "iso relabel", d, payload, started)
+    return payload, EXIT_YES
 
 
 # --- construct --------------------------------------------------------------------
 
-def cmd_construct_toeplitz(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_construct_toeplitz(args, d):
     gens = [_generator(d, spec) for spec in args.generator]
-    g, d2, log = toeplitz_reenumeration(d, gens, horizon=args.depth or 2000)
+    g, d2, log = toeplitz_reenumeration(d, gens, horizon=args.depth)
     payload = {"forced_assignments": [[r.generator, r.level, r.vertex, r.label]
                                       for r in log.records[:200]],
                "total_assignments": len(log.records),
                "identity_verified": verify_permutation_identity(d, d2, g, 3,
                                                                 radius=8)}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(log.export_text())
-    return _emit(argparse.Namespace(out=None), "construct toeplitz", d,
-                 payload, started)
+    return payload, EXIT_YES, log.export_text()
 
 
-def cmd_construct_dense(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
+def cmd_construct_dense(args, d):
     x = _generator(d, args.generator)
     g = dense_orbit_reenumeration(d, x)
     trace = [g.forward(n, x.vertex_at(n)) for n in range(30)]
     payload = {"pinned_trace_labels": trace,
                "recheck": "labels follow the block-counting sequence"}
-    return _emit(args, "construct dense", d, payload, started)
+    return payload, EXIT_YES
 
 
-def cmd_construct_flatten(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    anchor = None
-    if args.anchor:
-        v, _, n = args.anchor.partition(":")
-        anchor = (int(v), int(n))
-    g, d2, cert = cone_flatten(d, anchor, horizon=args.depth or 64)
-    lo, hi = _window(args.window, d2, radius=4)
+def cmd_construct_flatten(args, d):
+    g, d2, cert = cone_flatten(d, args.anchor, horizon=args.depth)
+    span = _window(args.window, d2, 4)
     payload = {"certificate": cert.describe() if hasattr(cert, "describe") else cert,
-               "flattened_window": d2.incidence_window(0, (lo, hi), (lo, hi))}
-    return _emit(args, "construct flatten", d, payload, started)
+               "flattened_window": d2.incidence_window(0, span, span)}
+    return payload, EXIT_YES
 
 
-# --- export ------------------------------------------------------------------------
+# --- export and report ---------------------------------------------------------------
 
-def cmd_export_dot(args):
-    d = _load(args.spec)
-    lo, hi = _window(args.window, d, radius=4)
-    win = LevelWindow({n: (lo, hi) for n in range(args.levels + 1)})
-    text = render_dot(d, args.levels, win)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return EXIT_YES
+def cmd_export_dot(args, d):
+    return EXIT_YES, render_dot(d, args.levels, _level_window(args, d, 4))
 
 
-def cmd_export_matrix(args):
-    started = time.perf_counter()
-    d = _load(args.spec)
-    rlo, rhi = _window(args.rows, d, radius=4)
-    clo, chi = _window(args.cols, d, radius=4)
-    mat = d.incidence_window(args.level, (rlo, rhi), (clo, chi))
-    payload = {"level": args.level, "rows": [rlo, rhi], "cols": [clo, chi],
-               "matrix": mat}
-    return _emit(args, "export matrix", d, payload, started)
+def cmd_export_matrix(args, d):
+    rows, cols = _window(args.rows, d, 4), _window(args.cols, d, 4)
+    payload = {"level": args.level, "rows": list(rows), "cols": list(cols),
+               "matrix": d.incidence_window(args.level, rows, cols)}
+    return payload, EXIT_YES
 
 
-def cmd_report(args):
-    code, text = run_report(args.suite, args.file)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return code
+def cmd_report(args, d):
+    return run_report(args.suite, args.file)
 
 
 # --- parser -------------------------------------------------------------------------
 
-def _add_common(p, spec=True):
-    if spec:
-        p.add_argument("--spec", required=True, help="diagram spec file")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--window", help="lo:hi vertex window")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--out", help="also write the report to this file")
+REQUIRED = {"required": True}
+REQUIRED_INT = {"type": int, "required": True}
+LEVEL = {"type": int, "default": 0}
+SPAN = {"type": _span, "help": "lo:hi"}
+
+# One row per command: its name, its function, the defaults it sets
+# (--depth, or the runner of a raw-text command) and its own flags on
+# top of the common --spec/--depth/--window/--levels/--out.  A --depth
+# left at None lets the function use its own horizon.
+COMMANDS = (
+    ("probe irreducible", cmd_probe_irreducible, {"depth": DEFAULT_DEPTH},
+     {"--src": REQUIRED_INT, "--dst": REQUIRED_INT, "--level": LEVEL}),
+    ("probe connected", cmd_probe_connected, {}, {}),
+    ("probe period", cmd_probe_period, {"depth": 8}, {"--index": REQUIRED_INT}),
+    ("probe bounded-size", cmd_probe_bounded_size, {}, {"--level": LEVEL}),
+    ("probe classify", cmd_probe_classify, {"depth": 64}, {}),
+    ("orbit visit", cmd_orbit_visit, {"depth": DEFAULT_DEPTH},
+     {"--generator": {"required": True, "help": "generator spec (inline)"},
+      "--cylinder": {"required": True,
+                     "help": '{"vertex": v} or {"trace": [v0, v1, ...]}'}}),
+    ("orbit transitive", cmd_orbit_transitive, {"depth": DEFAULT_DEPTH},
+     {"--generator": REQUIRED, "--cyl-depth": {"type": int, "default": 3}}),
+    ("orbit minimal", cmd_orbit_minimal, {}, {}),
+    ("iso check", cmd_iso_check, {},
+     {"--spec-b": REQUIRED, "--bijection": REQUIRED}),
+    ("iso search", cmd_iso_search, {},
+     {"--spec-b": REQUIRED, "--budget": {"type": int, "default": 100_000}}),
+    ("iso relabel", cmd_iso_relabel, {}, {"--bijection": REQUIRED}),
+    ("construct toeplitz", cmd_construct_toeplitz, {"depth": 2000},
+     {"--generator": {"action": "append", "required": True,
+                      "help": "repeatable generator spec"}}),
+    ("construct dense", cmd_construct_dense, {}, {"--generator": REQUIRED}),
+    ("construct flatten", cmd_construct_flatten, {"depth": 64},
+     {"--anchor": {"type": _anchor, "help": "vertex:level for cone anchoring"}}),
+    ("export dot", cmd_export_dot, {"run": _run_text}, {}),
+    ("export matrix", cmd_export_matrix, {},
+     {"--level": LEVEL, "--rows": SPAN, "--cols": SPAN}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,94 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact probes and constructions on generalized "
                     "Bratteli diagrams")
     sub = ap.add_subparsers(dest="group", required=True)
-
-    probe = sub.add_parser("probe").add_subparsers(dest="cmd", required=True)
-    p = probe.add_parser("irreducible")
-    _add_common(p)
-    p.add_argument("--src", type=int, required=True)
-    p.add_argument("--dst", type=int, required=True)
-    p.add_argument("--level", type=int, default=0)
-    p.set_defaults(fn=cmd_probe_irreducible)
-    p = probe.add_parser("connected")
-    _add_common(p)
-    p.set_defaults(fn=cmd_probe_connected)
-    p = probe.add_parser("period")
-    _add_common(p)
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(fn=cmd_probe_period)
-    p = probe.add_parser("bounded-size")
-    _add_common(p)
-    p.add_argument("--level", type=int, default=0)
-    p.set_defaults(fn=cmd_probe_bounded_size)
-    p = probe.add_parser("classify")
-    _add_common(p)
-    p.set_defaults(fn=cmd_probe_classify)
-
-    orbit = sub.add_parser("orbit").add_subparsers(dest="cmd", required=True)
-    p = orbit.add_parser("visit")
-    _add_common(p)
-    p.add_argument("--generator", required=True, help="generator spec (inline)")
-    p.add_argument("--cylinder", required=True,
-                   help='{"vertex": v} or {"trace": [v0, v1, ...]}')
-    p.set_defaults(fn=cmd_orbit_visit)
-    p = orbit.add_parser("transitive")
-    _add_common(p)
-    p.add_argument("--generator", required=True)
-    p.add_argument("--cyl-depth", type=int, default=3, dest="cyl_depth")
-    p.set_defaults(fn=cmd_orbit_transitive)
-    p = orbit.add_parser("minimal")
-    _add_common(p)
-    p.set_defaults(fn=cmd_orbit_minimal)
-
-    iso = sub.add_parser("iso").add_subparsers(dest="cmd", required=True)
-    p = iso.add_parser("check")
-    _add_common(p)
-    p.add_argument("--spec-b", required=True, dest="spec_b")
-    p.add_argument("--bijection", required=True)
-    p.set_defaults(fn=cmd_iso_check)
-    p = iso.add_parser("search")
-    _add_common(p)
-    p.add_argument("--spec-b", required=True, dest="spec_b")
-    p.add_argument("--budget", type=int, default=100_000)
-    p.set_defaults(fn=cmd_iso_search)
-    p = iso.add_parser("relabel")
-    _add_common(p)
-    p.add_argument("--bijection", required=True)
-    p.set_defaults(fn=cmd_iso_relabel)
-
-    construct = sub.add_parser("construct").add_subparsers(dest="cmd",
-                                                           required=True)
-    p = construct.add_parser("toeplitz")
-    _add_common(p)
-    p.add_argument("--generator", action="append", required=True,
-                   help="repeatable generator spec")
-    p.set_defaults(fn=cmd_construct_toeplitz)
-    p = construct.add_parser("dense")
-    _add_common(p)
-    p.add_argument("--generator", required=True)
-    p.set_defaults(fn=cmd_construct_dense)
-    p = construct.add_parser("flatten")
-    _add_common(p)
-    p.add_argument("--anchor", help="vertex:level for cone anchoring")
-    p.set_defaults(fn=cmd_construct_flatten)
-
-    export = sub.add_parser("export").add_subparsers(dest="cmd", required=True)
-    p = export.add_parser("dot")
-    _add_common(p)
-    p.set_defaults(fn=cmd_export_dot)
-    p = export.add_parser("matrix")
-    _add_common(p)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--rows", help="lo:hi")
-    p.add_argument("--cols", help="lo:hi")
-    p.set_defaults(fn=cmd_export_matrix)
+    groups = {}
+    for name, fn, defaults, flags in COMMANDS:
+        group, cmd = name.split()
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest="cmd", required=True)
+        p = groups[group].add_parser(cmd)
+        p.add_argument("--spec", required=True, help="diagram spec file")
+        p.add_argument("--depth", type=_positive)
+        p.add_argument("--window", type=_span, help="lo:hi vertex window")
+        p.add_argument("--levels", type=int, default=4)
+        p.add_argument("--out", help="also write the report to this file")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn, run=_run)
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("report")
     p.add_argument("--suite", default="acceptance",
                    choices=["acceptance", "quick", "custom"])
     p.add_argument("--file", help="criterion-name list for a custom suite")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_report, run=_run_text)
     return ap
 
 
@@ -434,11 +393,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except GbdError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+        return args.run(args)
+    except (GbdError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import DEFAULT_HORIZON, BandedFlag, DiagramHandle
-from .errors import InvalidEdgeError, InvariantError, UnknownKindError
+from .errors import InvalidEdgeError, InvariantError, SchemaError, UnknownKindError
 from .paths import Edge, FinitePath
 
 PathPrefix = FinitePath  # a prefix anchored at level 0 names a cylinder set
@@ -64,7 +64,37 @@ class EventualTrace:
         return self.period
 
 
-class PathGenerator:
+class TraceGenerator:
+    """Probe surface shared by generators: edges, prefixes and validation
+    read off `vertex_at` (given by each subclass) and the rows of `d`."""
+
+    d: DiagramHandle
+    kind: str
+    params: dict
+
+    def edge_at(self, m: int) -> Edge:
+        """x_m, validated against the diagram's rows."""
+        src, tgt = self.vertex_at(m), self.vertex_at(m + 1)
+        if self.d.entry(m, tgt, src) < 1:
+            raise InvalidEdgeError(
+                f"generator {self.kind} emits missing edge {src}->{tgt} "
+                f"at level {m}")
+        return Edge(m, src, tgt, 0)
+
+    def prefix(self, length: int) -> FinitePath:
+        return FinitePath(0, self.vertex_at(0),
+                          tuple(self.edge_at(i) for i in range(length)))
+
+    def validate_to(self, horizon: int):
+        for m in range(horizon):
+            self.edge_at(m)
+        return True
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "params": dict(self.params)}
+
+
+class PathGenerator(TraceGenerator):
     """Evaluable infinite path: kind + parameters + backing diagram."""
 
     def __init__(self, d: DiagramHandle, kind: str, params: dict):
@@ -144,24 +174,6 @@ class PathGenerator:
             self._trace.append(self._next_vertex(lvl, self._trace[-1]))
         return self._trace[m]
 
-    def edge_at(self, m: int) -> Edge:
-        """x_m, validated against the diagram's rows."""
-        src, tgt = self.vertex_at(m), self.vertex_at(m + 1)
-        if self.d.entry(m, tgt, src) < 1:
-            raise InvalidEdgeError(
-                f"generator {self.kind} emits missing edge {src}->{tgt} "
-                f"at level {m}")
-        return Edge(m, src, tgt, 0)
-
-    def prefix(self, length: int) -> FinitePath:
-        return FinitePath(0, self.vertex_at(0),
-                          tuple(self.edge_at(i) for i in range(length)))
-
-    def validate_to(self, horizon: int):
-        for m in range(horizon):
-            self.edge_at(m)
-        return True
-
     # -- eventual behavior -----------------------------------------------
 
     def eventual(self, horizon: int = DEFAULT_HORIZON) -> Optional[EventualTrace]:
@@ -202,13 +214,10 @@ class PathGenerator:
             return True
         return False
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
 
-
-class PushedGenerator:
+class PushedGenerator(TraceGenerator):
     """Image of a generator under a bijection sequence, living in the
-    relabeled diagram.  Duck-types the PathGenerator probe surface."""
+    relabeled diagram."""
 
     def __init__(self, x, g, d2: DiagramHandle):
         self.base = x
@@ -219,22 +228,6 @@ class PushedGenerator:
 
     def vertex_at(self, m: int) -> int:
         return self.g.forward(m, self.base.vertex_at(m))
-
-    def edge_at(self, m: int) -> Edge:
-        src, tgt = self.vertex_at(m), self.vertex_at(m + 1)
-        if self.d.entry(m, tgt, src) < 1:
-            raise InvalidEdgeError(
-                f"pushed generator emits missing edge {src}->{tgt} at {m}")
-        return Edge(m, src, tgt, 0)
-
-    def validate_to(self, horizon: int):
-        for m in range(horizon):
-            self.edge_at(m)
-        return True
-
-    def prefix(self, length: int) -> FinitePath:
-        return FinitePath(0, self.vertex_at(0),
-                          tuple(self.edge_at(i) for i in range(length)))
 
     def eventual(self, horizon: int = DEFAULT_HORIZON):
         ev = self.base.eventual(horizon)
@@ -248,9 +241,6 @@ class PushedGenerator:
                 tuple(self.vertex_at(m)
                       for m in range(ev.start, ev.start + ev.period)))
         return None
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
 
 
 def pushed_generator(x, g, d2: DiagramHandle) -> PushedGenerator:
@@ -267,7 +257,12 @@ def parse_generator(d: DiagramHandle, spec) -> PathGenerator:
     kind = spec.pop("kind", None)
     if kind is None:
         raise UnknownKindError("generator spec needs a 'kind'")
-    return PathGenerator(d, kind, spec)
+    try:
+        return PathGenerator(d, kind, spec)
+    except KeyError as exc:
+        raise SchemaError(f"{kind} generator spec needs {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {kind} generator spec {spec}: {exc}") from None
 
 
 def vertical_from(d, i):

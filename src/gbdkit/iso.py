@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bijections import VertexBijectionSeq, partial_sequence
+from .bijections import VertexBijectionSeq, partial_sequence, pushed_row
 from .diagram import DiagramHandle
 from .errors import WindowTooSmallError
 from .windows import LevelWindow
@@ -36,8 +36,7 @@ def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
         for v_new in windows.vertices(n + 1):
             if not dB.indexing.contains(v_new):
                 continue
-            v = g.inverse(n + 1, v_new)
-            expected = sorted((g.forward(n, w), m) for w, m in dA.in_edges(n, v))
+            expected = pushed_row(dA, g, n, g.inverse(n + 1, v_new))
             if dB.in_edges(n, v_new) != expected:
                 return False
     # spot-check invertibility on the window (the permutation property)
@@ -203,7 +202,7 @@ def verify_witness(dA: DiagramHandle, dB: DiagramHandle, witness: IsoWitness) ->
     for n_plus in sorted(witness.verified_rows):
         n = n_plus - 1
         for v in witness.verified_rows[n_plus]:
-            expected = sorted((g.forward(n, w), m) for w, m in dA.in_edges(n, v))
+            expected = pushed_row(dA, g, n, v)
             if dB.in_edges(n, g.forward(n_plus, v)) != expected:
                 return False
     return True

@@ -166,7 +166,11 @@ def parse_bijection(src) -> VertexBijectionSeq:
     doc = parse_document(src) if isinstance(src, str) else dict(src)
     kind = doc.get("kind")
     params = {k: v for k, v in doc.items() if k != "kind"}
-    return builtin_bijection(kind, params)
+    try:
+        return builtin_bijection(kind, params)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"malformed {kind} bijection parameters {params}: {exc}") from None
 
 
 def to_text(obj) -> str:

@@ -2,7 +2,9 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
+from gbdkit import make_diagram, toeplitz_reenumeration, vertical_from
 from gbdkit.cli import main
 
 
@@ -61,6 +63,16 @@ def test_probe_period(specs, capsys):
                          "--index", "0"], capsys)
     assert code == 0
     assert "period: 2" in out
+
+
+def test_probe_bounded_size(specs, capsys):
+    code, out = run_cli(["probe", "bounded-size", "--spec", specs["td"]], capsys)
+    assert code == 0
+    assert yaml.safe_load(out)["result"] == {"t_lower": 1, "L_lower": 4,
+                                             "exact": True}
+    # renewal_shift has no width bound: the window only gives lower bounds
+    code, out = run_cli(["probe", "bounded-size", "--spec", specs["rs"]], capsys)
+    assert code == 0 and yaml.safe_load(out)["result"]["exact"] is False
 
 
 def test_probe_classify(specs, capsys):
@@ -136,6 +148,25 @@ def test_construct_commands(specs, capsys, tmp_path):
     assert code == 0 and "triangular_support" in out
 
 
+def test_out_file_holds_the_printed_report(specs, capsys, tmp_path):
+    outf = tmp_path / "report.yaml"
+    code, out = run_cli(["probe", "irreducible", "--spec", specs["rs"],
+                         "--src", "3", "--dst", "7", "--out", str(outf)], capsys)
+    assert code == 0 and out.startswith("command: probe irreducible")
+    assert outf.read_text() == out
+
+
+def test_out_file_holds_the_toeplitz_log_not_the_report(specs, capsys, tmp_path):
+    logf = tmp_path / "log.txt"
+    code, out = run_cli(["construct", "toeplitz", "--spec", specs["td"],
+                         "--generator", "{kind: vertical, vertex: 0}",
+                         "--depth", "50", "--out", str(logf)], capsys)
+    assert code == 0 and out.startswith("command: construct toeplitz")
+    td = make_diagram("tridiag_B")
+    _, _, log = toeplitz_reenumeration(td, [vertical_from(td, 0)], horizon=50)
+    assert logf.read_text() == log.export_text()
+
+
 def test_export_dot_deterministic(specs, capsys):
     code, out1 = run_cli(["export", "dot", "--spec", specs["rs"],
                           "--levels", "2", "--window", "1:5"], capsys)
@@ -178,6 +209,29 @@ def test_usage_errors(specs, capsys):
     code = main(["probe", "irreducible", "--spec", "/nonexistent.yaml",
                  "--src", "1", "--dst", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "connected", "--spec", "td", "--window", "5"],
+    ["probe", "connected", "--spec", "td", "--window", "9:1"],
+    ["export", "matrix", "--spec", "td", "--rows", "a:b"],
+    ["construct", "flatten", "--spec", "td", "--anchor", "3"],
+    ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical}",
+     "--cylinder", "{vertex: 2}"],
+    ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
+     "--cylinder", "{foo: 2}"],
+    ["iso", "relabel", "--spec", "td", "--bijection", "{kind: level_shift, step: x}"],
+    ["probe", "period", "--spec", "p1", "--index", "0", "--depth", "0"],
+    ["probe", "irreducible", "--spec", "rs", "--src", "3", "--dst", "7",
+     "--depth", "-3"],
+    ["orbit", "minimal", "--spec", "rs", "--depth", "0"],
+], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
+def test_malformed_arguments_exit_2(argv, specs, capsys):
+    argv = [specs.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_module_entrypoint_runs():
