@@ -14,6 +14,7 @@ one) or else the printed text goes to that file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -354,7 +355,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="gbdkit",
         description="exact probes and constructions on generalized "
@@ -371,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=_positive)
         p.add_argument("--window", type=_span, help="lo:hi vertex window")
         p.add_argument("--levels", type=int, default=4)
-        p.add_argument("--out", help="also write the report to this file")
+        p.add_argument("--out", help="write a copy of the printed report to this "
+                       "file; iso search and construct toeplitz write their "
+                       "artifact there instead")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn, run=_run)

@@ -176,6 +176,7 @@ class DiagramHandle:
         self.indexing = indexing
         self.stationary = stationary
         self.flags = tuple(flags)
+        self._explicit = self.get_flag(ExplicitLevelsFlag)
         self.name = name
         self.params = dict(params or {})
         self._row_rule = row_rule
@@ -188,17 +189,21 @@ class DiagramHandle:
 
     def level_known(self, n: int) -> bool:
         """Whether level n's incidence is defined (explicit specs may end)."""
-        exp = self.get_flag(ExplicitLevelsFlag)
+        exp = self._explicit
         if exp is None or exp.extension == "repeat_last":
             return n >= 0
         return 0 <= n < exp.declared_levels
 
     def in_edges(self, n: int, v: int) -> list:
         """Complete row of F_n at target v: [(source, mult), ...], sources ascending."""
+        return list(self.row(n, v))
+
+    def row(self, n: int, v: int) -> tuple:
+        """The row of in_edges as the cached tuple itself, without a copy."""
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
         self.indexing.check(v)
-        exp = self.get_flag(ExplicitLevelsFlag)
+        exp = self._explicit
         if exp is not None and n >= exp.declared_levels:
             if exp.extension == "error_beyond":
                 raise UnsupportedLevelError(
@@ -209,7 +214,7 @@ class DiagramHandle:
         if row is None:
             row = self._validated_row(n, v)
             self._row_cache[key] = row
-        return list(row)
+        return row
 
     def _validated_row(self, n: int, v: int) -> tuple:
         raw = self._row_rule(n, v)
@@ -231,7 +236,7 @@ class DiagramHandle:
 
     def entry(self, n: int, v: int, w: int) -> int:
         """Single matrix entry f^(n)_{vw}."""
-        for src, m in self.in_edges(n, v):
+        for src, m in self.row(n, v):
             if src == w:
                 return m
         return 0
@@ -301,7 +306,7 @@ class DiagramHandle:
     def _try_row(self, n: int, v: int):
         """Row, or None when v is outside the declared vertex universe."""
         try:
-            return self.in_edges(n, v)
+            return self.row(n, v)
         except InvalidVertexError:
             return None
 
@@ -322,8 +327,8 @@ class DiagramHandle:
                     offs = flag.offsets
                     for v in range(lo, hi + 1):
                         row = self._try_row(n, v)
-                        want = sorted(
-                            (v + o, m) for o, m in offs if self.indexing.contains(v + o))
+                        want = tuple(sorted(
+                            (v + o, m) for o, m in offs if self.indexing.contains(v + o)))
                         if row is not None and row != want:
                             raise InvariantError(
                                 f"Banded flag fails at level {n}, vertex {v}")

@@ -24,7 +24,7 @@ from .diagram import (
 )
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
-from .paths import Edge, FinitePath, enumerate_paths
+from .paths import Edge, FinitePath, first_reach
 from .verdicts import (
     CONE,
     RESIDUE,
@@ -33,6 +33,7 @@ from .verdicts import (
     Verdict,
     find_invariants,
 )
+from .windows import check_interval
 
 
 # --- metric and tail equivalence ----------------------------------------------
@@ -163,14 +164,13 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     j, ell = c.end_vertex, c.end_level
 
     def first_visit(levels) -> Optional[Verdict]:
-        for m in levels:
-            connecting, _ = enumerate_paths(d, j, ell, x.vertex_at(m), m, cap=1)
-            if connecting:
-                x.validate_to(m + 1)
-                return Verdict.yes(witness={"level": m,
-                                            "connecting_path": connecting[0],
-                                            "cylinder": c})
-        return None
+        hit = first_reach(d, j, ell, levels, x.vertex_at)
+        if hit is None:
+            return None
+        m, connecting = hit
+        x.validate_to(m + 1)
+        return Verdict.yes(witness={"level": m, "connecting_path": connecting,
+                                    "cylinder": c})
 
     found = first_visit(range(ell + 1, ell + depth + 1))
     if found is not None:
@@ -300,6 +300,7 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
+    check_interval(window)
     if horizon is None:
         horizon = max(64, 2 * (window[1] - window[0]) + 2)
     foc = d.get_flag(FullOutColumnFlag)

@@ -4,6 +4,14 @@ Every query sweeps backward from the target one level at a time: rows
 of the incidence matrices are finite and exact, so each step is finite
 even though columns may be infinite.  Counts are plain Python integers,
 hence exact at any magnitude.
+
+Probes that ask for the first level m at which w@n reaches a target
+t(m)@m go through `first_reach` and `reach_frontiers`.  On a stationary
+handle the rows are the same at every level, so the k-step backward
+reach set of a vertex is too: one frontier per distinct target is kept
+for the whole query and extended a step at a time as m grows, and the
+witness path is enumerated once, at the hit.  On any other handle the
+rows may change with the level, so every m restarts the sweep.
 """
 
 from __future__ import annotations
@@ -70,6 +78,18 @@ class FinitePath:
                 "copies": [e.copy for e in self.edges]}
 
 
+def _step(d: DiagramHandle, level: int, layer, counting: bool):
+    """The layer one level down: the sources at `level` of the vertices in
+    layer, with summed path counts when counting."""
+    if counting:
+        nxt: dict = {}
+        for u, paths in layer.items():
+            for src, mult in d.row(level, u):
+                nxt[src] = nxt.get(src, 0) + mult * paths
+        return nxt
+    return {src for u in layer for src, _ in d.row(level, u)}
+
+
 def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
     """Backward layers from v@m, one per level m, m-1, ..., n: the vertices
     with a path to v@m, as {vertex: path count} when counting, else as a
@@ -80,14 +100,7 @@ def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
     layer = {v: 1} if counting else {v}
     yield layer
     for level in range(m - 1, n - 1, -1):
-        if counting:
-            nxt: dict = {}
-            for u, paths in layer.items():
-                for src, mult in d.in_edges(level, u):
-                    nxt[src] = nxt.get(src, 0) + mult * paths
-            layer = nxt
-        else:
-            layer = {src for u in layer for src, _ in d.in_edges(level, u)}
+        layer = _step(d, level, layer, counting)
         yield layer
 
 
@@ -153,3 +166,52 @@ def enumerate_paths(d: DiagramHandle, w: int, n: int, v: int, m: int,
             edges.append(e)
             stack.append(steps(e.level + 1, e.target))
     return out, False
+
+
+def reach_frontiers(d: DiagramHandle, n: int, levels, target):
+    """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
+    and reach the set of vertices at level n with a path to t@m.
+
+    On a stationary handle every level has the same rows, so the reach set
+    of t after k backward steps is the same for every m with m - n == k.
+    One frontier per distinct target is kept for the whole call and
+    extended a step at a time as m grows, reading rows at level n, the
+    level a fresh sweep reads last.  On other handles the rows may change
+    with the level, so every m sweeps afresh; so do levels that need no
+    step (m <= n) or that the handle does not declare.
+    """
+    fronts: dict = {}
+    for m in levels:
+        t = target(m)
+        if d.stationary and 0 <= n < m and d.level_known(m - 1):
+            d.indexing.check(t)
+            k, reach = fronts.get(t, (0, {t}))
+            for _ in range(m - n - k):
+                reach = _step(d, n, reach, counting=False)
+            fronts[t] = (m - n, reach)
+        else:
+            reach = backward_reach_set(d, t, m, n)
+        yield m, t, reach
+
+
+def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
+    """First m in levels (ascending) with a path w@n -> target(m)@m, as
+    (m, path) where path is the first one enumerate_paths yields; None when
+    no level has one.
+
+    On a stationary handle the kept frontiers skip the levels that miss w,
+    and enumerate_paths sweeps once, at the hit, for the witness.  On other
+    handles enumerate_paths sweeps at every level, which finds the witness
+    in the same pass as the test.
+    """
+    d.indexing.check(w)
+    if d.stationary:
+        tries = ((m, t) for m, t, reach in reach_frontiers(d, n, levels, target)
+                 if w in reach)
+    else:
+        tries = ((m, target(m)) for m in levels)
+    for m, t in tries:
+        paths, _ = enumerate_paths(d, w, n, t, m, cap=1)
+        if paths:
+            return m, paths[0]
+    return None

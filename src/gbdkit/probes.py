@@ -21,7 +21,7 @@ from .diagram import (
     FullOutColumnFlag,
 )
 from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
-from .paths import FinitePath, backward_reach_set, enumerate_paths
+from .paths import FinitePath, backward_reach_set, first_reach, reach_frontiers
 from .verdicts import (
     ALL_KINDS,
     CLOPEN,
@@ -33,7 +33,7 @@ from .verdicts import (
     find_invariants,
     residue_coloring,
 )
-from .windows import LevelWindow
+from .windows import LevelWindow, check_interval
 
 
 def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
@@ -43,10 +43,10 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
         raise ValueError("depth must be >= 1")
     d.indexing.check(i)
     d.indexing.check(j)
-    for m in range(n0 + 1, n0 + depth + 1):
-        witness, _ = enumerate_paths(d, i, n0, j, m, cap=1)
-        if witness:
-            return Verdict.yes(witness=witness[0], level=m)
+    hit = first_reach(d, i, n0, range(n0 + 1, n0 + depth + 1), lambda m: j)
+    if hit is not None:
+        m, witness = hit
+        return Verdict.yes(witness=witness, level=m)
     for inv in find_invariants(d, d.default_window()):
         if inv.excludes_pair(i, j):
             return Verdict.no(certificate=inv, source=i, target=j)
@@ -121,8 +121,9 @@ def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
         raise NotStationaryError("period is defined for stationary diagrams")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lengths = [m for m in range(1, horizon + 1)
-               if i in backward_reach_set(d, i, m, 0)]
+    lengths = [m for m, _, reach in reach_frontiers(d, 0, range(1, horizon + 1),
+                                                     lambda m: i)
+               if i in reach]
     if not lengths:
         return None, []
     return math.gcd(*lengths), lengths
@@ -134,7 +135,7 @@ def bounded_size_params(d: DiagramHandle, n: int,
     the window's rows; exact when a flag certifies the values globally."""
     if window is None:
         window = d.indexing.default_interval(8)
-    lo, hi = d.indexing.clamp(*window)
+    lo, hi = d.indexing.clamp(*check_interval(window))
     t_lower = 0
     l_lower = 0
     for v in range(lo, hi + 1):
@@ -301,6 +302,7 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
+    check_interval(window)
     invs = [inv for inv in find_invariants(d, d.default_window()) if inv.is_global]
     reducibility = next((inv for inv in invs if _has_excluding_power(d, inv)), None)
 
@@ -308,19 +310,20 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
     if foc is not None and reducibility is None:
         u = foc.vertex
         lo, hi = d.indexing.clamp(*window)
-        bounds = {}
-        ok = True
-        for w in range(lo, hi + 1):
-            hit = next((m for m in range(0, horizon + 1)
-                        if w in backward_reach_set(d, u, m, 0)), None)
-            if hit is None:
-                ok = False
+        # one pass over m serves every window vertex: w's bound is the
+        # first m at which w@0 reaches u@m
+        pending = set(range(lo, hi + 1))
+        first = {}
+        for m, _, reach in reach_frontiers(d, 0, range(horizon + 1), lambda m: u):
+            for w in pending & reach:
+                first[w] = m
+            pending -= reach
+            if not pending:
                 break
-            bounds[w] = hit
-        if ok:
+        if not pending:
             return IrreducibilityClass("completely_irreducible", {
                 "full_out_vertex": u,
-                "reach_bounds": bounds,
+                "reach_bounds": {w: first[w] for w in range(lo, hi + 1)},
                 "structural_assumptions": [
                     f"FullOutColumnFlag({u}) beyond the verified window"]})
 

@@ -5,6 +5,14 @@ from __future__ import annotations
 from .indexing import VertexIndexing
 
 
+def check_interval(window) -> tuple[int, int]:
+    """The (lo, hi) pair of an inclusive interval; ValueError when lo > hi."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo},{hi}]")
+    return lo, hi
+
+
 class LevelWindow:
     """Per-level inclusive intervals [lo_n, hi_n] for levels 0..N."""
 

@@ -251,3 +251,33 @@ def test_render_dot_empty_window():
     rs = make_diagram("renewal_shift")
     text = render_dot(rs, -1)
     assert text.startswith("digraph") and "->" not in text
+
+
+def test_consecutive_calls_share_no_parser_state(specs, capsys, tmp_path):
+    from gbdkit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    code, _ = run_cli(["construct", "toeplitz", "--spec", specs["td"],
+                       "--generator", "{kind: vertical, vertex: 0}",
+                       "--generator", "{kind: vertical, vertex: 1}",
+                       "--depth", "50", "--out", str(first)], capsys)
+    assert code == 0
+    code, _ = run_cli(["construct", "toeplitz", "--spec", specs["td"],
+                       "--generator", "{kind: vertical, vertex: 0}",
+                       "--depth", "50", "--out", str(second)], capsys)
+    assert code == 0
+    td = make_diagram("tridiag_B")
+    _, _, log = toeplitz_reenumeration(td, [vertical_from(td, 0)], horizon=50)
+    assert second.read_text() == log.export_text()  # one generator, not three
+    first.unlink()
+    code, out = run_cli(["probe", "irreducible", "--spec", specs["rs"],
+                         "--src", "3", "--dst", "7"], capsys)
+    assert code == 0 and not first.exists()
+    parse = build_parser().parse_args
+    assert parse(["probe", "irreducible", "--spec", "s", "--src", "1",
+                  "--dst", "2", "--depth", "5"]).depth == 5
+    assert parse(["probe", "period", "--spec", "s", "--index", "0"]).depth == 8
+    assert parse(["probe", "irreducible", "--spec", "s", "--src", "1",
+                  "--dst", "2"]).depth == 24
+    assert parse(["orbit", "minimal", "--spec", "s"]).depth is None

@@ -271,3 +271,8 @@ def test_unknown_generator_kind():
         parse_generator(rs, {"kind": "zigzag", "vertex": 1})
     with pytest.raises(UnknownKindError):
         parse_generator(rs, {"vertex": 1})
+
+
+def test_minimality_certificate_rejects_inverted_window():
+    with pytest.raises(ValueError, match="empty interval"):
+        minimality_certificate(make_diagram("renewal_shift"), window=(9, 1))

@@ -209,3 +209,13 @@ def test_classification_consistency(handles):
             from gbdkit.probes import _has_excluding_power
             assert not any(_has_excluding_power(d, inv)
                            for inv in invariant_certificate(d) if inv.is_global)
+
+
+def test_classify_rejects_inverted_window():
+    with pytest.raises(ValueError, match="empty interval"):
+        classify_irreducibility_type(make_diagram("renewal_shift"), window=(9, 1))
+
+
+def test_bounded_size_params_rejects_inverted_window():
+    with pytest.raises(ValueError, match="empty interval"):
+        bounded_size_params(make_diagram("tridiag_B"), 0, (9, 1))

@@ -1,0 +1,151 @@
+"""The kept reach frontiers of `paths.first_reach`/`reach_frontiers` answer
+exactly as a fresh sweep per level does, and read far fewer rows."""
+
+import pytest
+
+from gbdkit import (
+    DiagramHandle,
+    LevelRule,
+    backward_reach_set,
+    classify_irreducibility_type,
+    cone_shift,
+    cylinder_at,
+    enumerate_paths,
+    interleave,
+    irreducible_probe,
+    level_shift,
+    make_diagram,
+    make_generator,
+    orbit_visits_cylinder,
+    period_of_index,
+    relabel,
+)
+from gbdkit import dynamics, probes
+from gbdkit.specfmt import load_spec
+
+from conftest import NAMES
+
+
+def restart_first_reach(d, w, n, levels, target):
+    """The per-level loop: a fresh sweep (inside enumerate_paths) at every m."""
+    for m in levels:
+        paths, _ = enumerate_paths(d, w, n, target(m), m, cap=1)
+        if paths:
+            return m, paths[0]
+    return None
+
+
+def restart_frontiers(d, n, levels, target):
+    """No kept frontier: a fresh sweep at every m."""
+    for m in levels:
+        t = target(m)
+        yield m, t, backward_reach_set(d, t, m, n)
+
+
+def explicit_error_beyond():
+    # every row holds source 1, so vertex 1 is a full-out column
+    return load_spec({"levels": [{0: {0: 1, 1: 1}, 1: {1: 1}, 2: {1: 1, 2: 2}},
+                                 {0: {1: 2}, 1: {1: 1, 2: 1}, 2: {1: 1}},
+                                 {0: {1: 1, 0: 1}, 1: {0: 1, 1: 1}, 2: {1: 1, 2: 1}}],
+                      "extension": "error_beyond",
+                      "flags": [{"kind": "full_out_column", "vertex": 1}]})
+
+
+def extra_handles():
+    td = make_diagram("tridiag_B")
+    return {
+        "interleaved tridiag_B": relabel(td, interleave()),
+        "cone-shifted tridiag_B": relabel(
+            td, cone_shift(LevelRule("table", 1, (0, 1, 2)))),
+        "explicit error_beyond": explicit_error_beyond(),
+    }
+
+
+def outcome(fn):
+    try:
+        r = fn()
+    except Exception as exc:  # exceptions must match too
+        return type(exc).__name__, str(exc)
+    return r.describe() if hasattr(r, "describe") else r
+
+
+def battery(d):
+    lo, hi = d.indexing.default_interval(2)
+    vs = range(lo, hi + 1)
+    out = []
+    for i in vs:
+        for j in vs:
+            out.append(outcome(lambda: irreducible_probe(d, i, j, 0, 10)))
+        out.append(outcome(lambda: period_of_index(d, i, 6)))
+    out.append(outcome(lambda: classify_irreducibility_type(d, horizon=16)))
+    for kind in ("vertical", "alternating", "rightmost_slant"):
+        for v in (lo, hi):
+            g = outcome(lambda: make_generator(d, kind, vertex=v))
+            if isinstance(g, tuple):
+                out.append(g)
+                continue
+            for c in vs:
+                out.append(outcome(lambda: orbit_visits_cylinder(
+                    d, g, cylinder_at(d, c), 10)))
+    return out
+
+
+@pytest.fixture()
+def row_reads(monkeypatch):
+    count = [0]
+    row = DiagramHandle.row
+
+    def counted(self, n, v):
+        count[0] += 1
+        return row(self, n, v)
+
+    monkeypatch.setattr(DiagramHandle, "row", counted)
+    return count
+
+
+def restarted(monkeypatch, fn):
+    with monkeypatch.context() as mp:
+        for module in (probes, dynamics):
+            mp.setattr(module, "first_reach", restart_first_reach, raising=False)
+            mp.setattr(module, "reach_frontiers", restart_frontiers, raising=False)
+        return fn()
+
+
+@pytest.mark.parametrize("name", NAMES + list(extra_handles()))
+def test_same_outputs_as_a_restart_per_level(name, monkeypatch, row_reads):
+    d = make_diagram(name) if name in NAMES else extra_handles()[name]
+    start = row_reads[0]
+    reference = restarted(monkeypatch, lambda: battery(d))
+    reference_reads = row_reads[0] - start
+    start = row_reads[0]
+    assert battery(d) == reference
+    if not d.stationary:
+        assert row_reads[0] - start <= reference_reads
+
+
+def test_handles_cover_both_kinds():
+    handles = extra_handles()
+    assert handles["interleaved tridiag_B"].stationary
+    assert not handles["cone-shifted tridiag_B"].stationary
+    assert not handles["explicit error_beyond"].stationary
+
+
+def test_deep_no_probe_reads_few_rows(row_reads):
+    d = relabel(make_diagram("tridiag_B"), level_shift(1))
+    start = row_reads[0]
+    v = irreducible_probe(d, 0, -1, 0, 96)
+    assert v.is_no
+    # a restart per level reads about 300,000 rows here
+    assert row_reads[0] - start < 20_000
+
+
+def test_in_edges_copies_leave_the_cached_row_intact():
+    d = make_diagram("tridiag_B")
+    cached = d.row(3, 0)
+    edges = d.in_edges(3, 0)
+    assert edges == list(cached)
+    edges.append((99, 1))
+    edges[0] = (-99, 7)
+    assert d.row(3, 0) is cached
+    assert d.in_edges(3, 0) == list(cached)
+    assert (99, 1) not in cached and (-99, 7) not in cached
