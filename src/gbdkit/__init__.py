@@ -43,6 +43,7 @@ from .dynamics import (
 from .dynamics import classify_edge
 from .errors import (
     ConflictError,
+    EmptyWindowError,
     GbdError,
     IndexingMismatchError,
     InvalidEdgeError,

@@ -59,6 +59,11 @@ class LevelRule:
 
 
 # --- structural flags -------------------------------------------------------
+#
+# Each flag's verify(d, n, rows, cols) spot-checks it at level n and raises
+# InvariantError on a failure.  rows maps each window target v to its row
+# (declared rows only); cols maps each source w to its windowed column
+# [(v, mult), ...], targets ascending.
 
 @dataclass(frozen=True)
 class BandedFlag:
@@ -82,6 +87,13 @@ class BandedFlag:
     def row_sum(self) -> int:
         return sum(m for _, m in self.offsets)
 
+    def verify(self, d, n, rows, cols):
+        for v, row in rows.items():
+            want = tuple(sorted(
+                (v + o, m) for o, m in self.offsets if d.indexing.contains(v + o)))
+            if row != want:
+                raise InvariantError(f"Banded flag fails at level {n}, vertex {v}")
+
 
 @dataclass(frozen=True)
 class TriangularFlag:
@@ -91,6 +103,18 @@ class TriangularFlag:
     direction: str  # "lower" | "upper"
     slack: int = 0
 
+    def admits(self, v: int, w: int) -> bool:
+        """Whether source w may feed target v under this support bound."""
+        return w <= v + self.slack if self.direction == "lower" else w >= v + self.slack
+
+    def verify(self, d, n, rows, cols):
+        for v, row in rows.items():
+            for w, _ in row:
+                if not self.admits(v, w):
+                    raise InvariantError(
+                        f"Triangular({self.direction}) flag fails at level {n}: "
+                        f"source {w} of target {v}")
+
 
 @dataclass(frozen=True)
 class FullOutColumnFlag:
@@ -98,10 +122,28 @@ class FullOutColumnFlag:
 
     vertex: int
 
+    def verify(self, d, n, rows, cols):
+        d.indexing.check(self.vertex, "full-out column vertex")
+        covered = {v for v, _ in cols.get(self.vertex, ())}
+        for v in rows:
+            if v not in covered:
+                raise InvariantError(
+                    f"FullOutColumn({self.vertex}) misses target {v} at level {n}")
+
 
 @dataclass(frozen=True)
 class InfiniteOutDegreesFlag:
     """Every vertex has infinitely many outgoing edges."""
+
+    def verify(self, d, n, rows, cols):
+        # plausibility only: each source near the origin feeds at least 3
+        # window targets, reaching 8 or more above itself
+        lo, hi = d.indexing.default_interval(4)
+        for w in range(lo, hi + 1):
+            out = cols.get(w, ())
+            if len(out) < 3 or out[-1][0] < w + 8:
+                raise InvariantError(
+                    f"InfiniteOutDegrees flag implausible at vertex {w}, level {n}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +154,15 @@ class BoundedSizeFlag:
     t_rule: LevelRule
     l_rule: Optional[LevelRule] = None
 
+    def verify(self, d, n, rows, cols):
+        t = self.t_rule(n)
+        for v, row in rows.items():
+            if any(abs(w - v) > t for w, _ in row):
+                raise InvariantError(f"BoundedSize t={t} fails at level {n}, vertex {v}")
+            if self.l_rule is not None and sum(m for _, m in row) > self.l_rule(n):
+                raise InvariantError(
+                    f"BoundedSize row-sum bound fails at level {n}, vertex {v}")
+
 
 @dataclass(frozen=True)
 class ExplicitLevelsFlag:
@@ -119,6 +170,9 @@ class ExplicitLevelsFlag:
 
     extension: str = "error_beyond"
     declared_levels: int = 0
+
+    def verify(self, d, n, rows, cols):
+        """Nothing to spot-check: `DiagramHandle.row` enforces the levels."""
 
 
 # --- column support ---------------------------------------------------------
@@ -231,8 +285,20 @@ class DiagramHandle:
             self.indexing.check(w, "source")
         return tuple(row)
 
-    def in_sources(self, n: int, v: int) -> list:
-        return [w for w, _ in self.in_edges(n, v)]
+    def window_rows(self, n: int, lo: int, hi: int) -> dict:
+        """{v: row} for the vertices of [lo, hi] that have a row at level n.
+
+        Rows are the cached tuples of `row`.  Vertices outside the vertex
+        range, or without a declared row (explicit specs), are skipped.
+        """
+        lo, hi = self.indexing.clamp(lo, hi)
+        rows = {}
+        for v in range(lo, hi + 1):
+            try:
+                rows[v] = self.row(n, v)
+            except InvalidVertexError:
+                pass
+        return rows
 
     def entry(self, n: int, v: int, w: int) -> int:
         """Single matrix entry f^(n)_{vw}."""
@@ -303,85 +369,37 @@ class DiagramHandle:
             return LevelRule.const(banded.width)
         return None
 
-    def _try_row(self, n: int, v: int):
-        """Row, or None when v is outside the declared vertex universe."""
-        try:
-            return self.row(n, v)
-        except InvalidVertexError:
-            return None
-
     def _verify_flags(self):
-        """Spot-verify every declared flag on a default window; reject failures.
+        """Spot-verify every declared flag, then the column rule, on a
+        default window; reject failures.
 
-        Flags remain assumptions beyond the verified window; certificate
-        consumers report them as such.  Window vertices without declared
-        rows (explicit specs) are skipped.
+        One snapshot of the window's rows per level, read on first need,
+        serves every check.  Flags remain assumptions beyond the verified
+        window; certificate consumers report them as such.  Window
+        vertices without declared rows (explicit specs) are skipped.
         """
-        levels = FLAG_VERIFY_LEVELS
         lo, hi = self.indexing.default_interval(FLAG_VERIFY_RADIUS)
-        for flag in self.flags:
-            for n in range(levels + 1):
-                if not self.level_known(n):
-                    break
-                if isinstance(flag, BandedFlag):
-                    offs = flag.offsets
-                    for v in range(lo, hi + 1):
-                        row = self._try_row(n, v)
-                        want = tuple(sorted(
-                            (v + o, m) for o, m in offs if self.indexing.contains(v + o)))
-                        if row is not None and row != want:
-                            raise InvariantError(
-                                f"Banded flag fails at level {n}, vertex {v}")
-                elif isinstance(flag, TriangularFlag):
-                    for v in range(lo, hi + 1):
-                        for w, _ in self._try_row(n, v) or ():
-                            ok = (w <= v + flag.slack if flag.direction == "lower"
-                                  else w >= v + flag.slack)
-                            if not ok:
-                                raise InvariantError(
-                                    f"Triangular({flag.direction}) flag fails at "
-                                    f"level {n}: source {w} of target {v}")
-                elif isinstance(flag, FullOutColumnFlag):
-                    self.indexing.check(flag.vertex, "full-out column vertex")
-                    for v in range(lo, hi + 1):
-                        row = self._try_row(n, v)
-                        if row is not None and dict(row).get(flag.vertex, 0) == 0:
-                            raise InvariantError(
-                                f"FullOutColumn({flag.vertex}) misses target {v} "
-                                f"at level {n}")
-                elif isinstance(flag, InfiniteOutDegreesFlag):
-                    slo, shi = self.indexing.default_interval(4)
-                    for w in range(slo, shi + 1):
-                        out = [(v, dict(self._try_row(n, v) or {}).get(w, 0))
-                               for v in range(lo, hi + 1)]
-                        out = [(v, m) for v, m in out if m]
-                        if len(out) < 3 or max(v for v, _ in out) < w + 8:
-                            raise InvariantError(
-                                f"InfiniteOutDegrees flag implausible at vertex {w}, "
-                                f"level {n}")
-                elif isinstance(flag, BoundedSizeFlag):
-                    t = flag.t_rule(n)
-                    for v in range(lo, hi + 1):
-                        row = self._try_row(n, v)
-                        if row is None:
-                            continue
-                        if any(abs(w - v) > t for w, _ in row):
-                            raise InvariantError(
-                                f"BoundedSize t={t} fails at level {n}, vertex {v}")
-                        if flag.l_rule is not None:
-                            if sum(m for _, m in row) > flag.l_rule(n):
-                                raise InvariantError(
-                                    f"BoundedSize row-sum bound fails at level {n}, "
-                                    f"vertex {v}")
-        if self._col_rule is not None:
-            self._verify_col_rule(levels, (lo, hi))
+        levels = [n for n in range(FLAG_VERIFY_LEVELS + 1) if self.level_known(n)]
+        snapshots = {}
 
-    def _verify_col_rule(self, levels: int, win):
-        lo, hi = win
+        def snapshot(n):
+            if n not in snapshots:
+                rows = self.window_rows(n, lo, hi)
+                cols = {}
+                for v, row in rows.items():
+                    for w, m in row:
+                        cols.setdefault(w, []).append((v, m))
+                snapshots[n] = rows, cols
+            return snapshots[n]
+
+        for flag in self.flags:
+            for n in levels:
+                flag.verify(self, n, *snapshot(n))
+        if self._col_rule is None:
+            return
         slo, shi = self.indexing.default_interval(8)
-        for n in range(levels + 1):
-            if not self.level_known(n):
-                break
+        for n in levels:
+            rows, cols = snapshot(n)
             for w in range(slo, shi + 1):
                 try:
                     sup = self._col_rule(n, w)
@@ -389,11 +407,7 @@ class DiagramHandle:
                     continue
                 if sup is None:
                     continue
-                windowed = []
-                for v in range(lo, hi + 1):
-                    m = dict(self._try_row(n, v) or {}).get(w, 0)
-                    if m:
-                        windowed.append((v, m))
+                windowed = cols.get(w, [])
                 if sup.is_finite:
                     claimed = [(v, m) for v, m in sup.entries if lo <= v <= hi]
                     if claimed != windowed:
@@ -401,17 +415,18 @@ class DiagramHandle:
                             f"column rule disagrees with rows at level {n}, "
                             f"source {w}")
                     for v, m in sup.entries:
-                        row = self._try_row(n, v)
+                        if lo <= v <= hi:
+                            continue  # matched above
+                        row = self.window_rows(n, v, v).get(v)
                         if row is not None and dict(row).get(w, 0) != m:
                             raise InvariantError(
                                 f"column rule claims ({v},{m}) missing from rows "
                                 f"at level {n}, source {w}")
                 elif sup.kind == "all":
-                    for v in range(lo, hi + 1):
-                        row = self._try_row(n, v)
-                        if row is not None and dict(row).get(w, 0) == 0:
-                            raise InvariantError(
-                                f"column rule 'all' fails at level {n}, source {w}")
+                    covered = {v for v, _ in windowed}
+                    if any(v not in covered for v in rows):
+                        raise InvariantError(
+                            f"column rule 'all' fails at level {n}, source {w}")
 
     # -- misc -------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from .verdicts import (
     Verdict,
     find_invariants,
 )
-from .windows import check_interval
+from .windows import clamped_interval
 
 
 # --- metric and tail equivalence ----------------------------------------------
@@ -300,7 +300,7 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
-    check_interval(window)
+    lo, hi = clamped_interval(d.indexing, window)
     if horizon is None:
         horizon = max(64, 2 * (window[1] - window[0]) + 2)
     foc = d.get_flag(FullOutColumnFlag)
@@ -309,7 +309,6 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
         if d.entry(0, u, u) > 0:  # vertical continuation available at u
             bounds = {}
             ok = True
-            lo, hi = d.indexing.clamp(*window)
             for w in range(lo, hi + 1):
                 b = _forced_hit_bound(d, w, u, 0, horizon)
                 if b is None:

@@ -37,6 +37,11 @@ class WindowTooSmallError(GbdError):
     """
 
 
+class EmptyWindowError(GbdError, ValueError):
+    """A vertex window holds no vertex: inverted, or wholly below a
+    one-sided base."""
+
+
 class NotStationaryError(GbdError):
     """An operation that requires a stationary diagram got a non-stationary one."""
 

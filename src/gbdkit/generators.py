@@ -55,14 +55,6 @@ class EventualTrace:
         k, r = divmod(m - self.start, self.period)
         return self.base_vertices[r] + k * self.step
 
-    @property
-    def slope_num(self) -> int:
-        return self.step
-
-    @property
-    def slope_den(self) -> int:
-        return self.period
-
 
 class TraceGenerator:
     """Probe surface shared by generators: edges, prefixes and validation

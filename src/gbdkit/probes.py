@@ -33,7 +33,7 @@ from .verdicts import (
     find_invariants,
     residue_coloring,
 )
-from .windows import LevelWindow, check_interval
+from .windows import LevelWindow, clamped_interval
 
 
 def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
@@ -135,7 +135,7 @@ def bounded_size_params(d: DiagramHandle, n: int,
     the window's rows; exact when a flag certifies the values globally."""
     if window is None:
         window = d.indexing.default_interval(8)
-    lo, hi = d.indexing.clamp(*check_interval(window))
+    lo, hi = clamped_interval(d.indexing, window)
     t_lower = 0
     l_lower = 0
     for v in range(lo, hi + 1):
@@ -302,14 +302,13 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
-    check_interval(window)
+    lo, hi = clamped_interval(d.indexing, window)
     invs = [inv for inv in find_invariants(d, d.default_window()) if inv.is_global]
     reducibility = next((inv for inv in invs if _has_excluding_power(d, inv)), None)
 
     foc = d.get_flag(FullOutColumnFlag)
     if foc is not None and reducibility is None:
         u = foc.vertex
-        lo, hi = d.indexing.clamp(*window)
         # one pass over m serves every window vertex: w's bound is the
         # first m at which w@0 reaches u@m
         pending = set(range(lo, hi + 1))

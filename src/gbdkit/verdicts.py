@@ -81,20 +81,6 @@ class NonReachInvariant:
             return t == 0 and j != i
         return False
 
-    def step_bounds(self) -> tuple:
-        """Per-step change (lo, hi) of vertex ids along one edge, with
-        None for an unbounded side."""
-        if self.kind == TRIANGULAR:
-            direction, c = self.params
-            # edge from source w to target v; lower: w <= v + c means v >= w - c
-            if direction == "lower":
-                return (-c, None)
-            return (None, -c)
-        if self.kind == CONE:
-            (t,) = self.params
-            return (-t, t)
-        return (None, None)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -161,32 +147,14 @@ def _plain(obj):
 # --- search and verification --------------------------------------------------
 
 
-def _window_rows(d: DiagramHandle, window: LevelWindow):
-    for n in window.levels:
-        if n + 1 not in window.levels:
-            continue
-        if not d.level_known(n):
-            continue
-        lo, hi = d.indexing.clamp(*window.interval(n + 1))
-        for v in range(lo, hi + 1):
-            yield n, v, d.in_edges(n, v)
-
-
-def _verify_triangular(d, window, direction, c) -> bool:
-    for n, v, row in _window_rows(d, window):
-        for w, _ in row:
-            ok = w <= v + c if direction == "lower" else w >= v + c
-            if not ok:
-                return False
-    return True
-
-
-def _verify_residue(d, window, p, a) -> bool:
-    for n, v, row in _window_rows(d, window):
-        for w, _ in row:
-            if (v + a * (n + 1) - w - a * n) % p != 0:
-                return False
-    return True
+def _window_edges(d: DiagramHandle, window: LevelWindow) -> set:
+    """The distinct (v, w) of the edges w@n -> v@n+1 in the window's
+    declared rows: every candidate invariant is a test on these pairs."""
+    levels = window.levels
+    return {(v, w)
+            for n in levels if n + 1 in levels and d.level_known(n)
+            for v, row in d.window_rows(n, *window.interval(n + 1)).items()
+            for w, _ in row}
 
 
 def _triangular_global_via(d: DiagramHandle, direction, c):
@@ -225,26 +193,24 @@ def find_invariants(d: DiagramHandle, window: LevelWindow,
     returned (lower slack <= 0, upper slack >= 0).  With
     include_slope_only, weak triangular bounds (the other sign) are
     added too: they exclude no pair on their own but bound the per-step
-    drift, which trace-separation arguments exploit.
+    drift, which trace-separation arguments exploit.  Window vertices
+    without a declared row are skipped, as in the flag checks.
     """
     found = []
     wdesc = window_desc(window)
+    edges = _window_edges(d, window)
     if TRIANGULAR in kinds:
         lo_slacks = range(-MAX_SLACK, (MAX_SLACK if include_slope_only else 0) + 1)
         up_slacks = range(MAX_SLACK, (-MAX_SLACK if include_slope_only else 0) - 1, -1)
         # strongest slack first: most negative for lower, largest for upper
-        for c in lo_slacks:
-            if _verify_triangular(d, window, "lower", c):
-                found.append(NonReachInvariant(
-                    TRIANGULAR, ("lower", c), wdesc, True,
-                    _triangular_global_via(d, "lower", c)))
-                break
-        for c in up_slacks:
-            if _verify_triangular(d, window, "upper", c):
-                found.append(NonReachInvariant(
-                    TRIANGULAR, ("upper", c), wdesc, True,
-                    _triangular_global_via(d, "upper", c)))
-                break
+        for direction, slacks in (("lower", lo_slacks), ("upper", up_slacks)):
+            for c in slacks:
+                admits = TriangularFlag(direction, c).admits
+                if all(admits(v, w) for v, w in edges):
+                    found.append(NonReachInvariant(
+                        TRIANGULAR, (direction, c), wdesc, True,
+                        _triangular_global_via(d, direction, c)))
+                    break
     if RESIDUE in kinds or CLOPEN in kinds:
         seen = set()
         for p in range(2, MAX_MODULUS + 1):
@@ -252,7 +218,8 @@ def find_invariants(d: DiagramHandle, window: LevelWindow,
                 a_canon = a % p
                 if (p, a_canon) in seen:
                     continue
-                if _verify_residue(d, window, p, a_canon):
+                # every edge w@n -> v@n+1 keeps v + a(n+1) = w + a n (mod p)
+                if all((v - w + a_canon) % p == 0 for v, w in edges):
                     seen.add((p, a_canon))
                     via = _residue_global_via(d, p, a_canon)
                     if RESIDUE in kinds:
@@ -265,9 +232,7 @@ def find_invariants(d: DiagramHandle, window: LevelWindow,
         t_rule = d.t_rule()
         if t_rule is not None and t_rule.kind == "const":
             t = t_rule.value
-            ok = all(abs(w - v) <= t
-                     for _, v, row in _window_rows(d, window) for w, _ in row)
-            if ok:
+            if all(abs(w - v) <= t for v, w in edges):
                 found.append(NonReachInvariant(
                     CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
     return found

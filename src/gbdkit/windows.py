@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from .errors import EmptyWindowError
 from .indexing import VertexIndexing
 
 
-def check_interval(window) -> tuple[int, int]:
-    """The (lo, hi) pair of an inclusive interval; ValueError when lo > hi."""
-    lo, hi = window
+def clamped_interval(indexing: VertexIndexing, window) -> tuple[int, int]:
+    """The inclusive interval `window` intersected with the vertex range;
+    EmptyWindowError (a ValueError) when no vertex is left."""
+    wlo, whi = window
+    lo, hi = indexing.clamp(wlo, whi)
     if lo > hi:
-        raise ValueError(f"empty interval [{lo},{hi}]")
+        where = "" if wlo > whi else f" below one-sided base {indexing.base}"
+        raise EmptyWindowError(f"empty interval [{wlo},{whi}]{where}")
     return lo, hi
 
 

@@ -234,6 +234,16 @@ def test_malformed_arguments_exit_2(argv, specs, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["probe classify", "probe bounded-size",
+                                     "orbit minimal"])
+def test_window_below_the_base_exits_2(command, specs, capsys):
+    # renewal_shift's vertices start at 1, so -5:-1 holds none of them
+    assert main(command.split() + ["--spec", specs["rs"], "--window=-5:-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty interval [-5,-1]" in captured.err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "gbdkit.cli", "report", "--suite", "custom",

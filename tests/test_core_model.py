@@ -1,14 +1,18 @@
 import pytest
 
 from gbdkit import (
+    ColumnSupport,
+    DiagramHandle,
     InvalidVertexError,
     InvariantError,
     ParseError,
     SchemaError,
     UnsupportedLevelError,
+    interleave,
     load_spec,
     make_diagram,
     one_sided,
+    relabel,
     two_sided,
 )
 
@@ -190,6 +194,69 @@ flags:
 """
     with pytest.raises(InvariantError):
         load_spec(text)
+
+
+def _rows_one_sided(levels_yaml: str, flag: str) -> str:
+    return (f"indexing: {{mode: one_sided, base: 1}}\nlevels:\n  - {levels_yaml}\n"
+            f"flags:\n  - {flag}\n")
+
+
+FLAG_VIOLATIONS = {
+    "banded": ("indexing: {mode: two_sided}\nlevels:\n  - {0: {0: 1, 1: 1}, 1: {1: 1}}\n"
+               "extension: repeat_last\nflags:\n  - {kind: banded, offsets: {0: 1, 1: 1}}\n",
+               "Banded flag fails at level 0, vertex 1"),
+    "triangular": (_rows_one_sided("{1: {1: 1}, 2: {1: 1, 3: 1}, 3: {3: 1}}",
+                                   "{kind: triangular, direction: lower}"),
+                   r"Triangular\(lower\) flag fails at level 0: source 3 of target 2"),
+    "bounded_size t": (_rows_one_sided("{1: {1: 1, 4: 1}, 2: {2: 1}}",
+                                       "{kind: bounded_size, t: 2}"),
+                       "BoundedSize t=2 fails at level 0, vertex 1"),
+    "bounded_size L": (_rows_one_sided("{1: {1: 1}, 2: {2: 3}}",
+                                       "{kind: bounded_size, t: 2, L: 2}"),
+                       "BoundedSize row-sum bound fails at level 0, vertex 2"),
+    "full_out_column": (_rows_one_sided("{1: {1: 2}, 2: {1: 1, 2: 1}}",
+                                        "{kind: full_out_column, vertex: 2}"),
+                        r"FullOutColumn\(2\) misses target 1 at level 0"),
+    "infinite_out_degrees": (_rows_one_sided("{1: {1: 1}, 2: {1: 1}, 3: {1: 1}}",
+                                             "infinite_out_degrees"),
+                             "InfiniteOutDegrees flag implausible at vertex 1, level 0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLAG_VIOLATIONS))
+def test_each_flag_kind_rejects_a_violation(kind):
+    text, message = FLAG_VIOLATIONS[kind]
+    with pytest.raises(InvariantError, match=message):
+        load_spec(text)
+
+
+def test_column_rule_disagreeing_with_rows_rejected():
+    def rows(n, v):
+        return [(v, 1), (v + 1, 1)]
+
+    def cols(n, w):  # misses the target w - 1
+        return ColumnSupport.finite([(w, 1)])
+
+    with pytest.raises(InvariantError,
+                       match="column rule disagrees with rows at level 0, source -8"):
+        DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols)
+
+
+def test_building_a_handle_reads_few_rows(monkeypatch):
+    reads = [0]
+    row = DiagramHandle.row
+
+    def counted(self, n, v):
+        reads[0] += 1
+        return row(self, n, v)
+
+    monkeypatch.setattr(DiagramHandle, "row", counted)
+    td = make_diagram("tridiag_B")
+    assert reads[0] < 250
+    reads[0] = 0
+    relabel(td, interleave())
+    # one read per window row and level, plus column claims beyond the window
+    assert reads[0] < 250
 
 
 def test_empty_and_disjoint_windows():

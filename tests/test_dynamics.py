@@ -276,3 +276,8 @@ def test_unknown_generator_kind():
 def test_minimality_certificate_rejects_inverted_window():
     with pytest.raises(ValueError, match="empty interval"):
         minimality_certificate(make_diagram("renewal_shift"), window=(9, 1))
+
+
+def test_minimality_certificate_rejects_window_below_the_base():
+    with pytest.raises(ValueError, match="below one-sided base 1"):
+        minimality_certificate(make_diagram("renewal_shift"), window=(-5, -1))

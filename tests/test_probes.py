@@ -13,6 +13,7 @@ from gbdkit import (
     full_out_row_check,
     invariant_certificate,
     irreducible_probe,
+    load_spec,
     make_diagram,
     period_of_index,
     prefix_from_trace,
@@ -219,3 +220,25 @@ def test_classify_rejects_inverted_window():
 def test_bounded_size_params_rejects_inverted_window():
     with pytest.raises(ValueError, match="empty interval"):
         bounded_size_params(make_diagram("tridiag_B"), 0, (9, 1))
+
+
+def test_classify_rejects_window_below_the_base():
+    with pytest.raises(ValueError, match="below one-sided base 1"):
+        classify_irreducibility_type(make_diagram("renewal_shift"), window=(-5, -1))
+
+
+def test_bounded_size_params_rejects_window_below_the_base():
+    with pytest.raises(ValueError, match="below one-sided base 1"):
+        bounded_size_params(make_diagram("renewal_shift"), 0, (-5, -1))
+
+
+def test_invariant_search_skips_undeclared_vertices():
+    # rows only for 0, 1 and 2; vertex 0 feeds only itself
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [{0: {0: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}],
+                   "extension": "repeat_last"})
+    invs = invariant_certificate(d)
+    assert [(i.kind, i.params) for i in invs] == [("triangular_support", ("upper", 0))]
+    assert not any(i.is_global for i in invs)
+    # no flag backs a global No
+    assert irreducible_probe(d, 0, 1, 0, 4).is_unknown
