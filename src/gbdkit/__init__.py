@@ -53,6 +53,7 @@ from .errors import (
     NotStationaryError,
     ParseError,
     SchemaError,
+    UndeclaredRowError,
     UnknownKindError,
     UnsupportedLevelError,
     WindowTooSmallError,

@@ -350,8 +350,11 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
             flags.append(FullOutColumnFlag(g.forward(0, f.vertex)))
     if d.get_flag(InfiniteOutDegreesFlag) is not None:
         flags.append(InfiniteOutDegreesFlag())
+    # the extension policy carries over only where replaying the last
+    # declared level is still right: nothing is replayed, or g is the same
+    # map at every level
     exp = d.get_flag(ExplicitLevelsFlag)
-    if exp is not None:
+    if exp is not None and (exp.extension == "error_beyond" or g.level_const):
         flags.append(exp)
     # drop triangular flags made vacuous or duplicated
     seen, out = set(), []

@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidVertexError, InvariantError, UnsupportedLevelError
+from .errors import (
+    InvalidVertexError,
+    InvariantError,
+    UndeclaredRowError,
+    UnsupportedLevelError,
+)
 from .indexing import VertexIndexing
 from .windows import LevelWindow
 
@@ -172,7 +177,18 @@ class ExplicitLevelsFlag:
     declared_levels: int = 0
 
     def verify(self, d, n, rows, cols):
-        """Nothing to spot-check: `DiagramHandle.row` enforces the levels."""
+        """Nothing to spot-check: `level_of` enforces the levels."""
+
+    def level_of(self, n: int) -> int:
+        """The declared level whose rules serve level n: the last one past
+        the declared levels under 'repeat_last', an error under
+        'error_beyond'."""
+        if n < self.declared_levels:
+            return n
+        if self.extension == "error_beyond":
+            raise UnsupportedLevelError(
+                f"level {n} beyond the {self.declared_levels} declared levels")
+        return self.declared_levels - 1
 
 
 # --- column support ---------------------------------------------------------
@@ -257,12 +273,8 @@ class DiagramHandle:
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
         self.indexing.check(v)
-        exp = self._explicit
-        if exp is not None and n >= exp.declared_levels:
-            if exp.extension == "error_beyond":
-                raise UnsupportedLevelError(
-                    f"level {n} beyond the {exp.declared_levels} declared levels")
-            n = exp.declared_levels - 1
+        if self._explicit is not None:
+            n = self._explicit.level_of(n)
         key = (0 if self.stationary else n, v)
         row = self._row_cache.get(key)
         if row is None:
@@ -282,21 +294,25 @@ class DiagramHandle:
             if w in seen:
                 raise InvariantError(f"duplicate source {w} in row ({n}, {v})")
             seen.add(w)
-            self.indexing.check(w, "source")
+            if not self.indexing.contains(w):
+                raise InvariantError(
+                    f"source {w} below one-sided base {self.indexing.base} "
+                    f"in row ({n}, {v})")
         return tuple(row)
 
     def window_rows(self, n: int, lo: int, hi: int) -> dict:
         """{v: row} for the vertices of [lo, hi] that have a row at level n.
 
         Rows are the cached tuples of `row`.  Vertices outside the vertex
-        range, or without a declared row (explicit specs), are skipped.
+        range, or without a declared row (explicit specs), are skipped;
+        every other failure of a row read propagates.
         """
         lo, hi = self.indexing.clamp(lo, hi)
         rows = {}
         for v in range(lo, hi + 1):
             try:
                 rows[v] = self.row(n, v)
-            except InvalidVertexError:
+            except UndeclaredRowError:
                 pass
         return rows
 
@@ -312,13 +328,8 @@ class DiagramHandle:
         self.indexing.check(w)
         if win is None:
             raise ValueError("window required: columns may be infinite")
-        lo, hi = self.indexing.clamp(*win)
-        out = []
-        for v in range(lo, hi + 1):
-            m = self.entry(n, v, w)
-            if m:
-                out.append((v, m))
-        return out
+        return [(v, m) for v, row in self.window_rows(n, *win).items()
+                for src, m in row if src == w]
 
     def incidence_window(self, n: int, row_win, col_win) -> list:
         """Dense matrix M[v][w] = f^(n)_{vw} for v in row_win, w in col_win."""
@@ -339,6 +350,8 @@ class DiagramHandle:
         self.indexing.check(w)
         if self._col_rule is None:
             return None
+        if self._explicit is not None:
+            n = self._explicit.level_of(n)
         return self._col_rule(n, w)
 
     def out_edges_exact(self, n: int, w: int) -> Optional[list]:
@@ -401,10 +414,7 @@ class DiagramHandle:
         for n in levels:
             rows, cols = snapshot(n)
             for w in range(slo, shi + 1):
-                try:
-                    sup = self._col_rule(n, w)
-                except InvalidVertexError:
-                    continue
+                sup = self.column_support(n, w)
                 if sup is None:
                     continue
                 windowed = cols.get(w, [])

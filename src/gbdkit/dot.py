@@ -26,10 +26,9 @@ def render_dot(d: DiagramHandle, levels: int, window=None, radius: int = 4) -> s
     for n in lvls:
         if n + 1 not in lvls:
             continue
-        rlo, rhi = d.indexing.clamp(*window.interval(n + 1))
         clo, chi = d.indexing.clamp(*window.interval(n))
-        for v in range(rlo, rhi + 1):
-            for w, mult in d.in_edges(n, v):
+        for v, row in d.window_rows(n, *window.interval(n + 1)).items():
+            for w, mult in row:
                 if not clo <= w <= chi:
                     continue
                 for _ in range(mult):

@@ -272,9 +272,9 @@ def _generator_battery(d: DiagramHandle, radius: int = 6) -> list:
     """Small deterministic family of generators for obstruction search."""
     gens = []
     hub = {f.vertex for f in d.get_flags(FullOutColumnFlag)}
-    lo, hi = d.indexing.default_interval(radius)
-    loops = [v for v in sorted(range(lo, hi + 1), key=lambda t: (abs(t), t))
-             if d.entry(0, v, v) > 0]
+    rows = d.window_rows(0, *d.indexing.default_interval(radius))
+    loops = [v for v in sorted(rows, key=lambda t: (abs(t), t))
+             if any(w == v for w, _ in rows[v])]
     loops = [v for v in loops if v not in hub][:2] + [v for v in loops if v in hub][:1]
     for v in loops:
         gens.append(PathGenerator(d, "vertical", {"vertex": v}))

@@ -9,6 +9,10 @@ class InvalidVertexError(GbdError):
     """A vertex id falls outside the indexing range of its level."""
 
 
+class UndeclaredRowError(InvalidVertexError):
+    """An explicit spec declares no row for this vertex at this level."""
+
+
 class InvalidEdgeError(GbdError):
     """An edge tuple does not exist in the diagram."""
 

@@ -75,7 +75,7 @@ class NoneWithinBudget:
 
 
 def _row_multiset(d: DiagramHandle, n: int, v: int) -> tuple:
-    return tuple(sorted(m for _, m in d.in_edges(n, v)))
+    return tuple(sorted(m for _, m in d.row(n, v)))
 
 
 def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
@@ -90,65 +90,47 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     tried in ascending |vertex| order.  Exhausting the node budget is a
     result, not an error.
     """
-    variables = []
-    for n in range(depth + 1):
-        vs = [v for v in windows_a.vertices(n) if dA.indexing.contains(v)]
-        variables.extend((n, v) for v in sorted(vs, key=lambda x: (abs(x), x)))
-    cand_pool = {
-        n: [v for v in windows_b.vertices(n) if dB.indexing.contains(v)]
-        for n in range(depth + 1)}
-    for n in cand_pool:
-        cand_pool[n].sort(key=lambda x: (abs(x), x))
+    def by_size(d, window, n):
+        vs = [v for v in window.vertices(n) if d.indexing.contains(v)]
+        return sorted(vs, key=lambda x: (abs(x), x))
 
-    assignment: dict = {}
-    used = {n: set() for n in range(depth + 1)}
+    levels = range(depth + 1)
+    variables = [(n, v) for n in levels for v in by_size(dA, windows_a, n)]
+    cand_pool = {n: by_size(dB, windows_b, n) for n in levels}
+    # each variable's in-window neighbours one level down and one level
+    # up, with the multiplicity of the edge between them in dA
+    nbrs = {x: {} for x in variables}
+    for n, v in variables:
+        if n > 0:
+            for w, m in dA.row(n - 1, v):
+                if (n - 1, w) in nbrs:
+                    nbrs[(n, v)][(n - 1, w)] = m
+                    nbrs[(n - 1, w)][(n, v)] = m
+
+    tables = {n: {} for n in levels}  # the assignment, level -> {v: image}
+    used = {n: set() for n in levels}
     nodes = 0
 
-    in_window_a = {(n, v) for n, v in variables}
-
-    def neighbors_assigned(n, v):
-        out = []
-        if n > 0:
-            for w, m in dA.in_edges(n - 1, v):
-                if (n - 1, w) in assignment:
-                    out.append((n - 1, w, m, "src"))
-        if n < depth:
-            lo, hi = windows_a.interval(n + 1)
-            lo, hi = dA.indexing.clamp(lo, hi)
-            for u in range(lo, hi + 1):
-                if (n + 1, u) in assignment and dA.entry(n, u, v) > 0:
-                    out.append((n + 1, u, dA.entry(n, u, v), "tgt"))
-        return out
-
     def consistent(n, v, v_img):
-        # all already-assigned vertices at the adjacent levels must agree
-        if n > 0:
-            lo, hi = windows_a.interval(n - 1)
-            lo, hi = dA.indexing.clamp(lo, hi)
-            row = dict(dA.in_edges(n - 1, v))
-            for w in range(lo, hi + 1):
-                got = assignment.get((n - 1, w))
-                if got is not None and row.get(w, 0) != dB.entry(n - 1, v_img, got):
-                    return False
-        if n < depth:
-            lo, hi = windows_a.interval(n + 1)
-            lo, hi = dA.indexing.clamp(lo, hi)
-            for u in range(lo, hi + 1):
-                got = assignment.get((n + 1, u))
-                if got is not None and dA.entry(n, u, v) != dB.entry(n, got, v_img):
-                    return False
-        return True
+        # every assigned vertex one level down and one level up must agree
+        nb = nbrs[(n, v)]
+        return (all(nb.get((n - 1, w), 0) == dB.entry(n - 1, v_img, got)
+                    for w, got in tables.get(n - 1, {}).items())
+                and all(nb.get((n + 1, u), 0) == dB.entry(n, got, v_img)
+                        for u, got in tables.get(n + 1, {}).items()))
 
     def pick_variable():
-        best = None
+        # the first free variable next to an assigned one, else the first
+        # free one; variables are listed by (level, |v|, v)
+        first = None
         for n, v in variables:
-            if (n, v) in assignment:
+            if v in tables[n]:
                 continue
-            touched = bool(neighbors_assigned(n, v))
-            key = (0 if touched else 1, n, abs(v), v)
-            if best is None or key < best[0]:
-                best = (key, (n, v))
-        return None if best is None else best[1]
+            if any(w in tables[m] for m, w in nbrs[(n, v)]):
+                return n, v
+            if first is None:
+                first = (n, v)
+        return first
 
     def backtrack():
         nonlocal nodes
@@ -167,32 +149,25 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
                 continue
             if not consistent(n, v, v_img):
                 continue
-            assignment[(n, v)] = v_img
+            tables[n][v] = v_img
             used[n].add(v_img)
             if backtrack():
                 return True
-            del assignment[(n, v)]
+            del tables[n][v]
             used[n].discard(v_img)
             if nodes > budget:
                 return False
         return False
 
-    found = backtrack()
-    if not found:
+    if not backtrack():
         return NoneWithinBudget(nodes_explored=nodes, budget=budget, depth=depth)
-
-    tables = {n: {} for n in range(depth + 1)}
-    for (n, v), v_img in assignment.items():
-        tables[n][v] = v_img
     witness = IsoWitness(tables=tables, depth=depth, windows=windows_a,
                          nodes_explored=nodes)
     # record which rows are fully checkable inside the tables
     for n in range(depth):
-        rows = []
-        for v in tables.get(n + 1, ()):
-            if all((n, w) in in_window_a for w, _ in dA.in_edges(n, v)):
-                rows.append(v)
-        witness.verified_rows[n + 1] = sorted(rows)
+        witness.verified_rows[n + 1] = sorted(
+            v for v in tables[n + 1]
+            if all(w in tables[n] for w, _ in dA.row(n, v)))
     return witness
 
 

@@ -91,13 +91,14 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
         if ra != rb:
             parent[ra] = rb
 
+    # a vertex without a declared row stays isolated, so it blocks a Yes
     node_set = set(nodes)
-    for n, v in nodes:
-        if n == 0 or not d.level_known(n - 1):
-            continue
-        for w, _ in d.in_edges(n - 1, v):
-            if (n - 1, w) in node_set:
-                union((n, v), (n - 1, w))
+    for n in window.levels:
+        if 0 < n <= levels and d.level_known(n - 1):
+            for v, row in d.window_rows(n - 1, *window.interval(n)).items():
+                for w, _ in row:
+                    if (n - 1, w) in node_set:
+                        union((n, v), (n - 1, w))
     roots = {find(x) for x in nodes}
     if len(roots) == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
@@ -132,14 +133,14 @@ def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
 def bounded_size_params(d: DiagramHandle, n: int,
                         window=None) -> tuple:
     """(t_lower, L_lower, exact): max source distance and max row sum over
-    the window's rows; exact when a flag certifies the values globally."""
+    the window's declared rows; exact when a flag certifies the values
+    globally and the window holds a declared row."""
     if window is None:
         window = d.indexing.default_interval(8)
-    lo, hi = clamped_interval(d.indexing, window)
+    rows = d.window_rows(n, *clamped_interval(d.indexing, window))
     t_lower = 0
     l_lower = 0
-    for v in range(lo, hi + 1):
-        row = d.in_edges(n, v)
+    for v, row in rows.items():
         t_lower = max(t_lower, max(abs(w - v) for w, _ in row))
         l_lower = max(l_lower, sum(m for _, m in row))
     exact = False
@@ -150,7 +151,7 @@ def bounded_size_params(d: DiagramHandle, n: int,
     elif bs is not None and bs.t_rule.kind == "const":
         exact = (bs.t_rule.value == t_lower and bs.l_rule is not None
                  and bs.l_rule.kind == "const" and bs.l_rule.value == l_lower)
-    return t_lower, l_lower, exact
+    return t_lower, l_lower, exact and bool(rows)
 
 
 def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:

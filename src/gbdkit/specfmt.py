@@ -23,7 +23,7 @@ from .diagram import (
     LevelRule,
     TriangularFlag,
 )
-from .errors import InvalidVertexError, ParseError, SchemaError
+from .errors import ParseError, SchemaError, UndeclaredRowError
 
 
 def parse_document(text: str) -> dict:
@@ -108,22 +108,17 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
             rows[int(v)] = tuple(entries)
         matrices.append(rows)
 
-    def matrix_at(n):
-        if n >= len(matrices) and extension == "error_beyond":
-            from .errors import UnsupportedLevelError
-            raise UnsupportedLevelError(
-                f"level {n} beyond the {len(matrices)} declared levels")
-        return matrices[min(n, len(matrices) - 1)]
-
+    # levels past the declared ones never reach these rules: the handle
+    # maps them through ExplicitLevelsFlag.level_of
     def row_rule(n, v):
-        mat = matrices[min(n, len(matrices) - 1)]
+        mat = matrices[n]
         if v not in mat:
-            raise InvalidVertexError(
+            raise UndeclaredRowError(
                 f"vertex {v} has no declared row at level {n}")
         return list(mat[v])
 
     def col_rule(n, w):
-        mat = matrix_at(n)
+        mat = matrices[n]
         entries = [(v, dict(row)[w]) for v, row in mat.items() if w in dict(row)]
         return ColumnSupport.finite(entries)
 
@@ -191,8 +186,8 @@ def explicit_spec_of_window(d: DiagramHandle, levels: int, window) -> dict:
     mats = []
     for n in range(levels + 1):
         mat = {}
-        for v in range(lo, hi + 1):
-            row = {w: m for w, m in d.in_edges(n, v) if lo <= w <= hi}
+        for v, row in d.window_rows(n, lo, hi).items():
+            row = {w: m for w, m in row if lo <= w <= hi}
             if row:
                 mat[v] = row
         mats.append(mat)

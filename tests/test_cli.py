@@ -1,3 +1,5 @@
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -245,10 +247,12 @@ def test_window_below_the_base_exits_2(command, specs, capsys):
 
 
 def test_module_entrypoint_runs():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gbdkit.cli", "report", "--suite", "custom",
          "--file", "/dev/null"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2  # empty custom suite file is a usage error
 
 

@@ -1,13 +1,16 @@
 import pytest
 
 from gbdkit import (
+    BoundedSizeFlag,
     ColumnSupport,
     DiagramHandle,
     InvalidVertexError,
     InvariantError,
+    LevelRule,
     ParseError,
     SchemaError,
     UnsupportedLevelError,
+    builtin_bijection,
     interleave,
     load_spec,
     make_diagram,
@@ -264,3 +267,42 @@ def test_empty_and_disjoint_windows():
     assert td.out_edges_in_window(0, 0, (3, 1)) == []  # inverted interval
     rs = make_diagram("renewal_shift")
     assert rs.out_edges_in_window(0, 4, (1, 2)) == []
+
+
+def test_bad_bijection_label_is_not_read_as_an_undeclared_row():
+    # the pin sends 0 to -1, below the target's base 0
+    g = builtin_bijection("table_fill", {"tables": {1: {0: -1}}})
+    with pytest.raises(InvalidVertexError, match="-1 below one-sided base 0"):
+        relabel(make_diagram("tridiag_B"), g)
+
+
+def test_row_with_a_source_below_the_base_rejected():
+    def rows(n, v):
+        return [(0, 1)] if v == 2 else [(v, 1)]
+
+    with pytest.raises(InvariantError,
+                       match=r"source 0 below one-sided base 1 in row \(0, 2\)"):
+        DiagramHandle(one_sided(1), rows, flags=(BoundedSizeFlag(LevelRule.const(1)),))
+
+
+def test_explicit_row_with_a_source_below_the_base_rejected():
+    spec = {"indexing": {"mode": "one_sided", "base": 1},
+            "levels": [{1: {0: 1, 1: 1}, 2: {2: 1}}]}
+    with pytest.raises(InvariantError,
+                       match=r"source 0 below one-sided base 1 in row \(0, 1\)"):
+        load_spec(spec)
+
+
+@pytest.mark.parametrize("extension", ["error_beyond", "repeat_last"])
+def test_column_support_past_the_declared_levels(extension):
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 1},
+                   "levels": [{1: {1: 2}, 2: {1: 1, 2: 1}},
+                              {1: {1: 1}, 2: {2: 3}}],
+                   "extension": extension})
+    assert d.column_support(1, 2).entries == ((2, 3),)
+    if extension == "error_beyond":
+        with pytest.raises(UnsupportedLevelError):
+            d.column_support(2, 2)
+    else:
+        assert d.column_support(5, 2) == d.column_support(1, 2)
+        assert d.in_edges(5, 2) == d.in_edges(1, 2)

@@ -15,10 +15,14 @@ from gbdkit import (
     irreducible_probe,
     load_spec,
     make_diagram,
+    minimality_certificate,
     period_of_index,
     prefix_from_trace,
+    render_dot,
     slanting_membership,
 )
+from gbdkit.dynamics import _generator_battery
+from gbdkit.specfmt import explicit_spec_of_window
 
 
 def test_renewal_probe_yes_with_witness():
@@ -242,3 +246,30 @@ def test_invariant_search_skips_undeclared_vertices():
     assert not any(i.is_global for i in invs)
     # no flag backs a global No
     assert irreducible_probe(d, 0, 1, 0, 4).is_unknown
+
+
+def test_windowed_readers_skip_undeclared_vertices():
+    # the spec above: vertex 3 and up have no declared row
+    rows = {0: {0: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [rows], "extension": "repeat_last"})
+    # rowless vertices stay isolated, so the window cannot be connected
+    assert connected_probe(d).is_unknown
+    assert bounded_size_params(d, 0) == (1, 2, False)
+    assert [g.describe() for g in _generator_battery(d)][:2] == [
+        {"kind": "vertical", "params": {"vertex": 0}},
+        {"kind": "vertical", "params": {"vertex": 1}}]
+    assert minimality_certificate(d).is_unknown
+    dot = render_dot(d, 1, radius=2)
+    assert '"L1_4" [label="4"]' in dot and dot.count("->") == 4
+    assert explicit_spec_of_window(d, 1, (0, 4))["levels"] == [rows, rows]
+    assert d.out_edges_in_window(0, 2, (0, 8)) == [(1, 1), (2, 1)]
+
+
+def test_window_without_declared_rows_is_never_exact():
+    # a zero bound holds vacuously: no row is declared in the flag window
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [{40: {40: 1}}], "extension": "repeat_last",
+                   "flags": [{"kind": "bounded_size", "t": 0, "L": 0}]})
+    assert bounded_size_params(d, 0) == (0, 0, False)
+    assert connected_probe(d, 1).is_unknown

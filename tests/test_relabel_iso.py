@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gbdkit import (
+    ExplicitLevelsFlag,
     IndexingMismatchError,
     IsoWitness,
     LevelWindow,
@@ -16,6 +17,7 @@ from gbdkit import (
     interleave,
     iso_search,
     level_shift,
+    load_spec,
     make_diagram,
     partial_sequence,
     relabel,
@@ -179,6 +181,31 @@ def test_iso_search_budget_report():
     res = iso_search(rs, bi, 2, wa, wb, budget=50_000)
     assert isinstance(res, NoneWithinBudget)
     assert res.nodes_explored <= 50_000
+
+
+def test_iso_search_node_counts_are_pinned():
+    # variable order, candidate order and budget rule fix these counts
+    td = make_diagram("tridiag_B")
+    bp = make_diagram("interleaved_Bprime")
+    bs = make_diagram("shifted_Bsecond")
+    res = iso_search(td, bp, 6, LevelWindow.uniform(td.indexing, 6, 16),
+                     LevelWindow.uniform(bp.indexing, 6, 16))
+    assert isinstance(res, IsoWitness) and res.nodes_explored == 231
+    assert verify_witness(td, bp, res)
+    res = iso_search(td, bs, 4, LevelWindow.uniform(td.indexing, 4, 8),
+                     LevelWindow.uniform(bs.indexing, 4, 8))
+    assert isinstance(res, NoneWithinBudget) and res.nodes_explored == 5883
+
+
+def test_relabel_of_a_repeating_spec_by_a_level_dependent_map():
+    d = load_spec({"levels": [{v: {v - 1: 1, v: v % 3 + 1} for v in range(-40, 41)}],
+                   "extension": "repeat_last"})
+    g = level_shift(1)
+    d2 = relabel(d, g)
+    # replaying level 0 under g_0 would be wrong past level 0
+    assert d2.get_flag(ExplicitLevelsFlag) is None
+    assert verify_permutation_identity(d, d2, g, 5)
+    assert relabel(d, identity(d.indexing)).get_flag(ExplicitLevelsFlag) is not None
 
 
 def test_row_col_sums():
