@@ -39,6 +39,7 @@ from . import (
     verify_permutation_identity,
 )
 from .bijections import cone_shift, identity
+from .errors import GbdError
 
 SEED = 20240817
 
@@ -405,7 +406,7 @@ def _transitivity_battery(d):
         try:
             g.validate_to(8)
             valid.append(g)
-        except Exception:
+        except GbdError:
             continue
     return valid
 

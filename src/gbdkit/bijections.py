@@ -10,7 +10,6 @@ kind provably preserves, never inherited blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import indexing as ix
@@ -36,7 +35,27 @@ from .indexing import VertexIndexing
 
 # --- level maps --------------------------------------------------------------
 
-class AffineMap:
+class _LevelMap:
+    """An invertible map of vertex ids; subclasses give forward and inverse."""
+
+    def inverted(self) -> "_LevelMap":
+        return _Swapped(self)
+
+
+class _Swapped(_LevelMap):
+    """The inverse of any level map: forward and inverse trade places."""
+
+    def __init__(self, m: _LevelMap):
+        self.m = m
+
+    def forward(self, v: int) -> int:
+        return self.m.inverse(v)
+
+    def inverse(self, x: int) -> int:
+        return self.m.forward(x)
+
+
+class AffineMap(_LevelMap):
     def __init__(self, c: int):
         self.c = c
 
@@ -46,8 +65,12 @@ class AffineMap:
     def inverse(self, x: int) -> int:
         return x - self.c
 
+    def inverted(self) -> "AffineMap":
+        # a shift stays a shift, so shift families relabel without a wrapper
+        return AffineMap(-self.c)
 
-class InterleaveMap:
+
+class InterleaveMap(_LevelMap):
     """Fold the integers onto the nonnegatives: v >= 0 -> 2v, v < 0 -> -2v-1."""
 
     def forward(self, v: int) -> int:
@@ -57,15 +80,7 @@ class InterleaveMap:
         return x // 2 if x % 2 == 0 else -(x + 1) // 2
 
 
-class InterleaveInvMap:
-    def forward(self, v: int) -> int:
-        return v // 2 if v % 2 == 0 else -(v + 1) // 2
-
-    def inverse(self, x: int) -> int:
-        return 2 * x if x >= 0 else -2 * x - 1
-
-
-class FillMap:
+class FillMap(_LevelMap):
     """Finite pin table completed to a total bijection by canonical fill.
 
     Pinned sources take their table labels; remaining sources, in
@@ -105,7 +120,7 @@ class FillMap:
         return self.src.from_rank(r)
 
 
-class PartialMap:
+class PartialMap(_LevelMap):
     """Table-only map; raises WindowTooSmallError outside the table."""
 
     def __init__(self, table: dict):
@@ -124,6 +139,10 @@ class PartialMap:
             raise WindowTooSmallError(f"label {x} outside the bijection table")
         return self._inv[x]
 
+    def inverted(self) -> "PartialMap":
+        # the swapped table, so a miss names a vertex of the inverse's source
+        return PartialMap(self._inv)
+
 
 # --- bijection sequences ------------------------------------------------------
 
@@ -132,9 +151,9 @@ class VertexBijectionSeq:
 
     def __init__(self, kind: str, source_indexing: VertexIndexing,
                  target_indexing: VertexIndexing,
-                 map_at: Callable[[int], object],
+                 map_at: Callable[[int], _LevelMap],
                  *, level_const: bool = False,
-                 delta_rule: Optional[LevelRule] = None,
+                 step: Optional[int] = None,
                  params: Optional[dict] = None):
         self.kind = kind
         self.source_indexing = source_indexing
@@ -142,11 +161,12 @@ class VertexBijectionSeq:
         self._map_at = map_at
         self._cache: dict = {}
         self.level_const = level_const
-        # delta_rule(n) = offset(n+1) - offset(n) for pure-shift families
-        self.delta_rule = delta_rule
+        # step = offset(n+1) - offset(n) at every n, for shift families
+        # whose offset grows by a constant; None otherwise
+        self.step = step
         self.params = dict(params or {})
 
-    def map_at(self, n: int):
+    def map_at(self, n: int) -> _LevelMap:
         m = self._cache.get(n)
         if m is None:
             m = self._map_at(n)
@@ -175,45 +195,28 @@ class VertexBijectionSeq:
         return self.map_at(n).c
 
     def inverted(self) -> "VertexBijectionSeq":
-        if self.is_shift_family:
-            delta = None
-            if self.delta_rule is not None and self.delta_rule.kind == "const":
-                delta = LevelRule.const(-self.delta_rule.value)
-            return VertexBijectionSeq(
-                "affine", self.target_indexing, self.source_indexing,
-                lambda n: AffineMap(-self.shift_at(n)),
-                level_const=self.level_const, delta_rule=delta,
-                params={"inverse_of": self.kind, **self.params})
-        if self.kind == "interleave":
-            return VertexBijectionSeq(
-                "interleave_inv", self.target_indexing, self.source_indexing,
-                lambda n: InterleaveInvMap(), level_const=True)
-        if self.kind == "interleave_inv":
-            return interleave()
-        if self.kind in ("table_fill", "partial"):
-            outer = self
-
-            def inv_map(n):
-                m = outer.map_at(n)
-                if isinstance(m, FillMap):
-                    return FillMap(outer.target_indexing, outer.source_indexing,
-                                   {lab: v for v, lab in m.pins.items()})
-                return PartialMap({x: v for v, x in m.table.items()})
-
-            return VertexBijectionSeq(
-                outer.kind, outer.target_indexing, outer.source_indexing,
-                inv_map, level_const=outer.level_const,
-                params={"inverse_of": outer.kind})
-        raise UnknownKindError(f"cannot invert bijection kind {self.kind}")
+        """The level-wise inverse, mapping the target ids back."""
+        return VertexBijectionSeq(
+            _INVERSE_KIND.get(self.kind, self.kind),
+            self.target_indexing, self.source_indexing,
+            lambda n: self.map_at(n).inverted(),
+            level_const=self.level_const,
+            step=None if self.step is None else -self.step,
+            params={"inverse_of": self.kind, **self.params})
 
     def __repr__(self):
         return f"<VertexBijectionSeq {self.kind} {self.params or ''}>"
 
 
+# kind names of inverses; a kind missing here is its own inverse's kind
+_INVERSE_KIND = {"interleave": "interleave_inv", "interleave_inv": "interleave",
+                 "identity": "affine", "level_shift": "affine",
+                 "cone_shift": "affine"}
+
+
 def identity(indexing: VertexIndexing) -> VertexBijectionSeq:
     return VertexBijectionSeq("identity", indexing, indexing,
-                              lambda n: AffineMap(0), level_const=True,
-                              delta_rule=LevelRule.const(0))
+                              lambda n: AffineMap(0), level_const=True, step=0)
 
 
 def interleave() -> VertexBijectionSeq:
@@ -225,28 +228,25 @@ def level_shift(step: int) -> VertexBijectionSeq:
     """g_n(i) = i + step*n on two-sided levels."""
     return VertexBijectionSeq("level_shift", ix.two_sided(), ix.two_sided(),
                               lambda n: AffineMap(step * n),
-                              level_const=(step == 0),
-                              delta_rule=LevelRule.const(step),
+                              level_const=(step == 0), step=step,
                               params={"step": step})
 
 
 def cone_shift(t_rule) -> VertexBijectionSeq:
     """g_n(v) = v - sum of t over levels below n; straightens width-t slants."""
     rule = t_rule if isinstance(t_rule, LevelRule) else LevelRule.const(int(t_rule))
-    delta = LevelRule.const(-rule.value) if rule.kind == "const" else None
-    zero = rule.kind == "const" and rule.value == 0
+    const = rule.kind == "const"
     return VertexBijectionSeq("cone_shift", ix.two_sided(), ix.two_sided(),
                               lambda n: AffineMap(-rule.partial_sum(0, n)),
-                              level_const=zero, delta_rule=delta,
-                              params={"t": rule.value if rule.kind == "const" else list(rule.table)})
+                              level_const=const and rule.value == 0,
+                              step=-rule.value if const else None,
+                              params={"t": rule.value if const else list(rule.table)})
 
 
 def affine_levels(offsets: Callable[[int], int], source: VertexIndexing,
-                  target: VertexIndexing, *, delta_rule=None,
-                  params=None) -> VertexBijectionSeq:
+                  target: VertexIndexing, *, params=None) -> VertexBijectionSeq:
     return VertexBijectionSeq("affine", source, target,
-                              lambda n: AffineMap(offsets(n)),
-                              delta_rule=delta_rule, params=params)
+                              lambda n: AffineMap(offsets(n)), params=params)
 
 
 def fill_sequence(src: VertexIndexing, tgt: VertexIndexing,
@@ -274,10 +274,7 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
     """Named bijection constructors usable from spec files."""
     params = dict(params or {})
     if kind == "identity":
-        mode = params.get("mode", "two_sided")
-        base = int(params.get("base", 1))
-        idx = ix.two_sided() if mode == "two_sided" else ix.one_sided(base)
-        return identity(idx)
+        return identity(ix._parse_indexing({"mode": "two_sided", **params}))
     if kind == "interleave":
         return interleave()
     if kind == "level_shift":
@@ -289,20 +286,13 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
             else LevelRule.const(int(t))
         return cone_shift(rule)
     if kind == "table_fill":
-        src = _indexing_from(params.get("source", {"mode": "two_sided"}))
-        tgt = _indexing_from(params.get("target", {"mode": "one_sided", "base": 0}))
+        src = ix._parse_indexing(params.get("source", {"mode": "two_sided"}))
+        tgt = ix._parse_indexing(params.get("target", {"mode": "one_sided", "base": 0}))
         tables = {int(n): {int(v): int(lab) for v, lab in t.items()}
                   for n, t in dict(params.get("tables", {})).items()}
         return fill_sequence(src, tgt, lambda n: tables.get(n, {}),
                              params={"tables": tables})
     raise UnknownKindError(f"unknown bijection kind {kind!r}")
-
-
-def _indexing_from(desc: dict) -> VertexIndexing:
-    mode = desc.get("mode", "two_sided")
-    if mode == "two_sided":
-        return ix.two_sided()
-    return ix.one_sided(int(desc.get("base", 1)))
 
 
 # --- relabeling ---------------------------------------------------------------
@@ -323,11 +313,8 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
     flags = []
     banded = d.get_flag(BandedFlag)
     bsize = d.get_flag(BoundedSizeFlag)
-    const_delta = (g.delta_rule.value
-                   if g.delta_rule is not None and g.delta_rule.kind == "const"
-                   else None)
-    if g.is_shift_family and const_delta is not None:
-        delta = const_delta
+    if g.step is not None:
+        delta = g.step
         if banded is not None:
             flags.append(BandedFlag(tuple(sorted(
                 (o - delta, m) for o, m in banded.offsets))))
@@ -367,14 +354,8 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
 
 
 def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:
-    if not d.stationary:
-        return False
-    if g.level_const:
-        return True
-    if g.is_shift_family and g.delta_rule is not None \
-            and g.delta_rule.kind == "const" and d.get_flag(BandedFlag) is not None:
-        return True
-    return False
+    return d.stationary and (g.level_const or (
+        g.step is not None and d.get_flag(BandedFlag) is not None))
 
 
 def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> list:

@@ -75,12 +75,8 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
         flags.append(TriangularFlag("lower", 0))
     if all(o >= 0 for o, _ in items):
         flags.append(TriangularFlag("upper", 0))
-    # one-sided truncation near the base can empty a row; reject at build time
-    if idx.mode == ix.ONE_SIDED:
-        probe = DiagramHandle(idx, rows, stationary=True, flags=(),
-                              col_rule=cols, name=name, params=params,
-                              verify_flags=False)
-        probe.in_edges(0, idx.base)
+    # one-sided truncation near the base can empty a row; the flag check
+    # reads the base row first and rejects it at build time
     return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
                          col_rule=cols, name=name, params=params)
 

@@ -241,7 +241,6 @@ class DiagramHandle:
         col_rule: Optional[Callable[[int, int], Optional[ColumnSupport]]] = None,
         name: str = "custom",
         params: Optional[dict] = None,
-        verify_flags: bool = True,
     ):
         self.indexing = indexing
         self.stationary = stationary
@@ -252,8 +251,7 @@ class DiagramHandle:
         self._row_rule = row_rule
         self._col_rule = col_rule
         self._row_cache: dict = {}
-        if verify_flags:
-            self._verify_flags()
+        self._verify_flags()
 
     # -- basic queries --------------------------------------------------
 

@@ -284,7 +284,7 @@ def _generator_battery(d: DiagramHandle, radius: int = 6) -> list:
             g = PathGenerator(d, kind, {"vertex": center})
             g.vertex_at(4)
             gens.append(g)
-        except Exception:
+        except GbdError:
             pass
     return gens
 

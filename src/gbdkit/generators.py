@@ -73,10 +73,6 @@ class TraceGenerator:
                 f"at level {m}")
         return Edge(m, src, tgt, 0)
 
-    def prefix(self, length: int) -> FinitePath:
-        return FinitePath(0, self.vertex_at(0),
-                          tuple(self.edge_at(i) for i in range(length)))
-
     def validate_to(self, horizon: int):
         for m in range(horizon):
             self.edge_at(m)
@@ -86,76 +82,82 @@ class TraceGenerator:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
+_RULES = ("vertical", "leftmost_slant", "rightmost_slant", "alternating",
+          "climbing")
+
+
 class PathGenerator(TraceGenerator):
-    """Evaluable infinite path: kind + parameters + backing diagram."""
+    """Evaluable infinite path: kind + parameters + backing diagram.
+
+    Every kind is a vertex table plus one step rule from `_RULES`: the
+    trace is the table, then the rule applied level by level.  A rule
+    kind's table is its start vertex; `eventually_vertical` is its
+    prefix plus `vertical`; `table_then_rule` is its table plus the
+    tail's rule.
+    """
 
     def __init__(self, d: DiagramHandle, kind: str, params: dict):
         self.d = d
         self.kind = kind
         self.params = dict(params)
-        self._trace: list = []
-        self._init_trace()
+        table, self._rule = self._table_and_rule()
+        # the rule's phase (the parity of `alternating`) counts from the
+        # table's last level
+        self._phase = len(table) - 1
+        self._trace: list = table
 
-    def _init_trace(self):
-        if self.kind in ("vertical", "leftmost_slant", "rightmost_slant",
-                         "alternating", "climbing"):
-            v0 = int(self.params["vertex"])
-            self.d.indexing.check(v0)
-            self._trace = [v0]
-        elif self.kind == "eventually_vertical":
-            prefix = [int(v) for v in self.params.get("prefix", [])]
-            v = int(self.params["vertex"])
-            self.d.indexing.check(v)
-            if prefix and prefix[-1] == v:
-                self._trace = list(prefix)
-            else:
-                self._trace = prefix + [v]
-        elif self.kind == "table_then_rule":
-            prefix = [int(v) for v in self.params["table"]]
-            if not prefix:
+    def _vertex(self, v) -> int:
+        v = int(v)
+        self.d.indexing.check(v)
+        return v
+
+    def _table_and_rule(self) -> tuple:
+        p = self.params
+        if self.kind in _RULES:
+            return [self._vertex(p["vertex"])], self.kind
+        if self.kind == "eventually_vertical":
+            prefix = [int(v) for v in p.get("prefix", [])]
+            v = self._vertex(p["vertex"])
+            return (prefix if prefix[-1:] == [v] else prefix + [v]), "vertical"
+        if self.kind == "table_then_rule":
+            table = [int(v) for v in p["table"]]
+            if not table:
                 raise InvariantError("table_then_rule needs a nonempty table")
-            self._trace = list(prefix)
-            tail = dict(self.params["tail"])
-            tail.setdefault("vertex", prefix[-1])
-            kind = tail.pop("kind")
-            if kind not in ("vertical", "leftmost_slant", "rightmost_slant",
-                            "alternating", "climbing"):
-                raise UnknownKindError(f"unsupported tail rule {kind!r}")
-            self._tail = PathGenerator(self.d, kind, tail)
-        else:
-            raise UnknownKindError(f"unknown generator kind {self.kind!r}")
+            tail = dict(p["tail"])
+            rule = tail["kind"]
+            if rule not in _RULES:
+                raise UnknownKindError(f"unsupported tail rule {rule!r}")
+            self._vertex(tail.get("vertex", table[-1]))
+            return table, rule
+        raise UnknownKindError(f"unknown generator kind {self.kind!r}")
 
     # -- trace ----------------------------------------------------------
 
     def _next_vertex(self, m: int, v: int) -> int:
-        kind = self.kind
-        if kind == "vertical" or kind == "eventually_vertical":
+        """The rule's step from v@m; the diagram is read at level m."""
+        rule = self._rule
+        if rule == "vertical":
             return v
-        if kind == "alternating":
-            return v if m % 2 == 0 else v - 1
-        if kind == "climbing":
-            if self.d.indexing.contains(v + 1) and self.d.entry(m, v + 1, v) > 0:
-                return v + 1
-            out = self.d.out_edges_exact(m, v)
-            if out is None:
+        if rule == "alternating":
+            return v if (m - self._phase) % 2 == 0 else v - 1
+        if rule == "climbing" and self.d.indexing.contains(v + 1) \
+                and self.d.entry(m, v + 1, v) > 0:
+            return v + 1
+        out = self.d.out_edges_exact(m, v)
+        if out is None:
+            if rule == "climbing":
                 raise InvariantError(
                     f"climbing fallback needs exact column support at {v}")
-            return out[0][0]
-        if kind in ("leftmost_slant", "rightmost_slant"):
-            out = self.d.out_edges_exact(m, v)
-            if out is not None:
-                return out[0][0] if kind == "leftmost_slant" else out[-1][0]
             sup = self.d.column_support(m, v)
             if sup is not None and sup.kind == "all" and \
-                    kind == "leftmost_slant" and \
+                    rule == "leftmost_slant" and \
                     self.d.indexing.mode == "one_sided":
                 return self.d.indexing.base  # full column: base is leftmost
             raise InvariantError(
-                f"{kind} needs exact column support at vertex {v}")
-        if kind == "table_then_rule":
-            k = len(self.params["table"]) - 1
-            return self._tail._next_vertex(m - k, v)
-        raise UnknownKindError(self.kind)
+                f"{rule} needs exact column support at vertex {v}")
+        if not out:
+            raise InvariantError(f"{rule} finds no out-edge at vertex {v}, level {m}")
+        return out[-1][0] if rule == "rightmost_slant" else out[0][0]
 
     def vertex_at(self, m: int) -> int:
         """s(x_m): the vertex the path passes through on level m."""
@@ -189,8 +191,7 @@ class PathGenerator(TraceGenerator):
                              tuple(trace[start:start + q]))
 
     def _certify_eventual(self, start, q, step, trace) -> bool:
-        kind = self.kind if self.kind != "table_then_rule" else self._tail.kind
-        if kind in ("vertical", "eventually_vertical", "alternating"):
+        if self._rule in ("vertical", "alternating"):
             # the rule never consults the diagram; the pattern is forced
             return True
         if not self.d.stationary:
@@ -225,11 +226,9 @@ class PushedGenerator(TraceGenerator):
         ev = self.base.eventual(horizon)
         if ev is None:
             return None
-        if self.g.is_shift_family and self.g.delta_rule is not None \
-                and self.g.delta_rule.kind == "const":
-            dg = self.g.delta_rule.value
+        if self.g.step is not None:
             return EventualTrace(
-                ev.start, ev.period, ev.step + ev.period * dg, ev.certified,
+                ev.start, ev.period, ev.step + ev.period * self.g.step, ev.certified,
                 tuple(self.vertex_at(m)
                       for m in range(ev.start, ev.start + ev.period)))
         return None

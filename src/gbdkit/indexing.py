@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError
+from .errors import InvalidVertexError, SchemaError
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
@@ -73,3 +73,16 @@ def one_sided(base: int = 1) -> VertexIndexing:
 
 def two_sided() -> VertexIndexing:
     return VertexIndexing(TWO_SIDED, 0)
+
+
+def _parse_indexing(desc) -> VertexIndexing:
+    """Indexing from a spec mapping {mode, base}; the one parser for
+    diagram specs and bijection documents alike."""
+    if not isinstance(desc, dict) or "mode" not in desc:
+        raise SchemaError("indexing needs {mode, base}")
+    mode = desc["mode"]
+    if mode == TWO_SIDED:
+        return two_sided()
+    if mode == ONE_SIDED:
+        return one_sided(int(desc.get("base", 1)))
+    raise SchemaError(f"unknown indexing mode {mode!r}")

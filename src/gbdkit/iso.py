@@ -138,14 +138,15 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
         if var is None:
             return True
         n, v = var
-        sig = _row_multiset(dA, n, v) if n > 0 else None
+        # v@n's in-edges are the row of level n - 1
+        sig = _row_multiset(dA, n - 1, v) if n > 0 else None
         for v_img in cand_pool[n]:
             if v_img in used[n]:
                 continue
             nodes += 1
             if nodes > budget:
                 return False
-            if n > 0 and _row_multiset(dB, n, v_img) != sig:
+            if n > 0 and _row_multiset(dB, n - 1, v_img) != sig:
                 continue
             if not consistent(n, v, v_img):
                 continue

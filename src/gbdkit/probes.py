@@ -250,22 +250,21 @@ def full_out_row_check(d: DiagramHandle, levels: int = 4,
     if focs:
         witness = {}
         for n in range(levels + 1):
-            covered = None
-            for f in focs:
-                lvl = min(n + 1, window.max_level)
-                lo, hi = d.indexing.clamp(*window.interval(lvl))
-                if all(d.entry(n, v, f.vertex) > 0 for v in range(lo, hi + 1)):
-                    covered = f.vertex
-                    break
+            lo, hi = d.indexing.clamp(*window.interval(min(n + 1, window.max_level)))
+            rows = d.window_rows(n, lo, hi)
+            # a target without a declared row is not covered
+            sources = [{w for w, _ in rows.get(v, ())} for v in range(lo, hi + 1)]
+            covered = next((f.vertex for f in focs
+                            if all(f.vertex in s for s in sources)), None)
             if covered is None:
                 return Verdict.unknown(depth=levels, windows=window)
             witness[n] = covered
         return Verdict.yes(witness={"full_out_vertex_per_level": witness})
-    if d.get_flag(BandedFlag) is not None or d.t_rule() is not None:
+    banded = d.get_flag(BandedFlag)
+    if banded is not None or d.t_rule() is not None:
         return Verdict.no(certificate={
             "reason": "bounded out-degree cannot cover an infinite level",
-            "out_degree_bound": (len(d.get_flag(BandedFlag).offsets)
-                                 if d.get_flag(BandedFlag) is not None
+            "out_degree_bound": (len(banded.offsets) if banded is not None
                                  else 2 * d.t_rule()(0) + 1)})
     return Verdict.unknown(depth=levels, windows=window)
 

@@ -51,17 +51,6 @@ def _reject_floats(obj, where):
             _reject_floats(v, f"{where}[{i}]")
 
 
-def _parse_indexing(desc) -> ix.VertexIndexing:
-    if not isinstance(desc, dict) or "mode" not in desc:
-        raise SchemaError("indexing needs {mode, base}")
-    mode = desc["mode"]
-    if mode == "two_sided":
-        return ix.two_sided()
-    if mode == "one_sided":
-        return ix.one_sided(int(desc.get("base", 1)))
-    raise SchemaError(f"unknown indexing mode {mode!r}")
-
-
 _FLAG_PARSERS = {
     "banded": lambda p: BandedFlag.from_dict(p["offsets"]),
     "triangular": lambda p: TriangularFlag(p["direction"], int(p.get("slack", 0))),
@@ -93,7 +82,7 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
     extension = body.get("extension", "error_beyond")
     if extension not in ("error_beyond", "repeat_last"):
         raise SchemaError(f"unknown extension policy {extension!r}")
-    indexing = _parse_indexing(doc.get("indexing", {"mode": "two_sided"}))
+    indexing = ix._parse_indexing(doc.get("indexing", {"mode": "two_sided"}))
     matrices = []
     for n, mat in enumerate(raw_levels):
         if not isinstance(mat, dict) or not mat:

@@ -19,6 +19,10 @@ def specs(tmp_path):
         ("bi", 'family: b_infinity\n'),
         ("o2", 'family: odometer_two_sided\n'),
         ("p1", 'family: parity_1\n'),
+        # vertex 1 feeds nothing: every declared row has source 0 only
+        ("hole", 'indexing: {mode: one_sided, base: 0}\n'
+                 'levels: [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}]\n'
+                 'extension: repeat_last\n'),
     ]:
         p = tmp_path / f"{name}.yaml"
         p.write_text(text)
@@ -223,6 +227,10 @@ def test_usage_errors(specs, capsys):
     ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
      "--cylinder", "{foo: 2}"],
     ["iso", "relabel", "--spec", "td", "--bijection", "{kind: level_shift, step: x}"],
+    ["iso", "relabel", "--spec", "rs", "--bijection",
+     "{kind: table_fill, source: {mode: bogus}}"],
+    ["orbit", "visit", "--spec", "hole", "--generator",
+     "{kind: leftmost_slant, vertex: 1}", "--cylinder", "{vertex: 0}"],
     ["probe", "period", "--spec", "p1", "--index", "0", "--depth", "0"],
     ["probe", "irreducible", "--spec", "rs", "--src", "3", "--dst", "7",
      "--depth", "-3"],

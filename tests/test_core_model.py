@@ -138,6 +138,14 @@ def test_load_banded_empty_offsets_rejected():
         load_spec('{"family":"banded","offsets":{}}')
 
 
+@pytest.mark.parametrize("base", [0, 1, 5])
+@pytest.mark.parametrize("offsets", [{-1: 1}, {-2: 1, -1: 1}, {-3: 2}])
+def test_one_sided_band_with_an_empty_base_row_rejected(offsets, base):
+    with pytest.raises(InvariantError,
+                       match=f"empty incidence row at level 0, vertex {base}$"):
+        make_diagram("banded", offsets=offsets, side="one", base=base)
+
+
 def test_load_yaml_block_form():
     text = """
 family: odometer_one_sided

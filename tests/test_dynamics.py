@@ -6,6 +6,8 @@ from gbdkit import (
     Edge,
     FinitePath,
     InvalidEdgeError,
+    InvariantError,
+    LevelRule,
     alternating_from,
     classify_edge,
     climbing,
@@ -17,6 +19,7 @@ from gbdkit import (
     identity,
     leftmost_slant_from,
     level_shift,
+    load_spec,
     make_diagram,
     make_generator,
     metric_dist,
@@ -75,6 +78,28 @@ def test_table_then_rule():
                        tail={"kind": "vertical"})
     assert [g.vertex_at(m) for m in range(6)] == [4, 3, 2, 1, 1, 1]
     g.validate_to(10)
+
+
+def test_table_then_rule_reads_the_tail_at_the_true_level():
+    # a non-stationary relabeling: the slant's column depends on the level
+    d = relabel(make_diagram("tridiag_B"),
+                cone_shift(LevelRule("table", 1, (0, 1, 2, 0, 3))))
+    g = make_generator(d, "table_then_rule", table=[0, 0, 0],
+                       tail={"kind": "leftmost_slant"})
+    assert g.validate_to(8)
+    for m in range(2, 8):
+        assert g.vertex_at(m + 1) == d.out_edges_exact(m, g.vertex_at(m))[0][0]
+
+
+@pytest.mark.parametrize("kind", ["leftmost_slant", "rightmost_slant", "climbing"])
+def test_generator_on_an_empty_column_raises_invariant_error(kind):
+    # vertex 1 feeds nothing: every declared row has source 0 only
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}],
+                   "extension": "repeat_last"})
+    g = make_generator(d, kind, vertex=1)
+    with pytest.raises(InvariantError, match="vertex 1, level 0"):
+        g.vertex_at(1)
 
 
 # --- metric and tail equivalence ----------------------------------------------

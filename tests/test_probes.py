@@ -198,6 +198,15 @@ def test_full_out_row_check():
     assert full_out_row_check(bi).is_yes
 
 
+def test_full_out_row_check_counts_rowless_targets_as_uncovered():
+    # rows only for 0, 1 and 2, each fed by vertex 0 alone
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}],
+                   "extension": "repeat_last",
+                   "flags": [{"kind": "full_out_column", "vertex": 0}]})
+    assert full_out_row_check(d).is_unknown
+
+
 def test_classification():
     assert classify_irreducibility_type(make_diagram("renewal_shift")).is_completely
     for name in ("tridiag_B", "b_infinity", "star_odometer", "parity_2",

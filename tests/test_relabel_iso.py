@@ -6,8 +6,10 @@ from gbdkit import (
     ExplicitLevelsFlag,
     IndexingMismatchError,
     IsoWitness,
+    LevelRule,
     LevelWindow,
     NoneWithinBudget,
+    SchemaError,
     UnknownKindError,
     WindowTooSmallError,
     builtin_bijection,
@@ -19,12 +21,16 @@ from gbdkit import (
     level_shift,
     load_spec,
     make_diagram,
+    one_sided,
+    parse_bijection,
     partial_sequence,
     relabel,
     row_col_sum,
+    two_sided,
     verify_permutation_identity,
     verify_witness,
 )
+from gbdkit.bijections import AffineMap
 
 
 def two_sided_pairs():
@@ -46,6 +52,36 @@ def test_builtin_bijection_values():
     assert all(g.forward(n, 4) == 4 for n in range(6))
     with pytest.raises(UnknownKindError):
         builtin_bijection("nope")
+
+
+@pytest.mark.parametrize("doc", ["{kind: table_fill, source: {mode: bogus}}",
+                                 "{kind: table_fill, target: {mode: bogus}}",
+                                 "{kind: identity, mode: bogus}"])
+def test_bijection_indexing_is_parsed_like_a_spec(doc):
+    with pytest.raises(SchemaError, match="unknown indexing mode 'bogus'"):
+        parse_bijection(doc)
+
+
+def test_inverted_sequences():
+    seqs = [identity(one_sided(1)), interleave(), level_shift(2), cone_shift(1),
+            cone_shift(LevelRule("table", 1, (0, 1, 2))),
+            builtin_bijection("table_fill", {"tables": {0: {0: 3, 1: 0}}}),
+            partial_sequence(two_sided(), two_sided(), {1: {0: 1, 1: 0, 2: 2}})]
+    kinds = ["affine", "interleave_inv", "affine", "affine", "affine",
+             "table_fill", "partial"]
+    steps = [0, None, -2, 1, None, None, None]
+    for g, kind, step in zip(seqs, kinds, steps):
+        gi = g.inverted()
+        assert (gi.kind, gi.step, gi.params["inverse_of"]) == (kind, step, g.kind)
+        assert gi.inverted().kind in (g.kind, "affine")
+        for v in range(3):
+            if g.source_indexing.contains(v):
+                x = g.forward(1, v)
+                assert gi.forward(1, x) == v and gi.inverse(1, v) == x
+    # a shift inverts to a shift; a partial table's miss names the inverse's vertex
+    assert isinstance(level_shift(1).inverted().map_at(3), AffineMap)
+    with pytest.raises(WindowTooSmallError, match="vertex 5 outside"):
+        seqs[-1].inverted().forward(1, 5)
 
 
 def test_relabel_interleave_entries():
@@ -195,6 +231,17 @@ def test_iso_search_node_counts_are_pinned():
     res = iso_search(td, bs, 4, LevelWindow.uniform(td.indexing, 4, 8),
                      LevelWindow.uniform(bs.indexing, 4, 8))
     assert isinstance(res, NoneWithinBudget) and res.nodes_explored == 5883
+
+
+@pytest.mark.parametrize("depth,radius", [(1, 3), (2, 4)])
+def test_iso_search_compares_the_rows_into_each_level(depth, radius):
+    # g_n(v) = v + n maps the spec onto its level_shift(1) relabeling
+    d = load_spec({"levels": [{v: {v - 1: 1, v: v % 3 + 1} for v in range(-40, 41)}],
+                   "extension": "repeat_last"})
+    d2 = relabel(d, level_shift(1))
+    res = iso_search(d, d2, depth, LevelWindow.uniform(d.indexing, depth, radius),
+                     LevelWindow.uniform(d2.indexing, depth, radius + 3))
+    assert isinstance(res, IsoWitness) and verify_witness(d, d2, res)
 
 
 def test_relabel_of_a_repeating_spec_by_a_level_dependent_map():
