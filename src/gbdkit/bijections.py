@@ -202,7 +202,7 @@ class VertexBijectionSeq:
             lambda n: self.map_at(n).inverted(),
             level_const=self.level_const,
             step=None if self.step is None else -self.step,
-            params={"inverse_of": self.kind, **self.params})
+            params={**self.params, "inverse_of": self.kind})
 
     def __repr__(self):
         return f"<VertexBijectionSeq {self.kind} {self.params or ''}>"

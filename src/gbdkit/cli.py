@@ -222,7 +222,13 @@ def cmd_orbit_transitive(args, d):
     x = _generator(d, args.generator)
     v = transitivity_probe(d, x, args.cyl_depth, _window(args.window, d, 6),
                            args.depth)
-    return _verdict_payload(v, "per-cylinder verdicts embedded"), v
+    recheck = "unknown depth exhausted"
+    if v.is_yes:
+        recheck = "one verdict asked per endpoint; cylinders counted exactly"
+    elif v.is_no:
+        FinitePath.from_description(v.detail["witness_cylinder"]).validate(d)
+        recheck = "witness cylinder rebuilt and re-validated edge-by-edge"
+    return _verdict_payload(v, recheck), v
 
 
 def cmd_orbit_minimal(args, d):

@@ -193,23 +193,53 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     return Verdict.unknown(depth=depth)
 
 
+def _cylinders_at(d: DiagramHandle, length: int, v: int):
+    """Yield the cylinder prefixes of the given length that end at v, depth
+    first backward from the end, last source and last copy first."""
+    stack = [(length, v, ())]
+    while stack:
+        lvl, at, acc = stack.pop()
+        if lvl == 0:
+            yield FinitePath(0, at, acc)
+            continue
+        for w, mult in d.row(lvl - 1, at):
+            for copy in range(mult):
+                stack.append((lvl - 1, w,
+                              (Edge(lvl - 1, w, at, copy),) + acc))
+
+
+def _count_cylinders(d: DiagramHandle, length: int, v: int) -> int:
+    """How many prefixes `_cylinders_at` yields, counted exactly without
+    building them: the same depth-first walk, expanding each (level,
+    vertex) once, so rows are first read in the listing's order and a
+    failing row raises what the listing would raise."""
+    count: dict = {}
+    stack = [(length, v)]
+    while stack:
+        node = stack[-1]
+        lvl, at = node
+        if node in count:
+            stack.pop()
+        elif lvl == 0:
+            count[node] = 1
+            stack.pop()
+        else:
+            row = d.row(lvl - 1, at)
+            pending = [(lvl - 1, w) for w, _ in row if (lvl - 1, w) not in count]
+            if pending:
+                stack.extend(pending)
+            else:
+                count[node] = sum(mult * count[lvl - 1, w] for w, mult in row)
+                stack.pop()
+    return count[length, v]
+
+
 def cylinders_ending_in(d: DiagramHandle, length: int, window) -> list:
     """All cylinder prefixes of the given length whose end vertex lies in
-    the window; enumeration is backward from the end, hence exhaustive."""
+    the window, by end vertex ascending; enumeration is backward from the
+    end, hence exhaustive."""
     lo, hi = d.indexing.clamp(*window)
-    out = []
-    for v in range(lo, hi + 1):
-        stack = [(length, v, ())]
-        while stack:
-            lvl, at, acc = stack.pop()
-            if lvl == 0:
-                out.append(FinitePath(0, at, acc))
-                continue
-            for w, mult in d.in_edges(lvl - 1, at):
-                for copy in range(mult):
-                    stack.append((lvl - 1, w,
-                                  (Edge(lvl - 1, w, at, copy),) + acc))
-    return out
+    return [c for v in range(lo, hi + 1) for c in _cylinders_at(d, length, v)]
 
 
 def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
@@ -219,21 +249,34 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
     Yes when every cylinder of length <= cyl_depth ending inside the
     window is visited; a No on any single cylinder proves this orbit is
     not dense (it does not by itself make the diagram non-transitive).
+
+    Whether the orbit visits a cylinder depends only on the cylinder's
+    end vertex and end level, so one verdict is asked per endpoint j@length,
+    on the first cylinder `cylinders_ending_in` lists there, and the
+    cylinders ending at j@length are counted exactly, not built.  The
+    verdict, the No witness cylinder and the counts are those of a check
+    of every cylinder in listing order.
     """
     if window is None:
         window = d.indexing.default_interval(8)
+    lo, hi = d.indexing.clamp(*window)
+    ends = range(lo, hi + 1)
     unknowns = 0
     checked = 0
     for length in range(cyl_depth + 1):
-        for c in cylinders_ending_in(d, length, window):
-            checked += 1
+        # every endpoint is counted before any verdict at this length, as
+        # the full listing read all of its rows first
+        counts = [_count_cylinders(d, length, j) for j in ends]
+        for j, n in zip(ends, counts):
+            c = next(_cylinders_at(d, length, j))
             v = orbit_visits_cylinder(d, x, c, depth)
             if v.is_no:
                 return Verdict.no(certificate=v.certificate,
                                   witness_cylinder=c.describe(),
-                                  cylinders_checked=checked)
+                                  cylinders_checked=checked + 1)
+            checked += n
             if v.is_unknown:
-                unknowns += 1
+                unknowns += n
     if unknowns:
         return Verdict.unknown(depth=depth, windows=window,
                                unknown_cylinders=unknowns)

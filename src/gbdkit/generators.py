@@ -127,7 +127,12 @@ class PathGenerator(TraceGenerator):
             rule = tail["kind"]
             if rule not in _RULES:
                 raise UnknownKindError(f"unsupported tail rule {rule!r}")
-            self._vertex(tail.get("vertex", table[-1]))
+            # the tail starts where the table ends; it may restate that vertex
+            start = self._vertex(tail.get("vertex", table[-1]))
+            if start != table[-1]:
+                raise InvariantError(
+                    f"table_then_rule tail vertex {start} differs from the "
+                    f"table's last vertex {table[-1]}")
             return table, rule
         raise UnknownKindError(f"unknown generator kind {self.kind!r}")
 

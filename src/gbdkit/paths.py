@@ -77,6 +77,13 @@ class FinitePath:
                 "vertices": self.vertex_trace(),
                 "copies": [e.copy for e in self.edges]}
 
+    @classmethod
+    def from_description(cls, desc) -> "FinitePath":
+        """The path that `describe` returned desc for."""
+        n, vs = desc["start_level"], desc["vertices"]
+        return cls(n, vs[0], tuple(Edge(n + k, vs[k], vs[k + 1], copy)
+                                   for k, copy in enumerate(desc["copies"])))
+
 
 def _step(d: DiagramHandle, level: int, layer, counting: bool):
     """The layer one level down: the sources at `level` of the vertices in

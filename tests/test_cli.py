@@ -111,6 +111,23 @@ def test_orbit_transitive(specs, capsys):
     assert code == 0
 
 
+def test_orbit_transitive_recheck_lines(specs, capsys):
+    code, out = run_cli(["orbit", "transitive", "--spec", specs["o2"],
+                         "--generator", "{kind: alternating, vertex: 0}",
+                         "--cyl-depth", "2", "--window=-4:4"], capsys)
+    assert code == 0 and "cylinders_checked: 117" in out
+    assert "recheck: one verdict asked per endpoint; cylinders counted " \
+           "exactly" in out
+    # the slant falls one vertex a level: the first cylinder it misses
+    # ends at -3@3
+    code, out = run_cli(["orbit", "transitive", "--spec", specs["o2"],
+                         "--generator", "{kind: leftmost_slant, vertex: -1}",
+                         "--cyl-depth", "3", "--window=-3:-3"], capsys)
+    assert code == 1 and "cylinders_checked: 14" in out
+    assert "recheck: witness cylinder rebuilt and re-validated edge-by-edge" \
+        in out
+
+
 def test_iso_check_and_search(specs, capsys, tmp_path):
     bp = tmp_path / "bp.yaml"
     bp.write_text("family: interleaved_Bprime\n")
@@ -231,6 +248,9 @@ def test_usage_errors(specs, capsys):
      "{kind: table_fill, source: {mode: bogus}}"],
     ["orbit", "visit", "--spec", "hole", "--generator",
      "{kind: leftmost_slant, vertex: 1}", "--cylinder", "{vertex: 0}"],
+    ["orbit", "visit", "--spec", "rs", "--generator",
+     "{kind: table_then_rule, table: [3, 2, 1], tail: {kind: vertical, vertex: 7}}",
+     "--cylinder", "{vertex: 2}"],
     ["probe", "period", "--spec", "p1", "--index", "0", "--depth", "0"],
     ["probe", "irreducible", "--spec", "rs", "--src", "3", "--dst", "7",
      "--depth", "-3"],

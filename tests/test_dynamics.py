@@ -80,6 +80,18 @@ def test_table_then_rule():
     g.validate_to(10)
 
 
+def test_table_then_rule_tail_vertex_must_be_the_table_end():
+    rs = make_diagram("renewal_shift")
+    with pytest.raises(InvariantError, match="tail vertex 7 differs from the "
+                                             "table's last vertex 1"):
+        make_generator(rs, "table_then_rule", table=[3, 2, 1],
+                       tail={"kind": "vertical", "vertex": 7})
+    for tail in ({"kind": "vertical", "vertex": 1}, {"kind": "vertical"}):
+        g = make_generator(rs, "table_then_rule", table=[3, 2, 1], tail=tail)
+        assert [g.vertex_at(m) for m in range(5)] == [3, 2, 1, 1, 1]
+        assert g.validate_to(8)
+
+
 def test_table_then_rule_reads_the_tail_at_the_true_level():
     # a non-stationary relabeling: the slant's column depends on the level
     d = relabel(make_diagram("tridiag_B"),

@@ -84,6 +84,12 @@ def test_inverted_sequences():
         seqs[-1].inverted().forward(1, 5)
 
 
+def test_inverted_twice_names_the_kind_it_inverts():
+    assert level_shift(1).inverted().inverted().params["inverse_of"] == "affine"
+    assert interleave().inverted().inverted().params["inverse_of"] \
+        == "interleave_inv"
+
+
 def test_relabel_interleave_entries():
     td = make_diagram("tridiag_B")
     d = relabel(td, interleave())
