@@ -44,7 +44,7 @@ from .reenumerate import (
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
-from .verdicts import Verdict
+from .verdicts import Verdict, reverify
 from .windows import LevelWindow
 
 EXIT_YES = 0
@@ -78,14 +78,18 @@ def _anchor(text: str) -> tuple:
             f"expected vertex:level with integers, got {text!r}") from None
 
 
-def _positive(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _at_least(lo: int):
+    """Argument type: an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}")
+        return n
+    return parse
 
 
 # --- shared pieces ---------------------------------------------------------------
@@ -174,7 +178,9 @@ def cmd_probe_irreducible(args, d):
         v.witness.validate(d)
         recheck = "witness path re-validated edge-by-edge"
     elif v.is_no:
-        recheck = "invariant re-verified on its window at load time"
+        ok = reverify(d, v.certificate) and \
+            v.certificate.excludes_pair(args.src, args.dst)
+        recheck = f"certificate re-verified: {ok}"
     return _verdict_payload(v, recheck), v
 
 
@@ -214,7 +220,11 @@ def cmd_orbit_visit(args, d):
         FinitePath(0, c.start_vertex, tuple(full)).validate(d)
         recheck = "prefix + connecting path re-validated as one chain"
     elif v.is_no:
-        recheck = "separation re-derived from the embedded invariant"
+        inv = v.certificate
+        ok = reverify(d, inv) and \
+            inv.separation_level(c.end_vertex, c.end_level, x.eventual()) \
+            == v.detail["separated_from_level"]
+        recheck = f"certificate re-verified: {ok}"
     return _verdict_payload(v, recheck), v
 
 
@@ -377,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="cmd", required=True)
         p = groups[group].add_parser(cmd)
         p.add_argument("--spec", required=True, help="diagram spec file")
-        p.add_argument("--depth", type=_positive)
+        p.add_argument("--depth", type=_at_least(1))
         p.add_argument("--window", type=_span, help="lo:hi vertex window")
-        p.add_argument("--levels", type=int, default=4)
+        p.add_argument("--levels", type=_at_least(0), default=4)
         p.add_argument("--out", help="write a copy of the printed report to this "
                        "file; iso search and construct toeplitz write their "
                        "artifact there instead")

@@ -29,7 +29,6 @@ from .verdicts import (
     CONE,
     RESIDUE,
     TRIANGULAR,
-    NonReachInvariant,
     Verdict,
     find_invariants,
 )
@@ -105,57 +104,6 @@ def _global_invariants(d: DiagramHandle):
     return invs
 
 
-def _eternal_separation(inv: NonReachInvariant, j: int, ell: int,
-                        ev: EventualTrace) -> Optional[int]:
-    """Least M with inv excluding (j@ell -> trace(m)@m) for every m >= M."""
-    if not (inv.is_global and ev.certified):
-        return None
-    q = ev.period
-    M0 = max(ev.start, ell + 1)
-
-    def first_m(r: int) -> int:
-        m = M0
-        while (m - ev.start) % q != r:
-            m += 1
-        return m
-
-    if inv.kind == TRIANGULAR:
-        direction, c = inv.params
-        for r in range(q):
-            m0 = first_m(r)
-            # reachable ids after k steps are >= j - c*k (lower) or <= j - c*k (upper)
-            bound0 = j - c * (m0 - ell)
-            f0 = ev.value(m0) - bound0
-            slope = ev.step + c * q
-            ok = (slope <= 0 and f0 < 0) if direction == "lower" \
-                else (slope >= 0 and f0 > 0)
-            if not ok:
-                return None
-        return M0
-    if inv.kind == CONE:
-        (t,) = inv.params
-        for r in range(q):
-            m0 = first_m(r)
-            below0 = ev.value(m0) - (j - t * (m0 - ell))
-            above0 = ev.value(m0) - (j + t * (m0 - ell))
-            below_ok = ev.step + t * q <= 0 and below0 < 0
-            above_ok = ev.step - t * q >= 0 and above0 > 0
-            if not (below_ok or above_ok):
-                return None
-        return M0
-    if inv.kind == RESIDUE:
-        p, a = inv.params
-        target = (j + a * ell) % p
-        for r in range(q):
-            m0 = first_m(r)
-            step = (ev.step + a * q) % p
-            attained = {(ev.value(m0) + a * m0 + k * step) % p for k in range(p)}
-            if target in attained:
-                return None
-        return M0
-    return None
-
-
 def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
                           depth: int = DEFAULT_DEPTH,
                           horizon: int = DEFAULT_HORIZON) -> Verdict:
@@ -179,7 +127,7 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     ev = x.eventual(horizon)
     if ev is not None and ev.certified:
         for inv in _global_invariants(d):
-            M = _eternal_separation(inv, j, ell, ev)
+            M = inv.separation_level(j, ell, ev)
             if M is None:
                 continue
             # levels up to ell + depth were searched above

@@ -28,6 +28,8 @@ def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
     when g is table-restricted and a needed vertex is missing, so a
     too-small window can never masquerade as a negative.
     """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     if windows is None:
         windows = LevelWindow.uniform(dB.indexing, levels + 1, radius)
     for n in range(levels + 1):
@@ -90,6 +92,9 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     tried in ascending |vertex| order.  Exhausting the node budget is a
     result, not an error.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+
     def by_size(d, window, n):
         vs = [v for v in window.vertices(n) if d.indexing.contains(v)]
         return sorted(vs, key=lambda x: (abs(x), x))

@@ -25,10 +25,7 @@ from .paths import FinitePath, backward_reach_set, first_reach, reach_frontiers
 from .verdicts import (
     ALL_KINDS,
     CLOPEN,
-    CONE,
-    RESIDUE,
     TRIANGULAR,
-    NonReachInvariant,
     Verdict,
     find_invariants,
     residue_coloring,
@@ -206,8 +203,7 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
             "reason": "row-width bound keeps every forward cone finite",
             "t": d.t_rule()(ell)})
     for inv in find_invariants(d, d.default_window(), (TRIANGULAR,)):
-        if inv.is_global and inv.params[0] == "upper" and inv.params[1] >= 0 \
-                and d.indexing.mode == "one_sided":
+        if inv.is_global and inv.never_ascends and d.indexing.mode == "one_sided":
             return Verdict.yes(witness={
                 "reason": "ids never increase along edges; cones stay below "
                           "the prefix end on a one-sided level",
@@ -303,8 +299,8 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
     lo, hi = clamped_interval(d.indexing, window)
-    invs = [inv for inv in find_invariants(d, d.default_window()) if inv.is_global]
-    reducibility = next((inv for inv in invs if _has_excluding_power(d, inv)), None)
+    reducibility = next((inv for inv in find_invariants(d, d.default_window())
+                         if inv.excludes_some_pair), None)
 
     foc = d.get_flag(FullOutColumnFlag)
     if foc is not None and reducibility is None:
@@ -336,23 +332,6 @@ def classify_irreducibility_type(d: DiagramHandle, horizon: int = 64,
         return IrreducibilityClass("relatively_irreducible", {
             "reducible_via": reducibility.describe()})
     return IrreducibilityClass("unknown", {})
-
-
-def _has_excluding_power(d: DiagramHandle, inv: NonReachInvariant) -> bool:
-    if inv.kind == TRIANGULAR:
-        direction, c = inv.params
-        if direction == "lower" and c <= 0:
-            # needs a pair (i, j), j < i - c, inside the index set
-            return True
-        if direction == "upper" and c >= 0:
-            return True
-        return False
-    if inv.kind == RESIDUE:
-        p, a = inv.params
-        return math.gcd(a % p, p) > 1
-    if inv.kind == CONE:
-        return inv.params[0] == 0
-    return False
 
 
 def _compactness_battery(d: DiagramHandle) -> list:

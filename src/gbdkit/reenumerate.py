@@ -144,7 +144,7 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
         d2 = relabel(d, g)
         window = d2.default_window(5, 12)
         cert = next((inv for inv in find_invariants(d2, window, (TRIANGULAR,))
-                     if inv.params[0] == "upper" and inv.params[1] >= 0), None)
+                     if inv.never_ascends), None)
         if cert is None:
             raise NoBoundedSizeFlagError(
                 "flattening did not produce a verified triangular support")

@@ -5,7 +5,9 @@ so a No verdict always carries an invariant: a pattern verified
 exhaustively on a window and backed beyond it by a structural flag of
 the handle.  Certificates record both the verified window and the flags
 assumed, and every exclusion they license is a one-line arithmetic
-consequence of the pattern.
+consequence of the pattern: of how far reach can drift per level
+(`NonReachInvariant.drift`) or of the residue class every edge keeps
+(`NonReachInvariant.residue_class`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .diagram import (
     DiagramHandle,
     TriangularFlag,
 )
+from .generators import EventualTrace
 from .windows import LevelWindow
 
 TRIANGULAR = "triangular_support"
@@ -59,27 +62,85 @@ class NonReachInvariant:
                 "verified": self.verified,
                 "structural_assumptions": list(self.global_via)}
 
-    # -- exclusion logic ----------------------------------------------
+    # -- reach rule ---------------------------------------------------
+
+    @property
+    def drift(self) -> tuple:
+        """(floor, ceiling) slopes of reach: k >= 1 steps after vertex j,
+        every reachable id lies in [j + floor*k, j + ceiling*k]; None
+        leaves that side unbounded."""
+        if self.kind == TRIANGULAR:
+            direction, c = self.params
+            return (-c, None) if direction == "lower" else (None, -c)
+        if self.kind == CONE:
+            (t,) = self.params
+            return -t, t
+        return None, None
+
+    def residue_class(self, v: int, n: int) -> int:
+        """(v + a n) mod p, the class every edge keeps from v@n on (residue
+        and clopen kinds)."""
+        p, a = self.params
+        return (v + a * n) % p
+
+    @property
+    def never_ascends(self) -> bool:
+        """Ids never increase along an edge."""
+        ceiling = self.drift[1]
+        return ceiling is not None and ceiling <= 0
 
     def excludes_pair(self, i: int, j: int) -> bool:
         """No path from i (any level) to j at any strictly later level."""
         if not self.is_global:
             return False
-        if self.kind == TRIANGULAR:
-            direction, c = self.params
-            if direction == "lower" and c <= 0:
-                return j < i - c
-            if direction == "upper" and c >= 0:
-                return j > i - c
-            return False
         if self.kind in (RESIDUE, CLOPEN):
+            # j - i = -a k (mod p) has a solution k >= 1 exactly when
+            # gcd(a, p) divides j - i
             p, a = self.params
-            g = gcd(a % p, p) or p
-            return (j - i) % g != 0
-        if self.kind == CONE:
-            (t,) = self.params
-            return t == 0 and j != i
-        return False
+            return (j - i) % gcd(a, p) != 0
+        floor, ceiling = self.drift
+        return (floor is not None and floor >= 0 and j < i + floor) or \
+            (ceiling is not None and ceiling <= 0 and j > i + ceiling)
+
+    @property
+    def excludes_some_pair(self) -> bool:
+        """Whether `excludes_pair` holds for some pair of ids."""
+        # exclusion depends on j - i alone, and any exclusion at all
+        # already excludes j = i - 1 or j = i + 1
+        return self.excludes_pair(1, 0) or self.excludes_pair(0, 1)
+
+    def separation_level(self, j: int, ell: int,
+                         ev: EventualTrace) -> Optional[int]:
+        """Least level M from which no path out of j@ell reaches the trace
+        vertex ev.value(m)@m, m >= M; None when this invariant cannot show
+        it from the certified trace ev (a clopen one never does).
+
+        On each class of m modulo the trace period, the trace starts
+        strictly below the reach floor and climbs no faster, or strictly
+        above the ceiling and falls no faster.  A residue invariant needs
+        the trace never to enter the class of j@ell; the trace's own
+        class repeats after p periods.
+        """
+        if self.kind == CLOPEN or not (self.is_global and ev.certified):
+            return None
+        q = ev.period
+        M = max(ev.start, ell + 1)
+        if self.kind == RESIDUE:
+            p, _ = self.params
+            target = self.residue_class(j, ell)
+            entered = any(self.residue_class(ev.value(m), m) == target
+                          for m in range(M, M + p * q))
+            return None if entered else M
+        floor, ceiling = self.drift
+        for m in range(M, M + q):  # the first level of each class of m mod q
+            x, k = ev.value(m), m - ell
+            below = floor is not None and x < j + floor * k \
+                and ev.step <= floor * q
+            above = ceiling is not None and x > j + ceiling * k \
+                and ev.step >= ceiling * q
+            if not (below or above):
+                return None
+        return M
 
 
 @dataclass(frozen=True)
@@ -189,12 +250,16 @@ def find_invariants(d: DiagramHandle, window: LevelWindow,
     """All invariants of the requested kinds that verify exhaustively on
     the window.
 
-    By default only patterns that exclude some vertex pair outright are
-    returned (lower slack <= 0, upper slack >= 0).  With
-    include_slope_only, weak triangular bounds (the other sign) are
+    By default a triangular pattern is returned only when it excludes
+    some vertex pair outright (lower slack <= 0, upper slack >= 0).
+    With include_slope_only, weak triangular bounds (the other sign) are
     added too: they exclude no pair on their own but bound the per-step
-    drift, which trace-separation arguments exploit.  Window vertices
-    without a declared row are skipped, as in the flag checks.
+    drift, which trace-separation arguments exploit.  Residue, clopen
+    and cone patterns are returned whether or not they exclude a pair
+    (a residue pattern whose a is coprime to p, a cone with t > 0, or
+    any pattern without a backing flag excludes none; ask
+    `excludes_some_pair`).  Window vertices without a declared row are
+    skipped, as in the flag checks.
     """
     found = []
     wdesc = window_desc(window)
@@ -238,8 +303,14 @@ def find_invariants(d: DiagramHandle, window: LevelWindow,
     return found
 
 
+def reverify(d: DiagramHandle, inv: NonReachInvariant) -> bool:
+    """Whether a search of inv's kind alone, on inv's own recorded window,
+    finds inv again with the same flag backing."""
+    window = LevelWindow({n: (lo, hi) for n, lo, hi in inv.window})
+    return inv in find_invariants(d, window, (inv.kind,), include_slope_only=True)
+
+
 def residue_coloring(inv: NonReachInvariant, window: LevelWindow) -> dict:
     """Materialize a residue invariant as a class table on a window."""
-    p, a = inv.params
-    return {(n, v): (v + a * n) % p
+    return {(n, v): inv.residue_class(v, n)
             for n in window.levels for v in window.vertices(n)}

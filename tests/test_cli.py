@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -6,7 +7,14 @@ import sys
 import pytest
 import yaml
 
-from gbdkit import make_diagram, toeplitz_reenumeration, vertical_from
+from gbdkit import (
+    cli,
+    irreducible_probe,
+    make_diagram,
+    orbit_visits_cylinder,
+    toeplitz_reenumeration,
+    vertical_from,
+)
 from gbdkit.cli import main
 
 
@@ -54,6 +62,30 @@ def test_probe_irreducible_no(specs, capsys):
                          "--src", "2", "--dst", "1"], capsys)
     assert code == 1
     assert "triangular_support" in out
+    assert "recheck: 'certificate re-verified: True'" in out
+
+
+def _tampered(probe, **changes):
+    """The probe, with the given fields of its No certificate replaced."""
+    def run(*args, **kwargs):
+        v = probe(*args, **kwargs)
+        return dataclasses.replace(
+            v, certificate=dataclasses.replace(v.certificate, **changes))
+    return run
+
+
+@pytest.mark.parametrize("changes", [
+    {"params": ("lower", -1)},            # a slack the rows do not admit
+    {"global_via": ("BandedFlag",)},      # a flag the handle does not carry
+])
+def test_probe_irreducible_tampered_certificate_reads_false(
+        changes, specs, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "irreducible_probe",
+                        _tampered(irreducible_probe, **changes))
+    code, out = run_cli(["probe", "irreducible", "--spec", specs["bi"],
+                         "--src", "2", "--dst", "1"], capsys)
+    assert code == 1
+    assert "recheck: 'certificate re-verified: False'" in out
 
 
 def test_probe_connected_exit_codes(specs, capsys):
@@ -95,6 +127,30 @@ def test_orbit_visit_verdicts(specs, capsys):
                          "--generator", '{"kind":"vertical","vertex":2}',
                          "--cylinder", '{"vertex": 5}'], capsys)
     assert code == 1
+    assert "separated_from_level: 1" in out
+    assert "recheck: 'certificate re-verified: True'" in out
+
+
+def test_orbit_visit_tampered_certificate_reads_false(specs, capsys, monkeypatch):
+    # an invariant that still verifies but separates from a later level
+    # than the one reported
+    def probe(*args, **kwargs):
+        v = orbit_visits_cylinder(*args, **kwargs)
+        return dataclasses.replace(v, detail={**v.detail,
+                                              "separated_from_level": 2})
+    monkeypatch.setattr(cli, "orbit_visits_cylinder", probe)
+    code, out = run_cli(["orbit", "visit", "--spec", specs["bi"],
+                         "--generator", '{"kind":"vertical","vertex":2}',
+                         "--cylinder", '{"vertex": 5}'], capsys)
+    assert code == 1
+    assert "separated_from_level: 2" in out
+    assert "recheck: 'certificate re-verified: False'" in out
+    monkeypatch.setattr(cli, "orbit_visits_cylinder",
+                        _tampered(orbit_visits_cylinder, params=("lower", -1)))
+    _, out = run_cli(["orbit", "visit", "--spec", specs["bi"],
+                      "--generator", '{"kind":"vertical","vertex":2}',
+                      "--cylinder", '{"vertex": 5}'], capsys)
+    assert "recheck: 'certificate re-verified: False'" in out
 
 
 def test_orbit_minimal(specs, capsys):
@@ -255,6 +311,10 @@ def test_usage_errors(specs, capsys):
     ["probe", "irreducible", "--spec", "rs", "--src", "3", "--dst", "7",
      "--depth", "-3"],
     ["orbit", "minimal", "--spec", "rs", "--depth", "0"],
+    ["iso", "check", "--spec", "td", "--spec-b", "p1", "--bijection",
+     "{kind: identity}", "--levels=-1"],
+    ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels=-1"],
+    ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels", "two"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]

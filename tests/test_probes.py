@@ -220,9 +220,8 @@ def test_classification_consistency(handles):
     for d in handles.values():
         cls = classify_irreducibility_type(d)
         if cls.is_completely:
-            from gbdkit.probes import _has_excluding_power
-            assert not any(_has_excluding_power(d, inv)
-                           for inv in invariant_certificate(d) if inv.is_global)
+            assert not any(inv.excludes_some_pair
+                           for inv in invariant_certificate(d))
 
 
 def test_classify_rejects_inverted_window():

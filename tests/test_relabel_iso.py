@@ -175,6 +175,17 @@ def test_verify_detects_mismatch():
                                            radius=6)
 
 
+def test_negative_level_counts_are_rejected():
+    # no level would be compared: a Yes here would be vacuous
+    td = make_diagram("tridiag_B")
+    p1 = make_diagram("parity_1")
+    with pytest.raises(ValueError, match="levels must be >= 0"):
+        verify_permutation_identity(td, p1, identity(td.indexing), -1)
+    w = LevelWindow.uniform(td.indexing, 2, 4)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        iso_search(td, p1, -1, w, w)
+
+
 def test_partial_table_raises_window_too_small():
     td = make_diagram("tridiag_B")
     g = partial_sequence(td.indexing, td.indexing,
