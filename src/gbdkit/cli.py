@@ -17,12 +17,14 @@ import argparse
 import functools
 import sys
 import time
+from collections import Counter
 
 from . import specfmt
 from .bijections import relabel
 from .diagram import DEFAULT_DEPTH, DiagramHandle
 from .dot import render_dot
 from .dynamics import (
+    _forced_hit_bound,
     minimality_certificate,
     orbit_visits_cylinder,
     transitivity_probe,
@@ -32,6 +34,7 @@ from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from
 from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
 from .paths import FinitePath
 from .probes import (
+    _window_nodes,
     bounded_size_params,
     classify_irreducibility_type,
     connected_probe,
@@ -44,7 +47,7 @@ from .reenumerate import (
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
-from .verdicts import Verdict, reverify
+from .verdicts import Verdict, residue_coloring, reverify
 from .windows import LevelWindow
 
 EXIT_YES = 0
@@ -185,8 +188,17 @@ def cmd_probe_irreducible(args, d):
 
 
 def cmd_probe_connected(args, d):
-    v = connected_probe(d, args.levels, _level_window(args, d, 8))
-    return _verdict_payload(v, "union-find over windowed edges"), v
+    window = _level_window(args, d, 8)
+    v = connected_probe(d, args.levels, window)
+    recheck = "union-find over windowed edges"
+    if v.is_no:
+        coloring = residue_coloring(v.certificate, window)
+        classes = Counter(str(coloring[x])
+                          for x in _window_nodes(d, window, args.levels))
+        ok = reverify(d, v.certificate) and len(classes) > 1 \
+            and classes == v.detail["classes"]
+        recheck = f"certificate re-verified: {ok}"
+    return _verdict_payload(v, recheck), v
 
 
 def cmd_probe_period(args, d):
@@ -244,7 +256,21 @@ def cmd_orbit_transitive(args, d):
 def cmd_orbit_minimal(args, d):
     v = minimality_certificate(d, horizon=args.depth,
                                window=_window(args.window, d, 16))
-    return _verdict_payload(v, "forced bounds / missed cylinder embedded"), v
+    recheck = "unknown depth exhausted"
+    if v.is_yes:
+        # a bound b is the least one exactly when a walk of b steps finds it
+        u = v.witness["distinguished_vertex"]
+        ok = all(_forced_hit_bound(d, w, u, 0, b) == b
+                 for w, b in v.witness["forced_bounds"].items())
+        recheck = f"forced bounds re-walked: {ok}"
+    elif v.is_no:
+        gen = v.detail["witness"]["generator"]
+        x = PathGenerator(d, gen["kind"], gen["params"])
+        j0 = v.detail["witness"]["missed_cylinder_vertex"]
+        ok = reverify(d, v.certificate) and \
+            v.certificate.separation_level(j0, 0, x.eventual()) is not None
+        recheck = f"certificate re-verified: {ok}"
+    return _verdict_payload(v, recheck), v
 
 
 # --- iso ------------------------------------------------------------------------
@@ -352,7 +378,7 @@ COMMANDS = (
       "--cylinder": {"required": True,
                      "help": '{"vertex": v} or {"trace": [v0, v1, ...]}'}}),
     ("orbit transitive", cmd_orbit_transitive, {"depth": DEFAULT_DEPTH},
-     {"--generator": REQUIRED, "--cyl-depth": {"type": int, "default": 3}}),
+     {"--generator": REQUIRED, "--cyl-depth": {"type": _at_least(0), "default": 3}}),
     ("orbit minimal", cmd_orbit_minimal, {}, {}),
     ("iso check", cmd_iso_check, {},
      {"--spec-b": REQUIRED, "--bijection": REQUIRED}),

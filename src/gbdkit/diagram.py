@@ -228,7 +228,7 @@ class DiagramHandle:
     """Immutable evaluable incidence rule for a generalized Bratteli diagram.
 
     All queries are pure; the only internal state is a transparent row
-    cache, safe under concurrent reads.
+    cache and column cache, safe under concurrent reads.
     """
 
     def __init__(
@@ -251,6 +251,7 @@ class DiagramHandle:
         self._row_rule = row_rule
         self._col_rule = col_rule
         self._row_cache: dict = {}
+        self._col_cache: dict = {}
         self._verify_flags()
 
     # -- basic queries --------------------------------------------------
@@ -350,7 +351,10 @@ class DiagramHandle:
             return None
         if self._explicit is not None:
             n = self._explicit.level_of(n)
-        return self._col_rule(n, w)
+        key = (0 if self.stationary else n, w)
+        if key not in self._col_cache:
+            self._col_cache[key] = self._col_rule(n, w)
+        return self._col_cache[key]
 
     def out_edges_exact(self, n: int, w: int) -> Optional[list]:
         """Complete out-edge list when the column is known finite, else None."""

@@ -24,7 +24,7 @@ from .diagram import (
 )
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
-from .paths import Edge, FinitePath, first_reach
+from .paths import Edge, FinitePath, first_reach, forward_step
 from .verdicts import (
     CONE,
     RESIDUE,
@@ -205,6 +205,8 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
     verdict, the No witness cylinder and the counts are those of a check
     of every cylinder in listing order.
     """
+    if cyl_depth < 0:
+        raise ValueError("cyl_depth must be >= 0")
     if window is None:
         window = d.indexing.default_interval(8)
     lo, hi = d.indexing.clamp(*window)
@@ -243,19 +245,12 @@ def _forced_hit_bound(d: DiagramHandle, w: int, u: int, n0: int,
         return 0
     frontier = {w}
     for k in range(1, horizon + 1):
-        nxt = set()
-        for v in frontier:
-            try:
-                out = d.out_edges_exact(n0 + k - 1, v)
-            except GbdError:
-                return None
-            if out is None:
-                return None
-            nxt.update(tgt for tgt, _ in out)
-        nxt.discard(u)
-        if not nxt:
+        frontier = forward_step(d, n0 + k - 1, frontier)
+        if frontier is None:
+            return None
+        frontier.discard(u)
+        if not frontier:
             return k
-        frontier = nxt
     return None
 
 

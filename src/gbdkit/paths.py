@@ -1,9 +1,19 @@
-"""Exact finite-path counting, enumeration, and backward reachability.
+"""Exact finite-path counting, enumeration, and backward and forward
+reachability.
 
-Every query sweeps backward from the target one level at a time: rows
-of the incidence matrices are finite and exact, so each step is finite
-even though columns may be infinite.  Counts are plain Python integers,
-hence exact at any magnitude.
+Counting, enumeration and backward reach sweep backward from the target
+one level at a time: rows of the incidence matrices are finite and
+exact, so each step is finite even though columns may be infinite.
+Counts are plain Python integers, hence exact at any magnitude.
+
+Forward cones go through `forward_step` and `forward_layers`, the
+forward twin of `_step`/`_sweep`: the targets of a layer one level up,
+read from the exact column rule.  A column counts as exactly known only
+when the handle states it as finite: a rule that gives no column, an
+infinite one, or a read that raises a `GbdError` (a level past an
+explicit spec, say) all stop the walk, and every forward walker
+(compactness, forced hits, cone bounds, anchored flattening) meets
+that one policy here.
 
 Probes that ask for the first level m at which w@n reaches a target
 t(m)@m go through `first_reach` and `reach_frontiers`.  On a stationary
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .diagram import DiagramHandle
-from .errors import InvalidEdgeError
+from .errors import GbdError, InvalidEdgeError
 
 
 class Edge(NamedTuple):
@@ -109,6 +119,42 @@ def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
     for level in range(m - 1, n - 1, -1):
         layer = _step(d, level, layer, counting)
         yield layer
+
+
+def forward_step(d: DiagramHandle, level: int, layer) -> Optional[set]:
+    """The layer one level up: the targets at level + 1 of the vertices
+    in layer at level; None as soon as one of their columns at level is
+    not exactly known and finite."""
+    nxt: set = set()
+    for u in layer:
+        try:
+            sup = d.column_support(level, u)
+        except GbdError:
+            return None
+        if sup is None or not sup.is_finite:
+            return None
+        nxt.update(t for t, _ in sup.entries)
+    return nxt
+
+
+def forward_layers(d: DiagramHandle, w: int, n: int):
+    """Forward layers from w@n: {w}, then for each level n+1, n+2, ... the
+    vertices with a path from w@n, each built from the previous one alone.
+    Ends after the layer whose step met a column not exactly known; the
+    caller bounds the walk otherwise.
+
+    The walk is exact on any handle, stationary or not: each step reads
+    every column at its own level, never one level's column for another.
+    What it does not give is a verdict past the layers it yielded: that a
+    layer equals the one before proves the cone stays put only where
+    every level has the same columns, that is on a stationary handle.
+    """
+    d.indexing.check(w)
+    layer: Optional[set] = {w}
+    while layer is not None:
+        yield layer
+        layer = forward_step(d, n, layer)
+        n += 1
 
 
 def count_paths(d: DiagramHandle, w: int, n: int, v: int, m: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .diagram import (
     DEFAULT_DEPTH,
@@ -20,8 +21,13 @@ from .diagram import (
     DiagramHandle,
     FullOutColumnFlag,
 )
-from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
-from .paths import FinitePath, backward_reach_set, first_reach, reach_frontiers
+from .errors import (
+    GbdError,
+    NoBoundedSizeFlagError,
+    NotStationaryError,
+    UnsupportedLevelError,
+)
+from .paths import FinitePath, first_reach, forward_layers, reach_frontiers
 from .verdicts import (
     ALL_KINDS,
     CLOPEN,
@@ -58,6 +64,17 @@ def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None,
     return find_invariants(d, window, kinds)
 
 
+def _window_nodes(d: DiagramHandle, window: LevelWindow, levels: int) -> list:
+    """The (level, vertex) pairs of the window on levels <= levels, each
+    level's interval clamped to the vertex range."""
+    nodes = []
+    for n in window.levels:
+        if n <= levels:
+            lo, hi = d.indexing.clamp(*window.interval(n))
+            nodes.extend((n, v) for v in range(lo, hi + 1))
+    return nodes
+
+
 def connected_probe(d: DiagramHandle, levels: int = 4,
                     window: LevelWindow | None = None) -> Verdict:
     """Connectedness of the windowed undirected graph.
@@ -69,12 +86,7 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
     """
     if window is None:
         window = d.default_window(levels)
-    nodes = []
-    for n in window.levels:
-        if n > levels:
-            continue
-        lo, hi = d.indexing.clamp(*window.interval(n))
-        nodes.extend((n, v) for v in range(lo, hi + 1))
+    nodes = _window_nodes(d, window, levels)
     parent = {x: x for x in nodes}
 
     def find(x):
@@ -159,12 +171,14 @@ def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
     t_rule = d.t_rule()
     if t_rule is None:
         raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
-    d.indexing.check(v)
     total = t_rule.partial_sum(n, m)
     lo, hi = d.indexing.clamp(v - total, v + total)
-    reach = sorted(u for u in range(lo, hi + 1)
-                   if v in backward_reach_set(d, u, m, n))
-    return (v - total, v + total), reach
+    for k, cone in enumerate(islice(forward_layers(d, v, n), m - n + 1)):
+        pass
+    if k < m - n:
+        raise UnsupportedLevelError(
+            f"the forward cone of {v}@{n} is not exactly known past level {n + k}")
+    return (v - total, v + total), sorted(u for u in cone if lo <= u <= hi)
 
 
 def slanting_membership(d: DiagramHandle, prefix: FinitePath, w: int,
@@ -195,7 +209,9 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                            horizon: int = 64) -> Verdict:
     """Is the cylinder of this prefix compact (finite forward cone at
     every level)?  No when the cone provably reaches a vertex with
-    infinitely many outgoing edges."""
+    infinitely many outgoing edges.  Yes when the cone repeats a layer on
+    a stationary handle; on any other handle a repeated layer proves
+    nothing, so the walk goes on to the horizon."""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
     if d.t_rule() is not None:
@@ -208,32 +224,30 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                 "reason": "ids never increase along edges; cones stay below "
                           "the prefix end on a one-sided level",
                 "certificate": inv.describe()})
-    cone = {j}
-    seen_unknown = False
-    for k in range(horizon):
-        nxt = set()
+    prev = None
+    layers = islice(forward_layers(d, j, ell), max(horizon, 0) + 1)
+    for k, cone in enumerate(layers):
+        if d.stationary and cone == prev:
+            return Verdict.yes(witness={
+                "reason": "forward cone stabilizes",
+                "stable_cone": sorted(cone), "at_step": k - 1,
+                "structural_assumptions": ["exact column rule of the family"]})
+        prev = cone
+    if k < horizon:
+        # the walk stopped at level ell + k: No when the first column there
+        # that is not known finite is known infinite
         for u in sorted(cone):
             try:
                 sup = d.column_support(ell + k, u)
             except GbdError:
-                sup = None  # level or vertex outside the declared universe
+                break  # level or vertex outside the declared universe
             if sup is None:
-                seen_unknown = True
                 break
             if not sup.is_finite:
                 return Verdict.no(certificate={
                     "reason": "reachable vertex with infinitely many "
                               "outgoing edges",
                     "vertex": u, "level": ell + k, "steps_from_prefix": k})
-            nxt.update(t for t, _ in sup.entries)
-        if seen_unknown:
-            break
-        if nxt == cone:
-            return Verdict.yes(witness={
-                "reason": "forward cone stabilizes",
-                "stable_cone": sorted(cone), "at_step": k,
-                "structural_assumptions": ["exact column rule of the family"]})
-        cone = nxt
     return Verdict.unknown(depth=horizon)
 
 

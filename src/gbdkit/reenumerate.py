@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from . import indexing as ix
@@ -21,6 +22,7 @@ from .bijections import VertexBijectionSeq, cone_shift, fill_sequence, relabel
 from .diagram import DiagramHandle
 from .errors import ConflictError, IndexingMismatchError, NoBoundedSizeFlagError
 from .generators import PathGenerator
+from .paths import forward_layers
 from .verdicts import TRIANGULAR, find_invariants
 
 
@@ -156,18 +158,12 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
     if d.indexing.mode != ix.TWO_SIDED:
         raise IndexingMismatchError("per-level shifts need two-sided levels")
     v0, n0 = anchor
-    cone = {v0}
-    minima = {n0: v0}
-    for m in range(n0 + 1, n0 + horizon + 1):
-        nxt = set()
-        for u in cone:
-            out = d.out_edges_exact(m - 1, u)
-            if out is None:
-                raise NoBoundedSizeFlagError(
-                    f"column support unknown at vertex {u}; cannot trace the cone")
-            nxt.update(t for t, _ in out)
-        cone = nxt
-        minima[m] = min(cone)
+    layers = islice(forward_layers(d, v0, n0), max(horizon, 0) + 1)
+    minima = {m: min(cone) for m, cone in enumerate(layers, n0)}
+    if len(minima) <= horizon:
+        raise NoBoundedSizeFlagError(
+            f"a column at level {n0 + len(minima) - 1} is not exactly known; "
+            f"cannot trace the cone")
 
     from .bijections import affine_levels
 

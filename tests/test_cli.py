@@ -9,8 +9,10 @@ import yaml
 
 from gbdkit import (
     cli,
+    connected_probe,
     irreducible_probe,
     make_diagram,
+    minimality_certificate,
     orbit_visits_cylinder,
     toeplitz_reenumeration,
     vertical_from,
@@ -94,6 +96,43 @@ def test_probe_connected_exit_codes(specs, capsys):
     code, out = run_cli(["probe", "connected", "--spec", specs["p1"]], capsys)
     assert code == 1
     assert "clopen_partition" in out
+
+
+@pytest.mark.parametrize("command,yes_recheck", [
+    ("orbit minimal", "'forced bounds re-walked: True'"),
+    ("probe connected", "union-find over windowed edges"),
+])
+def test_minimal_and_connected_recheck_lines(command, yes_recheck, specs, capsys):
+    code, out = run_cli(command.split() + ["--spec", specs["rs"]], capsys)
+    assert code == 0
+    assert f"recheck: {yes_recheck}" in out
+    code, out = run_cli(command.split() + ["--spec", specs["p1"]], capsys)
+    assert code == 1
+    assert "recheck: 'certificate re-verified: True'" in out
+
+
+@pytest.mark.parametrize("command,probe,changes", [
+    ("orbit minimal", minimality_certificate, {"params": (0,)}),
+    ("probe connected", connected_probe, {"params": (3, 1)}),
+])
+def test_tampered_no_rechecks_read_false(command, probe, changes, specs, capsys,
+                                         monkeypatch):
+    monkeypatch.setattr(cli, probe.__name__, _tampered(probe, **changes))
+    code, out = run_cli(command.split() + ["--spec", specs["p1"]], capsys)
+    assert code == 1
+    assert "recheck: 'certificate re-verified: False'" in out
+
+
+def test_tampered_forced_bound_reads_false(specs, capsys, monkeypatch):
+    def loosened(*args, **kwargs):
+        v = minimality_certificate(*args, **kwargs)
+        bounds = {w: b + 1 for w, b in v.witness["forced_bounds"].items()}
+        return dataclasses.replace(v, witness={**v.witness, "forced_bounds": bounds})
+
+    monkeypatch.setattr(cli, "minimality_certificate", loosened)
+    code, out = run_cli(["orbit", "minimal", "--spec", specs["rs"]], capsys)
+    assert code == 0
+    assert "recheck: 'forced bounds re-walked: False'" in out
 
 
 def test_probe_period(specs, capsys):
@@ -311,6 +350,8 @@ def test_usage_errors(specs, capsys):
     ["probe", "irreducible", "--spec", "rs", "--src", "3", "--dst", "7",
      "--depth", "-3"],
     ["orbit", "minimal", "--spec", "rs", "--depth", "0"],
+    ["orbit", "transitive", "--spec", "o2", "--generator",
+     "{kind: vertical, vertex: 0}", "--cyl-depth=-1"],
     ["iso", "check", "--spec", "td", "--spec-b", "p1", "--bijection",
      "{kind: identity}", "--levels=-1"],
     ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels=-1"],

@@ -149,3 +149,9 @@ def test_deep_cylinder_count_is_exact():
     assert v.is_yes
     assert v.witness["cylinders_checked"] == 13 * (3 ** 13 - 1) // 2 \
         == 10_363_093
+
+
+def test_negative_cyl_depth_is_rejected():
+    o2 = make_diagram("odometer_two_sided")
+    with pytest.raises(ValueError, match="cyl_depth"):
+        transitivity_probe(o2, make_generator(o2, "vertical", vertex=0), -1)
