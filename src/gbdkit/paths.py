@@ -5,15 +5,8 @@ Counting, enumeration and backward reach sweep backward from the target
 one level at a time: rows of the incidence matrices are finite and
 exact, so each step is finite even though columns may be infinite.
 Counts are plain Python integers, hence exact at any magnitude.
-
-Forward cones go through `forward_step` and `forward_layers`, the
-forward twin of `_step`/`_sweep`: the targets of a layer one level up,
-read from the exact column rule.  A column counts as exactly known only
-when the handle states it as finite: a rule that gives no column, an
-infinite one, or a read that raises a `GbdError` (a level past an
-explicit spec, say) all stop the walk, and every forward walker
-(compactness, forced hits, cone bounds, anchored flattening) meets
-that one policy here.
+Forward cones go through `forward_layers`, whose docstring states when
+a forward step is exact.
 
 Probes that ask for the first level m at which w@n reaches a target
 t(m)@m go through `first_reach` and `reach_frontiers`.  On a stationary
@@ -29,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import DiagramHandle
+from .diagram import DiagramHandle, LevelRule
 from .errors import GbdError, InvalidEdgeError
 
 
@@ -121,10 +114,16 @@ def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
         yield layer
 
 
-def forward_step(d: DiagramHandle, level: int, layer) -> Optional[set]:
+def forward_step(d: DiagramHandle, level: int, layer,
+                 t: Optional[int] = None) -> Optional[set]:
     """The layer one level up: the targets at level + 1 of the vertices
-    in layer at level; None as soon as one of their columns at level is
-    not exactly known and finite."""
+    in layer at level, read from their columns, or from the rows within
+    t of the layer when a row width t is given; see `forward_layers`."""
+    if t is not None:
+        band = sorted({x for u in layer for x in range(u - t, u + t + 1)
+                       if d.indexing.contains(x)})
+        return {x for x in band
+                if any(src in layer for src, _ in d.row(level, x))}
     nxt: set = set()
     for u in layer:
         try:
@@ -133,28 +132,36 @@ def forward_step(d: DiagramHandle, level: int, layer) -> Optional[set]:
             return None
         if sup is None or not sup.is_finite:
             return None
-        nxt.update(t for t, _ in sup.entries)
+        nxt.update(tgt for tgt, _ in sup.entries)
     return nxt
 
 
-def forward_layers(d: DiagramHandle, w: int, n: int):
-    """Forward layers from w@n: {w}, then for each level n+1, n+2, ... the
-    vertices with a path from w@n, each built from the previous one alone.
-    Ends after the layer whose step met a column not exactly known; the
-    caller bounds the walk otherwise.
+def forward_layers(d: DiagramHandle, w: int, n: int, steps: int,
+                   t_rule: Optional[LevelRule] = None):
+    """Forward layers from w@n: {w}, then the vertices with a path from
+    w@n at each level n+1, ..., n+steps, each built from the previous one.
 
-    The walk is exact on any handle, stationary or not: each step reads
-    every column at its own level, never one level's column for another.
-    What it does not give is a verdict past the layers it yielded: that a
-    layer equals the one before proves the cone stays put only where
-    every level has the same columns, that is on a stationary handle.
+    Without a t_rule a step reads the columns of the layer, and the walk
+    ends early, after the layer it was reading, at a column that is not
+    exactly known: no column rule, an infinite or full column, or a read
+    that raises a `GbdError`.  With a row-width t_rule a step reads the
+    rows within t_rule(level) of the layer instead; rows are exact, so
+    the walk runs its full length, and a row it needs but cannot read
+    raises.
+
+    Each step reads its own level, so the walk is exact on any handle;
+    but a layer equal to the one before proves the cone stays put only on
+    a stationary handle.
     """
     d.indexing.check(w)
     layer: Optional[set] = {w}
-    while layer is not None:
+    yield layer
+    for level in range(n, n + steps):
+        layer = forward_step(d, level, layer,
+                             None if t_rule is None else t_rule(level))
+        if layer is None:
+            return
         yield layer
-        layer = forward_step(d, n, layer)
-        n += 1
 
 
 def count_paths(d: DiagramHandle, w: int, n: int, v: int, m: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .diagram import (
     DEFAULT_DEPTH,
@@ -21,12 +20,7 @@ from .diagram import (
     DiagramHandle,
     FullOutColumnFlag,
 )
-from .errors import (
-    GbdError,
-    NoBoundedSizeFlagError,
-    NotStationaryError,
-    UnsupportedLevelError,
-)
+from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
 from .paths import FinitePath, first_reach, forward_layers, reach_frontiers
 from .verdicts import (
     ALL_KINDS,
@@ -165,20 +159,16 @@ def bounded_size_params(d: DiagramHandle, n: int,
 
 def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
     """Width-bounded forward cone: the interval the t-rule licenses at
-    level m, and the exact reachable set inside it."""
+    level m, and the exact reachable set inside it, walked through the
+    rows within the width of each layer."""
     if m <= n:
         raise ValueError("m must exceed n")
     t_rule = d.t_rule()
     if t_rule is None:
         raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
     total = t_rule.partial_sum(n, m)
-    lo, hi = d.indexing.clamp(v - total, v + total)
-    for k, cone in enumerate(islice(forward_layers(d, v, n), m - n + 1)):
-        pass
-    if k < m - n:
-        raise UnsupportedLevelError(
-            f"the forward cone of {v}@{n} is not exactly known past level {n + k}")
-    return (v - total, v + total), sorted(u for u in cone if lo <= u <= hi)
+    layers = list(forward_layers(d, v, n, m - n, t_rule))
+    return (v - total, v + total), sorted(layers[-1])
 
 
 def slanting_membership(d: DiagramHandle, prefix: FinitePath, w: int,
@@ -224,19 +214,19 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                 "reason": "ids never increase along edges; cones stay below "
                           "the prefix end on a one-sided level",
                 "certificate": inv.describe()})
-    prev = None
-    layers = islice(forward_layers(d, j, ell), max(horizon, 0) + 1)
-    for k, cone in enumerate(layers):
-        if d.stationary and cone == prev:
+    layers = []
+    for cone in forward_layers(d, j, ell, horizon):
+        if d.stationary and layers and cone == layers[-1]:
             return Verdict.yes(witness={
                 "reason": "forward cone stabilizes",
-                "stable_cone": sorted(cone), "at_step": k - 1,
+                "stable_cone": sorted(cone), "at_step": len(layers) - 1,
                 "structural_assumptions": ["exact column rule of the family"]})
-        prev = cone
-    if k < horizon:
+        layers.append(cone)
+    if len(layers) <= horizon:
         # the walk stopped at level ell + k: No when the first column there
         # that is not known finite is known infinite
-        for u in sorted(cone):
+        k = len(layers) - 1
+        for u in sorted(layers[-1]):
             try:
                 sup = d.column_support(ell + k, u)
             except GbdError:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional
 
 from . import indexing as ix
@@ -158,12 +157,12 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
     if d.indexing.mode != ix.TWO_SIDED:
         raise IndexingMismatchError("per-level shifts need two-sided levels")
     v0, n0 = anchor
-    layers = islice(forward_layers(d, v0, n0), max(horizon, 0) + 1)
-    minima = {m: min(cone) for m, cone in enumerate(layers, n0)}
-    if len(minima) <= horizon:
+    layers = list(forward_layers(d, v0, n0, horizon))
+    if len(layers) <= horizon:
         raise NoBoundedSizeFlagError(
-            f"a column at level {n0 + len(minima) - 1} is not exactly known; "
+            f"a column at level {n0 + len(layers) - 1} is not exactly known; "
             f"cannot trace the cone")
+    minima = {m: min(cone) for m, cone in enumerate(layers, n0)}
 
     from .bijections import affine_levels
 

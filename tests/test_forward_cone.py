@@ -2,8 +2,6 @@
 walkers built on it: compactness, forced hits, cone bounds and anchored
 flattening."""
 
-from itertools import islice
-
 import pytest
 
 from gbdkit import (
@@ -18,8 +16,8 @@ from gbdkit import (
     relabel,
     toeplitz_reenumeration,
 )
-from gbdkit.diagram import ColumnSupport, DiagramHandle
-from gbdkit.errors import IndexingMismatchError
+from gbdkit.diagram import BoundedSizeFlag, ColumnSupport, DiagramHandle, LevelRule
+from gbdkit.errors import IndexingMismatchError, UndeclaredRowError
 from gbdkit.indexing import two_sided
 from gbdkit.paths import forward_layers
 from gbdkit.specfmt import load_spec
@@ -58,14 +56,22 @@ def kernel_handles():
 KERNEL_HANDLES = kernel_handles()
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_HANDLES))
-def test_forward_layers_agree_with_backward_sweeps(name):
+# every handle is walked through its columns, and the width-bounded
+# ones also through the rows within their width
+WALKS = ([(name, "columns") for name in sorted(KERNEL_HANDLES)]
+         + [(name, "rows") for name in sorted(KERNEL_HANDLES)
+            if KERNEL_HANDLES[name].t_rule() is not None])
+
+
+@pytest.mark.parametrize("name,through", WALKS)
+def test_forward_layers_agree_with_backward_sweeps(name, through):
     d = KERNEL_HANDLES[name]
+    t_rule = d.t_rule() if through == "rows" else None
     lo, hi = d.indexing.default_interval(2)
     starts = range(lo, hi + 1)
     ulo, uhi = d.indexing.default_interval(2 + 4 * K)
     for n in (0, 1):
-        layers = {w: list(islice(forward_layers(d, w, n), K + 1)) for w in starts}
+        layers = {w: list(forward_layers(d, w, n, K, t_rule)) for w in starts}
         for k in range(K + 1):
             walked = [w for w in starts if len(layers[w]) > k]
             if not walked:
@@ -85,7 +91,7 @@ def test_forward_layers_agree_with_backward_sweeps(name):
 def test_walk_ends_at_the_first_infinite_column(name):
     d = make_diagram(name)
     for w in range(1, 8):
-        layers = list(islice(forward_layers(d, w, 0), 40))
+        layers = list(forward_layers(d, w, 0, 39))
         last = len(layers) - 1
         for k, layer in enumerate(layers[:-1]):
             assert all(d.column_support(k, u).is_finite for u in layer)
@@ -95,12 +101,12 @@ def test_walk_ends_at_the_first_infinite_column(name):
 def test_renewal_walk_stops_at_the_full_column():
     # w -> w - 1 down to 1, whose column covers every vertex
     d = make_diagram("renewal_shift")
-    assert list(islice(forward_layers(d, 5, 0), 40)) == [{5}, {4}, {3}, {2}, {1}]
+    assert list(forward_layers(d, 5, 0, 39)) == [{5}, {4}, {3}, {2}, {1}]
 
 
 def test_walk_ends_at_the_undeclared_level():
     d = explicit_error_beyond()  # three declared levels
-    layers = list(islice(forward_layers(d, 1, 0), 40))
+    layers = list(forward_layers(d, 1, 0, 39))
     assert len(layers) == 4  # levels 0..3; the columns at level 3 are undeclared
     assert layers[1] == {0, 1, 2}
 
@@ -130,6 +136,40 @@ def test_cone_bound_matches_the_backward_formula():
     assert calls == 1248
 
 
+def banded_explicit(rows):
+    """One declared level, repeated, on vertices -4..4, width 1."""
+    return load_spec({"levels": [rows], "extension": "repeat_last",
+                      "flags": [{"kind": "bounded_size", "t": 1}]})
+
+
+def test_cone_bound_raises_on_an_undeclared_row_the_cone_may_reach():
+    # -4@0 has out-edges to -4 and, if -5 were declared, to -5: the answer
+    # would depend on a row the spec does not give
+    d = banded_explicit({v: {v: 1, v + 1: 1} for v in range(-4, 5)})
+    with pytest.raises(UndeclaredRowError, match="vertex -5"):
+        cone_bound(d, -4, 0, 1)
+    assert cone_bound(d, 0, 0, 3) == ((-3, 3), [-3, -2, -1, 0])
+
+
+def test_cone_bound_answers_when_the_undeclared_rows_are_out_of_reach():
+    # diagonal rows: every row the cone of 3@0 may reach (2, 3 and 4) is
+    # declared, though 5 and 6 of the licensed interval are not
+    d = banded_explicit({v: {v: 1} for v in range(-4, 5)})
+    assert cone_bound(d, 3, 0, 3) == ((0, 6), [3])
+
+
+def test_cone_bound_on_a_handle_without_columns():
+    def rows(n, v):
+        return [(v - 1, 1), (v, 2)]
+
+    d = DiagramHandle(two_sided(), rows, stationary=True,
+                      flags=(BoundedSizeFlag(LevelRule.const(1)),))
+    for v in range(-3, 4):
+        for m in range(1, 6):
+            assert cone_bound(d, v, 0, m) == reference_cone_bound(d, v, 0, m)
+    assert cone_bound(d, 0, 0, 2) == ((-2, 2), [0, 1, 2])
+
+
 def plain_odometer(read=None):
     """Two-sided, exact columns, no declared width bound; read logs each
     column the rule is asked for."""
@@ -149,7 +189,7 @@ def test_a_stationary_column_is_read_once():
     read = []
     d = plain_odometer(read)
     for _ in range(2):
-        assert list(islice(forward_layers(d, 0, 0), 10))[-1] == set(range(-9, 1))
+        assert list(forward_layers(d, 0, 0, 9))[-1] == set(range(-9, 1))
     assert len(read) == len({w for _, w in read})
 
 
