@@ -382,12 +382,10 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
                 (g.forward(n + 1, v), m) for v, m in sup.entries)
         return sup
 
-    probe_vertex = d.indexing.base if d.indexing.mode == ix.ONE_SIDED else 0
-    has_cols = d.column_support(0, probe_vertex) is not None
     return DiagramHandle(
         tgt, rows,
         stationary=_relabeled_stationary(d, g),
         flags=_relabeled_flags(d, g),
-        col_rule=cols if has_cols else None,
+        col_rule=cols,
         name=f"relabel({d.name},{g.kind})",
         params={"base": d.name, "bijection": g.kind, **g.params})

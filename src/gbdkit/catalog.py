@@ -1,8 +1,10 @@
 """Built-in diagram families.
 
 Each entry constructs a stationary handle whose incidence matrix is a
-named infinite matrix pattern, together with the structural flags and
-exact column-support rules the pattern pins down.
+named infinite matrix pattern, together with the structural flags the
+pattern pins down.  A width-bounded family's columns follow from its
+rows; only the families without a row-width bound (`renewal_shift`,
+`b_infinity`, `star_odometer`) state a column-support rule.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
     def rows(n, v):
         return [(v + o, m) for o, m in items if idx.contains(v + o)]
 
-    def cols(n, w):
-        return ColumnSupport.finite(
-            (w - o, m) for o, m in items if idx.contains(w - o))
-
     flags = [BandedFlag(items),
              BoundedSizeFlag(LevelRule.const(max(abs(o) for o, _ in items)),
                              LevelRule.const(sum(m for _, m in items)))]
@@ -78,7 +76,7 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
     # one-sided truncation near the base can empty a row; the flag check
     # reads the base row first and rejects it at build time
     return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
-                         col_rule=cols, name=name, params=params)
+                         name=name, params=params)
 
 
 def build_banded(offsets=None, side: str = "two", base: int = 1, **extra):
@@ -101,24 +99,15 @@ def build_interleaved_Bprime(**_):
     idx = ix.one_sided(0)
     special_rows = {0: ((0, 2), (1, 1), (2, 1)),
                     1: ((0, 1), (1, 2), (3, 1))}
-    special_cols = {0: ((0, 2), (1, 1), (2, 1)),
-                    1: ((0, 1), (1, 2), (3, 1)),
-                    2: ((0, 1), (2, 2), (4, 1)),
-                    3: ((1, 1), (3, 2), (5, 1))}
 
     def rows(n, v):
         if v in special_rows:
             return list(special_rows[v])
         return [(v - 2, 1), (v, 2), (v + 2, 1)]
 
-    def cols(n, w):
-        if w in special_cols:
-            return ColumnSupport.finite(special_cols[w])
-        return ColumnSupport.finite(((w - 2, 1), (w, 2), (w + 2, 1)))
-
     flags = (BoundedSizeFlag(LevelRule.const(2), LevelRule.const(4)),)
     return DiagramHandle(idx, rows, stationary=True, flags=flags,
-                         col_rule=cols, name="interleaved_Bprime", params={})
+                         name="interleaved_Bprime", params={})
 
 
 def build_shifted_Bsecond(**_):
@@ -191,12 +180,6 @@ def _odometer_handle(side: str, params: dict, name: str):
         row = [(v, a(v)), (v + 1, 1)]
         return [(w, m) for w, m in row if idx.contains(w)]
 
-    def cols(n, w):
-        entries = [(w, a(w))]
-        if idx.contains(w - 1):
-            entries.append((w - 1, 1))
-        return ColumnSupport.finite(entries)
-
     a_param = params.get("a", 2)
     flags = [TriangularFlag("upper", 0)]
     if isinstance(a_param, int):
@@ -206,7 +189,7 @@ def _odometer_handle(side: str, params: dict, name: str):
     else:
         flags.append(BoundedSizeFlag(LevelRule.const(1), None))
     return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
-                         col_rule=cols, name=name, params=dict(params))
+                         name=name, params=dict(params))
 
 
 def build_odometer_one_sided(**params):

@@ -29,7 +29,7 @@ from .dynamics import (
     orbit_visits_cylinder,
     transitivity_probe,
 )
-from .errors import GbdError, SchemaError
+from .errors import GbdError, OutputError, SchemaError
 from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from_trace
 from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
 from .paths import FinitePath
@@ -148,8 +148,11 @@ def _exit_code(outcome) -> int:
 def _write(args, text: str, artifact: str | None = None) -> None:
     """Print text; --out gets the artifact when there is one, else the text."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if artifact is None else artifact)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if artifact is None else artifact)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc}") from None
     sys.stdout.write(text)
 
 
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except (GbdError, FileNotFoundError) as exc:
+    except GbdError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

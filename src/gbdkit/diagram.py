@@ -4,9 +4,10 @@ A generalized Bratteli diagram is determined by its incidence matrices
 F_n, one per level, with entry (v, w) counting the edges from vertex w at
 level n to vertex v at level n+1.  Rows (in-edges of a fixed target) are
 finite and nonempty; columns (out-edges of a fixed source) may be
-infinite.  A handle therefore takes the row rule as the primitive and
-optionally carries an exact column-support rule where the family's
-definition pins it down.
+infinite.  A handle therefore takes the row rule as the primitive.
+`DiagramHandle.column_support` is the one reader of columns: it asks the
+optional column-support rule of a family without a row-width bound, and
+otherwise derives the column from the rows within that bound.
 
 Edges are identified as (level, source, target, copy_index) with
 copy_index ranging over 0..multiplicity-1.
@@ -246,6 +247,7 @@ class DiagramHandle:
         self.stationary = stationary
         self.flags = tuple(flags)
         self._explicit = self.get_flag(ExplicitLevelsFlag)
+        self._width = self.t_rule()
         self.name = name
         self.params = dict(params or {})
         self._row_rule = row_rule
@@ -345,15 +347,26 @@ class DiagramHandle:
         return mat
 
     def column_support(self, n: int, w: int) -> Optional[ColumnSupport]:
-        """Exact column knowledge when the defining rule provides it, else None."""
+        """Exact column knowledge, else None: the column rule's answer when
+        it gives one, else, under a row-width bound t, the targets within
+        t(n) of w whose rows hold w.  The width flag puts every target of w
+        there, so the derived column is exact; a row read that fails raises.
+        Cached under the key of `row`."""
         self.indexing.check(w)
-        if self._col_rule is None:
+        t_rule = self._width
+        if self._col_rule is None and t_rule is None:
             return None
         if self._explicit is not None:
             n = self._explicit.level_of(n)
         key = (0 if self.stationary else n, w)
         if key not in self._col_cache:
-            self._col_cache[key] = self._col_rule(n, w)
+            sup = None if self._col_rule is None else self._col_rule(n, w)
+            if sup is None and t_rule is not None:
+                lo, hi = self.indexing.clamp(w - t_rule(n), w + t_rule(n))
+                sup = ColumnSupport.finite(
+                    (v, m) for v in range(lo, hi + 1)
+                    for src, m in self.row(n, v) if src == w)
+            self._col_cache[key] = sup
         return self._col_cache[key]
 
     def out_edges_exact(self, n: int, w: int) -> Optional[list]:
@@ -391,7 +404,8 @@ class DiagramHandle:
         One snapshot of the window's rows per level, read on first need,
         serves every check.  Flags remain assumptions beyond the verified
         window; certificate consumers report them as such.  Window
-        vertices without declared rows (explicit specs) are skipped.
+        vertices without declared rows (explicit specs) are skipped, and
+        so are the columns that would read one.
         """
         lo, hi = self.indexing.default_interval(FLAG_VERIFY_RADIUS)
         levels = [n for n in range(FLAG_VERIFY_LEVELS + 1) if self.level_known(n)]
@@ -416,7 +430,10 @@ class DiagramHandle:
         for n in levels:
             rows, cols = snapshot(n)
             for w in range(slo, shi + 1):
-                sup = self.column_support(n, w)
+                try:
+                    sup = self.column_support(n, w)
+                except UndeclaredRowError:
+                    continue  # as window_rows skips the row
                 if sup is None:
                     continue
                 windowed = cols.get(w, [])

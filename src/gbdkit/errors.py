@@ -21,6 +21,10 @@ class ParseError(GbdError):
     """A spec document is not syntactically valid."""
 
 
+class OutputError(GbdError):
+    """An output file cannot be written."""
+
+
 class SchemaError(GbdError):
     """A spec document parses but violates the schema."""
 

@@ -176,24 +176,25 @@ class PathGenerator(TraceGenerator):
     # -- eventual behavior -----------------------------------------------
 
     def eventual(self, horizon: int = DEFAULT_HORIZON) -> Optional[EventualTrace]:
-        """Detect and, where provable, certify eventual linearity of the trace."""
-        trace = [self.vertex_at(m) for m in range(horizon + 2)]
-        found = None
-        for q in (1, 2):
-            for start in range(0, horizon // 2):
-                step = trace[start + q] - trace[start]
-                if all(trace[m + q] - trace[m] == step
-                       for m in range(start, horizon + 2 - q)):
-                    found = (start, q, step)
-                    break
-            if found:
-                break
-        if not found:
+        """Detect and, where provable, certify eventual linearity of the
+        trace: for period q = 1, else 2, the least start below horizon // 2
+        from which trace(m + q) - trace(m) stays the same through level
+        horizon + 1."""
+        self.vertex_at(max(horizon + 1, 0))
+        if horizon < 2:
             return None
-        start, q, step = found
-        certified = self._certify_eventual(start, q, step, trace)
-        return EventualTrace(start, q, step, certified,
-                             tuple(trace[start:start + q]))
+        trace = self._trace[:horizon + 2]
+        for q in (1, 2):
+            # scan back from the last difference while the differences agree
+            start = horizon + 1 - q
+            step = trace[start + q] - trace[start]
+            while start > 0 and trace[start - 1 + q] - trace[start - 1] == step:
+                start -= 1
+            if start < horizon // 2:
+                certified = self._certify_eventual(start, q, step, trace)
+                return EventualTrace(start, q, step, certified,
+                                     tuple(trace[start:start + q]))
+        return None
 
     def _certify_eventual(self, start, q, step, trace) -> bool:
         if self._rule in ("vertical", "alternating"):

@@ -190,8 +190,8 @@ def verify_witness(dA: DiagramHandle, dB: DiagramHandle, witness: IsoWitness) ->
 
 
 def row_col_sum(d: DiagramHandle, n: int, mode: str, index: int, win=None):
-    """Row sums are exact; column sums are windowed unless a flag bounds
-    the column support inside the window."""
+    """Row sums are exact; column sums are windowed unless the column is
+    known (`DiagramHandle.column_support`) and lies inside the window."""
     if mode == "row":
         row = d.in_edges(n, index)
         return sum(m for _, m in row), True
@@ -206,9 +206,4 @@ def row_col_sum(d: DiagramHandle, n: int, mode: str, index: int, win=None):
     if sup is not None and sup.is_finite:
         lo, hi = win
         exact = all(lo <= v <= hi for v, _ in sup.entries)
-    else:
-        t = d.t_rule()
-        if t is not None:
-            lo, hi = win
-            exact = lo <= index - t(n) and index + t(n) <= hi
     return total, exact

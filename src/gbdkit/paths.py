@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagram import DiagramHandle, LevelRule
+from .diagram import DiagramHandle
 from .errors import GbdError, InvalidEdgeError
 
 
@@ -114,16 +114,9 @@ def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
         yield layer
 
 
-def forward_step(d: DiagramHandle, level: int, layer,
-                 t: Optional[int] = None) -> Optional[set]:
+def forward_step(d: DiagramHandle, level: int, layer) -> Optional[set]:
     """The layer one level up: the targets at level + 1 of the vertices
-    in layer at level, read from their columns, or from the rows within
-    t of the layer when a row width t is given; see `forward_layers`."""
-    if t is not None:
-        band = sorted({x for u in layer for x in range(u - t, u + t + 1)
-                       if d.indexing.contains(x)})
-        return {x for x in band
-                if any(src in layer for src, _ in d.row(level, x))}
+    in layer at level, read from their columns; see `forward_layers`."""
     nxt: set = set()
     for u in layer:
         try:
@@ -136,18 +129,16 @@ def forward_step(d: DiagramHandle, level: int, layer,
     return nxt
 
 
-def forward_layers(d: DiagramHandle, w: int, n: int, steps: int,
-                   t_rule: Optional[LevelRule] = None):
+def forward_layers(d: DiagramHandle, w: int, n: int, steps: int):
     """Forward layers from w@n: {w}, then the vertices with a path from
     w@n at each level n+1, ..., n+steps, each built from the previous one.
 
-    Without a t_rule a step reads the columns of the layer, and the walk
-    ends early, after the layer it was reading, at a column that is not
-    exactly known: no column rule, an infinite or full column, or a read
-    that raises a `GbdError`.  With a row-width t_rule a step reads the
-    rows within t_rule(level) of the layer instead; rows are exact, so
-    the walk runs its full length, and a row it needs but cannot read
-    raises.
+    A step reads the columns of the layer through
+    `DiagramHandle.column_support`, and the walk ends early, after the
+    layer it was reading, at a column that is not exactly known: none
+    known, an infinite or full column, or a read that raises a
+    `GbdError`, such as a row the width band needs but a spec does not
+    declare.
 
     Each step reads its own level, so the walk is exact on any handle;
     but a layer equal to the one before proves the cone stays put only on
@@ -157,8 +148,7 @@ def forward_layers(d: DiagramHandle, w: int, n: int, steps: int,
     layer: Optional[set] = {w}
     yield layer
     for level in range(n, n + steps):
-        layer = forward_step(d, level, layer,
-                             None if t_rule is None else t_rule(level))
+        layer = forward_step(d, level, layer)
         if layer is None:
             return
         yield layer

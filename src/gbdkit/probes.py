@@ -160,14 +160,21 @@ def bounded_size_params(d: DiagramHandle, n: int,
 def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
     """Width-bounded forward cone: the interval the t-rule licenses at
     level m, and the exact reachable set inside it, walked through the
-    rows within the width of each layer."""
+    columns, which the width bound lets every handle derive from its
+    rows.  A column the walk cannot read raises its read error."""
     if m <= n:
         raise ValueError("m must exceed n")
     t_rule = d.t_rule()
     if t_rule is None:
         raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
     total = t_rule.partial_sum(n, m)
-    layers = list(forward_layers(d, v, n, m - n, t_rule))
+    layers = list(forward_layers(d, v, n, m - n))
+    if len(layers) <= m - n:
+        level = n + len(layers) - 1
+        for u in sorted(layers[-1]):
+            d.column_support(level, u)
+        raise NoBoundedSizeFlagError(
+            f"a column at level {level} is not exactly known")
     return (v - total, v + total), sorted(layers[-1])
 
 

@@ -162,6 +162,11 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
         raise NoBoundedSizeFlagError(
             f"a column at level {n0 + len(layers) - 1} is not exactly known; "
             f"cannot trace the cone")
+    empty = next((m for m, cone in enumerate(layers, n0) if not cone), None)
+    if empty is not None:
+        raise NoBoundedSizeFlagError(
+            f"the forward cone of {v0}@{n0} is empty at level {empty}; "
+            f"no minimum to pin")
     minima = {m: min(cone) for m, cone in enumerate(layers, n0)}
 
     from .bijections import affine_levels

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import time
 
-import yaml
-
 from .acceptance import CRITERIA, QUICK, run_suite
 from .errors import SchemaError
-from .specfmt import to_text
+from .specfmt import load_yaml, read_input, to_text
 from .verdicts import _plain
 
 
@@ -32,8 +30,7 @@ def suite_names(suite: str):
 
 
 def custom_suite_names(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh.read())
+    doc = load_yaml(read_input(path))
     if not isinstance(doc, list) or not all(isinstance(x, str) for x in doc):
         raise SchemaError("custom suite file must be a list of criterion names")
     known = {n for n, _ in CRITERIA}

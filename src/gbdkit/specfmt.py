@@ -15,7 +15,6 @@ from .catalog import CATALOG, make_diagram
 from .diagram import (
     BandedFlag,
     BoundedSizeFlag,
-    ColumnSupport,
     DiagramHandle,
     ExplicitLevelsFlag,
     FullOutColumnFlag,
@@ -26,11 +25,29 @@ from .diagram import (
 from .errors import ParseError, SchemaError, UndeclaredRowError
 
 
-def parse_document(text: str) -> dict:
+def read_input(path) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8
+    text is a ParseError."""
     try:
-        doc = yaml.safe_load(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def load_yaml(text: str):
+    """The YAML value of text; unparseable or too deeply nested text is
+    a ParseError."""
+    try:
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"unparseable spec: {exc}") from exc
+    except RecursionError:
+        raise ParseError("unparseable spec: nested too deeply") from None
+
+
+def parse_document(text: str) -> dict:
+    doc = load_yaml(text)
     if doc is None:
         raise ParseError("empty spec document")
     if not isinstance(doc, dict):
@@ -106,16 +123,11 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
                 f"vertex {v} has no declared row at level {n}")
         return list(mat[v])
 
-    def col_rule(n, w):
-        mat = matrices[n]
-        entries = [(v, dict(row)[w]) for v, row in mat.items() if w in dict(row)]
-        return ColumnSupport.finite(entries)
-
     flags = (_parse_flags(doc.get("flags"))
              + (ExplicitLevelsFlag(extension, len(matrices)),))
     stationary = len(matrices) == 1 and extension == "repeat_last"
     return DiagramHandle(indexing, row_rule, stationary=stationary,
-                         flags=flags, col_rule=col_rule,
+                         flags=flags,
                          name="explicit", params={"levels": len(matrices),
                                                   "extension": extension})
 
@@ -142,8 +154,7 @@ def load_spec(src) -> DiagramHandle:
 
 
 def load_spec_file(path) -> DiagramHandle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_spec(fh.read())
+    return load_spec(read_input(path))
 
 
 def parse_bijection(src) -> VertexBijectionSeq:

@@ -365,6 +365,35 @@ def test_malformed_arguments_exit_2(argv, specs, capsys):
     assert "error:" in captured.err
 
 
+def _hostile_inputs(tmp_path):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n")
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(b"family: tridiag_B # \xe9\n")
+    suite = tmp_path / "suite.yaml"
+    suite.write_text("[1_fold_isomorphism, 'unclosed\n")
+    return {"deep": str(deep), "latin1": str(latin1), "dir": str(tmp_path),
+            "suite": str(suite), "missing_dir": str(tmp_path / "no" / "out.txt")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "connected", "--spec", "deep"],
+    ["probe", "connected", "--spec", "dir"],
+    ["probe", "connected", "--spec", "latin1"],
+    ["report", "--suite", "custom", "--file", "suite"],
+    ["probe", "connected", "--spec", "td", "--out", "missing_dir"],
+], ids=["nested 3000 deep", "directory", "not UTF-8", "unparseable suite",
+        "unwritable out"])
+def test_hostile_input_files_exit_2(argv, specs, tmp_path, capsys):
+    # exit 1 means No to a script, so a file that cannot be read or
+    # written must never end in a traceback
+    files = {**specs, **_hostile_inputs(tmp_path)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["probe classify", "probe bounded-size",
                                      "orbit minimal"])
 def test_window_below_the_base_exits_2(command, specs, capsys):

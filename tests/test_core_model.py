@@ -303,10 +303,12 @@ def test_explicit_row_with_a_source_below_the_base_rejected():
 
 @pytest.mark.parametrize("extension", ["error_beyond", "repeat_last"])
 def test_column_support_past_the_declared_levels(extension):
+    # the width flag puts every target of 2 in 1..3, whose rows are declared
     d = load_spec({"indexing": {"mode": "one_sided", "base": 1},
-                   "levels": [{1: {1: 2}, 2: {1: 1, 2: 1}},
-                              {1: {1: 1}, 2: {2: 3}}],
-                   "extension": extension})
+                   "levels": [{1: {1: 2}, 2: {1: 1, 2: 1}, 3: {3: 1}},
+                              {1: {1: 1}, 2: {2: 3}, 3: {3: 1}}],
+                   "extension": extension,
+                   "flags": [{"kind": "bounded_size", "t": 1}]})
     assert d.column_support(1, 2).entries == ((2, 3),)
     if extension == "error_beyond":
         with pytest.raises(UnsupportedLevelError):
@@ -314,3 +316,48 @@ def test_column_support_past_the_declared_levels(extension):
     else:
         assert d.column_support(5, 2) == d.column_support(1, 2)
         assert d.in_edges(5, 2) == d.in_edges(1, 2)
+
+
+# The hand-written column rules the width-bounded families carried before
+# their columns were derived from rows, kept here as the reference.
+
+def _banded_reference(offsets):
+    def cols(d, w):
+        return [(w - o, m) for o, m in offsets.items() if d.indexing.contains(w - o)]
+    return cols
+
+
+def _interleaved_reference(d, w):
+    special = {0: ((0, 2), (1, 1), (2, 1)), 1: ((0, 1), (1, 2), (3, 1)),
+               2: ((0, 1), (2, 2), (4, 1)), 3: ((1, 1), (3, 2), (5, 1))}
+    return special.get(w, ((w - 2, 1), (w, 2), (w + 2, 1)))
+
+
+def _odometer_reference(a):
+    def cols(d, w):
+        return [(w, a(w))] + ([(w - 1, 1)] if d.indexing.contains(w - 1) else [])
+    return cols
+
+
+REFERENCE_COLUMNS = [
+    ("tridiag_B", {}, _banded_reference({-1: 1, 0: 2, 1: 1})),
+    ("shifted_Bsecond", {}, _banded_reference({0: 1, -1: 2, -2: 1})),
+    ("parity_1", {}, _banded_reference({-1: 1, 1: 1})),
+    ("parity_2", {}, _banded_reference({-2: 1, 2: 1})),
+    ("banded", {"offsets": {0: 1, 2: 3}, "side": "one", "base": 0},
+     _banded_reference({0: 1, 2: 3})),
+    ("interleaved_Bprime", {}, _interleaved_reference),
+    ("odometer_one_sided", {}, _odometer_reference(lambda v: 2)),
+    ("odometer_two_sided", {"a": 3}, _odometer_reference(lambda v: 3)),
+    ("growth_odometer", {}, _odometer_reference(lambda v: v + 1)),
+]
+
+
+@pytest.mark.parametrize("name,params,reference", REFERENCE_COLUMNS,
+                         ids=[name for name, _, _ in REFERENCE_COLUMNS])
+def test_derived_columns_equal_the_family_formulas(name, params, reference):
+    d = make_diagram(name, **params)
+    lo, hi = d.indexing.default_interval(12)
+    for n in range(3):
+        for w in range(lo, hi + 1):
+            assert d.column_support(n, w) == ColumnSupport.finite(reference(d, w)), (n, w)

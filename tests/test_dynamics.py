@@ -4,6 +4,7 @@ import pytest
 
 from gbdkit import (
     Edge,
+    GbdError,
     FinitePath,
     InvalidEdgeError,
     InvariantError,
@@ -33,6 +34,8 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
+
+from conftest import NAMES
 
 
 # --- generators ------------------------------------------------------------------
@@ -105,13 +108,72 @@ def test_table_then_rule_reads_the_tail_at_the_true_level():
 
 @pytest.mark.parametrize("kind", ["leftmost_slant", "rightmost_slant", "climbing"])
 def test_generator_on_an_empty_column_raises_invariant_error(kind):
-    # vertex 1 feeds nothing: every declared row has source 0 only
+    # vertex 1 feeds nothing: the width flag leaves it targets 0..2 only,
+    # and none of their rows holds it
     d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
-                   "levels": [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}],
-                   "extension": "repeat_last"})
+                   "levels": [{0: {0: 1}, 1: {0: 1}, 2: {2: 1}}],
+                   "extension": "repeat_last",
+                   "flags": [{"kind": "bounded_size", "t": 1}]})
     g = make_generator(d, kind, vertex=1)
     with pytest.raises(InvariantError, match="vertex 1, level 0"):
         g.vertex_at(1)
+
+
+def reference_eventual(x, horizon):
+    """The quadratic scan `PathGenerator.eventual` replaced, kept as the
+    reference: (start, period, step, base_vertices) or None."""
+    trace = [x.vertex_at(m) for m in range(horizon + 2)]
+    for q in (1, 2):
+        for start in range(0, horizon // 2):
+            step = trace[start + q] - trace[start]
+            if all(trace[m + q] - trace[m] == step
+                   for m in range(start, horizon + 2 - q)):
+                return start, q, step, tuple(trace[start:start + q])
+    return None
+
+
+def eventual_cases():
+    tables = [[3, 2], [5, 1, 4, 2, 6], [2, 4, 2, 4, 2, 4, 3], [1, 1, 1, 7]]
+    tails = ["vertical", "alternating", "climbing", "leftmost_slant",
+             "rightmost_slant"]
+    for name in sorted(NAMES):
+        d = make_diagram(name)
+        lo = d.indexing.base if d.indexing.mode == "one_sided" else -2
+        for v in range(lo, lo + 5):
+            for kind in ("vertical", "alternating", "climbing",
+                         "leftmost_slant", "rightmost_slant"):
+                yield name, d, {"kind": kind, "vertex": v}
+        for table in tables:
+            table = [lo + t for t in table]
+            for tail in tails:
+                yield name, d, {"kind": "table_then_rule", "table": table,
+                                "tail": {"kind": tail}}
+
+
+def outcome(f):
+    try:
+        return f()
+    except GbdError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("horizon", [-3, 0, 1, 2, 3, 4, 7, 16, 65])
+def test_eventual_matches_the_quadratic_scan(horizon):
+    seen = 0
+    for name, d, spec in eventual_cases():
+        spec = dict(spec)
+        kind = spec.pop("kind")
+
+        def got():
+            ev = make_generator(d, kind, **spec).eventual(horizon)
+            return ev and (ev.start, ev.period, ev.step, ev.base_vertices)
+
+        want = outcome(lambda: reference_eventual(
+            make_generator(d, kind, **spec), horizon))
+        assert outcome(got) == want, (name, kind, spec, horizon)
+        seen += want is not None and not isinstance(want[0], str)
+    if horizon >= 2:
+        assert seen > 0
 
 
 # --- metric and tail equivalence ----------------------------------------------

@@ -16,7 +16,14 @@ from gbdkit import (
     relabel,
     toeplitz_reenumeration,
 )
-from gbdkit.diagram import BoundedSizeFlag, ColumnSupport, DiagramHandle, LevelRule
+from gbdkit.bijections import cone_shift
+from gbdkit.diagram import (
+    BoundedSizeFlag,
+    ColumnSupport,
+    DiagramHandle,
+    ExplicitLevelsFlag,
+    LevelRule,
+)
 from gbdkit.errors import IndexingMismatchError, UndeclaredRowError
 from gbdkit.indexing import two_sided
 from gbdkit.paths import forward_layers
@@ -24,7 +31,6 @@ from gbdkit.specfmt import load_spec
 
 from conftest import NAMES
 from test_class_invariance import generators
-from test_sweep_reuse import explicit_error_beyond
 
 K = 6  # forward steps compared against backward sweeps
 
@@ -35,6 +41,30 @@ def explicit_repeat_last():
     b = {v: {max(v - 2, 0): 1, v: 2} for v in range(61)}
     return load_spec({"indexing": {"mode": "one_sided", "base": 0},
                       "levels": [a, b], "extension": "repeat_last"})
+
+
+def explicit_width_bounded():
+    # two declared levels of width 1 on -60..60, the second repeated; the
+    # walks and sweeps below read no row outside that range
+    a = {v: {v: 1, v + 1: 1} for v in range(-60, 61)}
+    b = {v: {v - 1: 1, v: 2} for v in range(-60, 61)}
+    return load_spec({"levels": [a, b], "extension": "repeat_last",
+                      "flags": [{"kind": "bounded_size", "t": 1}]})
+
+
+def width_rows_only():
+    """Two-sided, width 1, no column rule: columns come from the rows."""
+    def rows(n, v):
+        return [(v - 1, 1), (v, 2)]
+
+    return DiagramHandle(two_sided(), rows, stationary=True,
+                         flags=(BoundedSizeFlag(LevelRule.const(1)),))
+
+
+def without_columns(d):
+    """The same rows and flags as d, without d's column rule."""
+    return DiagramHandle(d.indexing, d.row, stationary=d.stationary,
+                         flags=d.flags, name=d.name)
 
 
 def kernel_handles():
@@ -50,6 +80,8 @@ def kernel_handles():
         gens = generators(d)
         out[f"{name} toeplitz"] = toeplitz_reenumeration(d, gens[:1], 64)[1]
     out["explicit repeat_last"] = explicit_repeat_last()
+    out["explicit bounded_size"] = explicit_width_bounded()
+    out["width rows only"] = width_rows_only()
     return out
 
 
@@ -57,7 +89,8 @@ KERNEL_HANDLES = kernel_handles()
 
 
 # every handle is walked through its columns, and the width-bounded
-# ones also through the rows within their width
+# ones also through columns derived from their own rows within their
+# width, with any column rule taken away
 WALKS = ([(name, "columns") for name in sorted(KERNEL_HANDLES)]
          + [(name, "rows") for name in sorted(KERNEL_HANDLES)
             if KERNEL_HANDLES[name].t_rule() is not None])
@@ -66,12 +99,12 @@ WALKS = ([(name, "columns") for name in sorted(KERNEL_HANDLES)]
 @pytest.mark.parametrize("name,through", WALKS)
 def test_forward_layers_agree_with_backward_sweeps(name, through):
     d = KERNEL_HANDLES[name]
-    t_rule = d.t_rule() if through == "rows" else None
+    walked_d = without_columns(d) if through == "rows" else d
     lo, hi = d.indexing.default_interval(2)
     starts = range(lo, hi + 1)
     ulo, uhi = d.indexing.default_interval(2 + 4 * K)
     for n in (0, 1):
-        layers = {w: list(forward_layers(d, w, n, K, t_rule)) for w in starts}
+        layers = {w: list(forward_layers(walked_d, w, n, K)) for w in starts}
         for k in range(K + 1):
             walked = [w for w in starts if len(layers[w]) > k]
             if not walked:
@@ -104,8 +137,30 @@ def test_renewal_walk_stops_at_the_full_column():
     assert list(forward_layers(d, 5, 0, 39)) == [{5}, {4}, {3}, {2}, {1}]
 
 
+def declared_levels_handle():
+    """Three declared levels on two-sided vertices, then an error: the
+    rows of 0, 1 and 2 change with the level, every other vertex feeds
+    only itself.  Its column rule states the columns those rows give."""
+    mats = [{0: {0: 1, 1: 1}, 1: {1: 1}, 2: {1: 1, 2: 2}},
+            {0: {1: 2}, 1: {1: 1, 2: 1}, 2: {1: 1}},
+            {0: {1: 1, 0: 1}, 1: {0: 1, 1: 1}, 2: {1: 1, 2: 1}}]
+
+    def rows(n, v):
+        return list(mats[n].get(v, {v: 1}).items())
+
+    def cols(n, w):
+        if w not in (0, 1, 2):
+            return ColumnSupport.finite(((w, 1),))
+        return ColumnSupport.finite(
+            (v, row[w]) for v, row in mats[n].items() if w in row)
+
+    return DiagramHandle(two_sided(), rows, col_rule=cols,
+                         flags=(ExplicitLevelsFlag("error_beyond", 3),),
+                         name="declared_levels")
+
+
 def test_walk_ends_at_the_undeclared_level():
-    d = explicit_error_beyond()  # three declared levels
+    d = declared_levels_handle()
     layers = list(forward_layers(d, 1, 0, 39))
     assert len(layers) == 4  # levels 0..3; the columns at level 3 are undeclared
     assert layers[1] == {0, 1, 2}
@@ -159,11 +214,7 @@ def test_cone_bound_answers_when_the_undeclared_rows_are_out_of_reach():
 
 
 def test_cone_bound_on_a_handle_without_columns():
-    def rows(n, v):
-        return [(v - 1, 1), (v, 2)]
-
-    d = DiagramHandle(two_sided(), rows, stationary=True,
-                      flags=(BoundedSizeFlag(LevelRule.const(1)),))
+    d = width_rows_only()
     for v in range(-3, 4):
         for m in range(1, 6):
             assert cone_bound(d, v, 0, m) == reference_cone_bound(d, v, 0, m)
@@ -203,4 +254,47 @@ def test_anchored_flatten_pins_the_cone_minima():
 
 def test_blocked_anchored_flatten_raises():
     with pytest.raises(NoBoundedSizeFlagError, match="level 3"):
-        cone_flatten(explicit_error_beyond(), anchor=(1, 0), horizon=8)
+        cone_flatten(declared_levels_handle(), anchor=(1, 0), horizon=8)
+
+
+def test_anchored_flatten_of_an_empty_cone_names_the_level():
+    # 0 feeds nothing: the row of 1 is {2} and every other row is {v - 1}
+    def rows(n, v):
+        return [(2, 1)] if v == 1 else [(v - 1, 1)]
+
+    def cols(n, w):
+        if w == 0:
+            return ColumnSupport.finite(())
+        if w == 2:
+            return ColumnSupport.finite(((1, 1), (3, 1)))
+        return ColumnSupport.finite(((w + 1, 1),))
+
+    d = DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols)
+    with pytest.raises(NoBoundedSizeFlagError, match="empty at level 1"):
+        cone_flatten(d, anchor=(0, 0))
+
+
+def test_an_explicit_column_needs_every_row_of_its_band():
+    # -5 may hold -4 under the width flag but has no declared row, so the
+    # column of -4 is not known, and neither is the cone past level 0
+    d = banded_explicit({v: {v: 1, v + 1: 1} for v in range(-4, 5)})
+    with pytest.raises(UndeclaredRowError, match="vertex -5"):
+        d.column_support(0, -4)
+    assert list(forward_layers(d, -4, 0, 2)) == [{-4}]
+    assert d.column_support(0, 0).entries == ((-1, 1), (0, 1))
+
+
+def test_an_explicit_spec_without_a_width_flag_knows_no_column():
+    d = load_spec({"levels": [{v: {v: 1, v + 1: 1} for v in range(-4, 5)}],
+                   "extension": "repeat_last"})
+    assert d.column_support(0, 0) is None
+    assert list(forward_layers(d, 0, 0, 2)) == [{0}]
+
+
+def test_relabel_of_an_explicit_width_spec_builds():
+    # the relabeled column check reads bands that leave the declared rows
+    d = banded_explicit({v: {v: 1, v + 1: 1} for v in range(-4, 5)})
+    g = cone_shift(1)
+    d2 = relabel(d, g)
+    assert d2.column_support(0, g.forward(0, 0)) == ColumnSupport.finite(
+        (g.forward(1, v), m) for v, m in d.column_support(0, 0).entries)
