@@ -79,9 +79,7 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
                          name=name, params=params)
 
 
-def build_banded(offsets=None, side: str = "two", base: int = 1, **extra):
-    if extra:
-        raise SchemaError(f"unknown banded params {sorted(extra)}")
+def build_banded(offsets=None, side: str = "two", base: int = 1):
     if offsets is None:
         raise SchemaError("banded family requires offsets")
     return _banded_handle(dict(offsets), side, int(base), "banded",
@@ -247,9 +245,12 @@ CATALOG = {
 
 
 def make_diagram(name: str, **params) -> DiagramHandle:
-    entry = CATALOG.get(name)
+    entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
         raise SchemaError(f"unknown catalog family {name!r}")
+    unknown = sorted(set(params) - set(entry.param_schema))
+    if unknown:
+        raise SchemaError(f"unknown {name} params {unknown}")
     return entry.builder(**params)
 
 

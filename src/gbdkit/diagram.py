@@ -82,9 +82,6 @@ class BandedFlag:
         items = tuple(sorted((int(o), int(m)) for o, m in dict(d).items()))
         return cls(items)
 
-    def as_dict(self):
-        return dict(self.offsets)
-
     @property
     def width(self) -> int:
         return max(abs(o) for o, _ in self.offsets)

@@ -25,13 +25,7 @@ from .diagram import (
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
 from .paths import Edge, FinitePath, first_reach, forward_step
-from .verdicts import (
-    CONE,
-    RESIDUE,
-    TRIANGULAR,
-    Verdict,
-    find_invariants,
-)
+from .verdicts import CONE, Verdict, find_invariants
 from .windows import clamped_interval
 
 
@@ -93,17 +87,6 @@ def tail_equivalent(x: PathGenerator, y: PathGenerator,
 
 # --- orbit probes ---------------------------------------------------------------
 
-def _global_invariants(d: DiagramHandle):
-    window = d.default_window()
-    invs = [inv for inv in find_invariants(d, window, (TRIANGULAR, RESIDUE, CONE),
-                                           include_slope_only=True)
-            if inv.is_global]
-    # width bounds first: where both apply, the cone certificate is sharper
-    # to read (it names the t-rule) and matches the slanting-set picture
-    invs.sort(key=lambda i: 0 if i.kind == CONE else 1)
-    return invs
-
-
 def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
                           depth: int = DEFAULT_DEPTH,
                           horizon: int = DEFAULT_HORIZON) -> Verdict:
@@ -126,7 +109,10 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
 
     ev = x.eventual(horizon)
     if ev is not None and ev.certified:
-        for inv in _global_invariants(d):
+        # cone first: it names the t-rule and matches the slanting-set
+        # picture; a clopen or non-global invariant separates nothing
+        invs = find_invariants(d, d.default_window())
+        for inv in sorted(invs, key=lambda i: i.kind != CONE):
             M = inv.separation_level(j, ell, ev)
             if M is None:
                 continue
@@ -209,7 +195,7 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
         raise ValueError("cyl_depth must be >= 0")
     if window is None:
         window = d.indexing.default_interval(8)
-    lo, hi = d.indexing.clamp(*window)
+    lo, hi = clamped_interval(d.indexing, window)
     ends = range(lo, hi + 1)
     unknowns = 0
     checked = 0
@@ -314,7 +300,10 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
         for j0 in (start - 1, start + 1):
             if not d.indexing.contains(j0):
                 continue
-            v = orbit_visits_cylinder(d, g, cylinder_at(d, j0))
+            try:
+                v = orbit_visits_cylinder(d, g, cylinder_at(d, j0))
+            except GbdError:  # past a spec's declared levels, or off its edges
+                continue
             if v.is_no:
                 return Verdict.no(certificate=v.certificate,
                                   witness={"generator": g.describe(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .bijections import VertexBijectionSeq, partial_sequence, pushed_row
 from .diagram import DiagramHandle
 from .errors import WindowTooSmallError
-from .windows import LevelWindow
+from .windows import LevelWindow, clamped_interval
 
 
 def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
@@ -32,20 +32,21 @@ def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
         raise ValueError("levels must be >= 0")
     if windows is None:
         windows = LevelWindow.uniform(dB.indexing, levels + 1, radius)
+
+    def vertices(n):
+        lo, hi = clamped_interval(dB.indexing, windows.interval(n))
+        return range(lo, hi + 1)
+
     for n in range(levels + 1):
         if (n + 1) not in windows.levels:
             continue
-        for v_new in windows.vertices(n + 1):
-            if not dB.indexing.contains(v_new):
-                continue
+        for v_new in vertices(n + 1):
             expected = pushed_row(dA, g, n, g.inverse(n + 1, v_new))
             if dB.in_edges(n, v_new) != expected:
                 return False
     # spot-check invertibility on the window (the permutation property)
     for n in windows.levels:
-        for v_new in windows.vertices(n):
-            if not dB.indexing.contains(v_new):
-                continue
+        for v_new in vertices(n):
             v = g.inverse(n, v_new)
             if g.forward(n, v) != v_new:
                 raise WindowTooSmallError(
@@ -96,8 +97,8 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
         raise ValueError("depth must be >= 0")
 
     def by_size(d, window, n):
-        vs = [v for v in window.vertices(n) if d.indexing.contains(v)]
-        return sorted(vs, key=lambda x: (abs(x), x))
+        lo, hi = clamped_interval(d.indexing, window.interval(n))
+        return sorted(range(lo, hi + 1), key=lambda x: (abs(x), x))
 
     levels = range(depth + 1)
     variables = [(n, v) for n in levels for v in by_size(dA, windows_a, n)]

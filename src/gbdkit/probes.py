@@ -23,7 +23,6 @@ from .diagram import (
 from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
 from .paths import FinitePath, first_reach, forward_layers, reach_frontiers
 from .verdicts import (
-    ALL_KINDS,
     CLOPEN,
     TRIANGULAR,
     Verdict,
@@ -50,12 +49,12 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
     return Verdict.unknown(depth=depth)
 
 
-def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None,
-                          kinds=ALL_KINDS) -> list:
-    """All window-verified non-reachability invariants of the requested kinds."""
+def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None) -> list:
+    """All window-verified invariants but the drift-only triangular bounds."""
     if window is None:
         window = d.default_window()
-    return find_invariants(d, window, kinds)
+    return [inv for inv in find_invariants(d, window)
+            if inv.kind != TRIANGULAR or inv.never_ascends or inv.never_descends]
 
 
 def _window_nodes(d: DiagramHandle, window: LevelWindow, levels: int) -> list:
@@ -106,8 +105,8 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
     if len(roots) == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
                                     "levels": min(levels, window.max_level)})
-    for inv in find_invariants(d, window, (CLOPEN,)):
-        if not inv.is_global:
+    for inv in find_invariants(d, window):
+        if inv.kind != CLOPEN or not inv.is_global:
             continue
         coloring = residue_coloring(inv, window)
         classes = {coloring[(n, v)] for n, v in nodes}
@@ -215,8 +214,9 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
         return Verdict.yes(witness={
             "reason": "row-width bound keeps every forward cone finite",
             "t": d.t_rule()(ell)})
-    for inv in find_invariants(d, d.default_window(), (TRIANGULAR,)):
-        if inv.is_global and inv.never_ascends and d.indexing.mode == "one_sided":
+    for inv in find_invariants(d, d.default_window()):
+        if inv.kind == TRIANGULAR and inv.is_global and inv.never_ascends \
+                and d.indexing.mode == "one_sided":
             return Verdict.yes(witness={
                 "reason": "ids never increase along edges; cones stay below "
                           "the prefix end on a one-sided level",
@@ -257,7 +257,8 @@ def full_out_row_check(d: DiagramHandle, levels: int = 4,
     if focs:
         witness = {}
         for n in range(levels + 1):
-            lo, hi = d.indexing.clamp(*window.interval(min(n + 1, window.max_level)))
+            lo, hi = clamped_interval(
+                d.indexing, window.interval(min(n + 1, window.max_level)))
             rows = d.window_rows(n, lo, hi)
             # a target without a declared row is not covered
             sources = [{w for w, _ in rows.get(v, ())} for v in range(lo, hi + 1)]

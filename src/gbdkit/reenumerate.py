@@ -144,8 +144,8 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
         g = cone_shift(t_rule)
         d2 = relabel(d, g)
         window = d2.default_window(5, 12)
-        cert = next((inv for inv in find_invariants(d2, window, (TRIANGULAR,))
-                     if inv.never_ascends), None)
+        cert = next((inv for inv in find_invariants(d2, window)
+                     if inv.kind == TRIANGULAR and inv.never_ascends), None)
         if cert is None:
             raise NoBoundedSizeFlagError(
                 "flattening did not produce a verified triangular support")

@@ -11,7 +11,7 @@ import yaml
 
 from . import indexing as ix
 from .bijections import VertexBijectionSeq, builtin_bijection
-from .catalog import CATALOG, make_diagram
+from .catalog import make_diagram
 from .diagram import (
     BandedFlag,
     BoundedSizeFlag,
@@ -138,15 +138,17 @@ def load_spec(src) -> DiagramHandle:
     _reject_floats(doc, "top level")
     fam = doc.get("family")
     if fam is not None:
+        # a family spec holds the family and that family's parameters only
+        params = {k: v for k, v in doc.items() if k != "family"}
         if isinstance(fam, dict):
-            name = fam.get("name")
-            params = dict(fam.get("params", {}))
+            extra = sorted(params) + sorted(set(fam) - {"name", "params"})
+            if extra:
+                raise SchemaError(f"unknown keys {extra} in a nested family spec")
+            name, params = fam.get("name"), fam.get("params", {})
+            if not isinstance(params, dict):
+                raise SchemaError("nested family params must be a mapping")
         else:
             name = fam
-            params = {k: v for k, v in doc.items()
-                      if k not in ("family", "flags", "indexing")}
-        if name not in CATALOG:
-            raise SchemaError(f"unknown catalog family {name!r}")
         return make_diagram(name, **params)
     if "levels" in doc or "explicit" in doc:
         return _explicit_handle(doc)

@@ -12,13 +12,13 @@ consequence of the pattern: of how far reach can drift per level
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
 from .diagram import (
     BandedFlag,
-    BoundedSizeFlag,
     DiagramHandle,
     TriangularFlag,
 )
@@ -89,6 +89,12 @@ class NonReachInvariant:
         ceiling = self.drift[1]
         return ceiling is not None and ceiling <= 0
 
+    @property
+    def never_descends(self) -> bool:
+        """Ids never decrease along an edge."""
+        floor = self.drift[0]
+        return floor is not None and floor >= 0
+
     def excludes_pair(self, i: int, j: int) -> bool:
         """No path from i (any level) to j at any strictly later level."""
         if not self.is_global:
@@ -99,8 +105,8 @@ class NonReachInvariant:
             p, a = self.params
             return (j - i) % gcd(a, p) != 0
         floor, ceiling = self.drift
-        return (floor is not None and floor >= 0 and j < i + floor) or \
-            (ceiling is not None and ceiling <= 0 and j > i + ceiling)
+        return (self.never_descends and j < i + floor) or \
+            (self.never_ascends and j > i + ceiling)
 
     @property
     def excludes_some_pair(self) -> bool:
@@ -245,69 +251,74 @@ def window_desc(window: LevelWindow) -> tuple:
     return tuple((n,) + tuple(window.interval(n)) for n in window.levels)
 
 
-def find_invariants(d: DiagramHandle, window: LevelWindow,
-                    kinds=ALL_KINDS, include_slope_only: bool = False) -> list:
-    """All invariants of the requested kinds that verify exhaustively on
-    the window.
+_SEARCHES = weakref.WeakKeyDictionary()  # handle -> {window_desc: invariants}
 
-    By default a triangular pattern is returned only when it excludes
-    some vertex pair outright (lower slack <= 0, upper slack >= 0).
-    With include_slope_only, weak triangular bounds (the other sign) are
-    added too: they exclude no pair on their own but bound the per-step
-    drift, which trace-separation arguments exploit.  Residue, clopen
-    and cone patterns are returned whether or not they exclude a pair
-    (a residue pattern whose a is coprime to p, a cone with t > 0, or
-    any pattern without a backing flag excludes none; ask
-    `excludes_some_pair`).  Window vertices without a declared row are
-    skipped, as in the flag checks.
+
+def find_invariants(d: DiagramHandle, window: LevelWindow) -> list:
+    """Every invariant that verifies exhaustively on the window, in this
+    order: triangular lower, triangular upper, residue and clopen by
+    (p, a), then cone.
+
+    Each triangular direction gives its strongest slack in -2..2 that
+    holds: lower slack <= 0 or upper slack >= 0 excludes a vertex pair
+    outright, the other sign only bounds the per-step drift, which
+    trace-separation arguments exploit.  The other kinds are returned
+    whether or not they exclude a pair (ask `excludes_some_pair`).
+    Window vertices without a declared row are skipped, as in the flag
+    checks.  The search runs once per handle and window; each call gets
+    a fresh list, for the caller to filter.
     """
+    memo = _SEARCHES.setdefault(d, {})
+    key = window_desc(window)
+    if key not in memo:
+        memo[key] = tuple(_search(d, window))
+    return list(memo[key])
+
+
+def _search(d: DiagramHandle, window: LevelWindow) -> list:
+    """The search behind `find_invariants`, run afresh from the rows."""
     found = []
     wdesc = window_desc(window)
     edges = _window_edges(d, window)
-    if TRIANGULAR in kinds:
-        lo_slacks = range(-MAX_SLACK, (MAX_SLACK if include_slope_only else 0) + 1)
-        up_slacks = range(MAX_SLACK, (-MAX_SLACK if include_slope_only else 0) - 1, -1)
-        # strongest slack first: most negative for lower, largest for upper
-        for direction, slacks in (("lower", lo_slacks), ("upper", up_slacks)):
-            for c in slacks:
-                admits = TriangularFlag(direction, c).admits
-                if all(admits(v, w) for v, w in edges):
-                    found.append(NonReachInvariant(
-                        TRIANGULAR, (direction, c), wdesc, True,
-                        _triangular_global_via(d, direction, c)))
-                    break
-    if RESIDUE in kinds or CLOPEN in kinds:
-        seen = set()
-        for p in range(2, MAX_MODULUS + 1):
-            for a in range(-MAX_LEVEL_COEFF, MAX_LEVEL_COEFF + 1):
-                a_canon = a % p
-                if (p, a_canon) in seen:
-                    continue
-                # every edge w@n -> v@n+1 keeps v + a(n+1) = w + a n (mod p)
-                if all((v - w + a_canon) % p == 0 for v, w in edges):
-                    seen.add((p, a_canon))
-                    via = _residue_global_via(d, p, a_canon)
-                    if RESIDUE in kinds:
-                        found.append(NonReachInvariant(
-                            RESIDUE, (p, a_canon), wdesc, True, via))
-                    if CLOPEN in kinds and p == 2:
-                        found.append(NonReachInvariant(
-                            CLOPEN, (p, a_canon), wdesc, True, via))
-    if CONE in kinds:
-        t_rule = d.t_rule()
-        if t_rule is not None and t_rule.kind == "const":
-            t = t_rule.value
-            if all(abs(w - v) <= t for v, w in edges):
+    # strongest slack first: most negative for lower, largest for upper
+    for direction, slacks in (("lower", range(-MAX_SLACK, MAX_SLACK + 1)),
+                              ("upper", range(MAX_SLACK, -MAX_SLACK - 1, -1))):
+        for c in slacks:
+            admits = TriangularFlag(direction, c).admits
+            if all(admits(v, w) for v, w in edges):
                 found.append(NonReachInvariant(
-                    CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
+                    TRIANGULAR, (direction, c), wdesc, True,
+                    _triangular_global_via(d, direction, c)))
+                break
+    seen = set()
+    for p in range(2, MAX_MODULUS + 1):
+        for a in range(-MAX_LEVEL_COEFF, MAX_LEVEL_COEFF + 1):
+            a_canon = a % p
+            if (p, a_canon) in seen:
+                continue
+            # every edge w@n -> v@n+1 keeps v + a(n+1) = w + a n (mod p)
+            if all((v - w + a_canon) % p == 0 for v, w in edges):
+                seen.add((p, a_canon))
+                via = _residue_global_via(d, p, a_canon)
+                found.append(NonReachInvariant(
+                    RESIDUE, (p, a_canon), wdesc, True, via))
+                if p == 2:
+                    found.append(NonReachInvariant(
+                        CLOPEN, (p, a_canon), wdesc, True, via))
+    t_rule = d.t_rule()
+    if t_rule is not None and t_rule.kind == "const":
+        t = t_rule.value
+        if all(abs(w - v) <= t for v, w in edges):
+            found.append(NonReachInvariant(
+                CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
     return found
 
 
 def reverify(d: DiagramHandle, inv: NonReachInvariant) -> bool:
-    """Whether a search of inv's kind alone, on inv's own recorded window,
-    finds inv again with the same flag backing."""
+    """Whether a fresh search from the rows on inv's own recorded window,
+    not the memoized one, finds inv again with the same flag backing."""
     window = LevelWindow({n: (lo, hi) for n, lo, hi in inv.window})
-    return inv in find_invariants(d, window, (inv.kind,), include_slope_only=True)
+    return inv in _search(d, window)
 
 
 def residue_coloring(inv: NonReachInvariant, window: LevelWindow) -> dict:

@@ -29,6 +29,7 @@ def specs(tmp_path):
         ("bi", 'family: b_infinity\n'),
         ("o2", 'family: odometer_two_sided\n'),
         ("p1", 'family: parity_1\n'),
+        ("typo", 'family: odometer_one_sided\nA: 3\n'),
         # vertex 1 feeds nothing: every declared row has source 0 only
         ("hole", 'indexing: {mode: one_sided, base: 0}\n'
                  'levels: [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}]\n'
@@ -356,6 +357,7 @@ def test_usage_errors(specs, capsys):
      "{kind: identity}", "--levels=-1"],
     ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels=-1"],
     ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels", "two"],
+    ["probe", "connected", "--spec", "typo"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]

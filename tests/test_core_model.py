@@ -195,6 +195,38 @@ def test_unknown_family():
         load_spec('{"family":"nope"}')
 
 
+@pytest.mark.parametrize("doc,message", [
+    # a typo would build the default a = 2 and record A: 3 in the params
+    ({"family": "odometer_one_sided", "A": 3},
+     r"unknown odometer_one_sided params \['A'\]"),
+    ({"family": "tridiag_B", "flags": [{"kind": "bounded_size", "t": 1}]},
+     r"unknown tridiag_B params \['flags'\]"),
+    ({"family": "tridiag_B", "indexing": {"mode": "two_sided"}},
+     r"unknown tridiag_B params \['indexing'\]"),
+    ({"family": {"name": "odometer_two_sided", "params": {"A": 3}}},
+     r"unknown odometer_two_sided params \['A'\]"),
+    ({"family": {"name": "tridiag_B"}, "flags": []},
+     r"unknown keys \['flags'\] in a nested family spec"),
+    ({"family": {"name": "tridiag_B", "params": 5}},
+     "nested family params must be a mapping"),
+    ({"family": ["tridiag_B"]}, r"unknown catalog family \['tridiag_B'\]"),
+], ids=["typo", "flags", "indexing", "nested typo", "beside nested",
+        "nested params", "list"])
+def test_family_spec_holds_only_the_family_parameters(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        load_spec(doc)
+
+
+def test_family_parameters_still_load():
+    assert load_spec({"family": "odometer_one_sided", "a": 3}).row(0, 3) == \
+        ((3, 3), (4, 1))
+    nested = load_spec({"family": {"name": "odometer_one_sided",
+                                   "params": {"a": 3}}})
+    assert nested.params == {"a": 3}
+    with pytest.raises(SchemaError, match=r"unknown banded params \['sides'\]"):
+        make_diagram("banded", offsets={0: 1}, sides="two")
+
+
 def test_declared_flag_failure_rejected():
     text = """
 indexing: {mode: one_sided, base: 1}

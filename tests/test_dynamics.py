@@ -36,6 +36,7 @@ from gbdkit import (
 )
 
 from conftest import NAMES
+from test_sweep_reuse import explicit_error_beyond
 
 
 # --- generators ------------------------------------------------------------------
@@ -293,6 +294,15 @@ def test_minimality_negative_witnesses():
     assert minimality_certificate(o2).is_no
     bi = make_diagram("b_infinity")
     assert minimality_certificate(bi).is_no
+
+
+def test_minimality_skips_battery_probes_past_the_declared_levels():
+    # its vertical generators from 0 and 2 leave the rows at level 1, and
+    # every No search runs past the spec's three declared levels
+    d = explicit_error_beyond()
+    m = minimality_certificate(d)
+    assert m.is_unknown
+    assert m.describe()["searched_windows"] == (-16, 16)
 
 
 def test_trisection():

@@ -1,0 +1,65 @@
+"""A window that holds no vertex never answers Yes: every windowed reader
+takes its interval through `windows.clamped_interval`, which raises
+`EmptyWindowError`, and the CLI exits 2."""
+
+import pytest
+
+from gbdkit import (
+    full_out_row_check,
+    identity,
+    iso_search,
+    make_diagram,
+    transitivity_probe,
+    verify_permutation_identity,
+    vertical_from,
+)
+from gbdkit.cli import main
+from gbdkit.errors import EmptyWindowError
+from gbdkit.windows import LevelWindow
+
+# renewal_shift's vertices start at 1, so -5:-1 holds none of them
+SPAN = (-5, -1)
+W = LevelWindow({n: SPAN for n in range(4)})
+
+
+@pytest.fixture()
+def rs():
+    return make_diagram("renewal_shift")
+
+
+def test_transitivity_probe(rs):
+    with pytest.raises(EmptyWindowError, match=r"empty interval \[-5,-1\]"):
+        transitivity_probe(rs, vertical_from(rs, 1), 2, SPAN)
+
+
+def test_full_out_row_check(rs):
+    with pytest.raises(EmptyWindowError):
+        full_out_row_check(rs, 2, W)
+
+
+def test_verify_permutation_identity(rs):
+    so = make_diagram("star_odometer")
+    with pytest.raises(EmptyWindowError):
+        verify_permutation_identity(rs, so, identity(rs.indexing), 2, windows=W)
+
+
+def test_iso_search(rs):
+    with pytest.raises(EmptyWindowError):
+        iso_search(rs, make_diagram("star_odometer"), 2, W, W)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "transitive", "--generator", "{kind: vertical, vertex: 1}"],
+    ["iso", "search", "--spec-b", "so"],
+], ids=["orbit transitive", "iso search"])
+def test_cli_exits_2(argv, tmp_path, capsys):
+    specs = {}
+    for name, family in (("rs", "renewal_shift"), ("so", "star_odometer")):
+        specs[name] = tmp_path / f"{name}.yaml"
+        specs[name].write_text(f"family: {family}\n")
+    argv = argv[:2] + ["--spec", str(specs["rs"])] + \
+        [str(specs.get(a, a)) for a in argv[2:]] + ["--window=-5:-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty interval [-5,-1]" in captured.err

@@ -207,7 +207,7 @@ def test_classification_picks_the_reference_invariant(name):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_reach_stays_within_the_drift_and_the_residue_class(name):
     d = make_diagram(name)
-    invs = find_invariants(d, d.default_window(), include_slope_only=True)
+    invs = find_invariants(d, d.default_window())
     lo, hi = d.indexing.default_interval(4)
     for k in (1, 2, 3):
         for v in range(lo, hi + 1):
