@@ -44,8 +44,11 @@ def _diag_rule(params) -> Callable[[int], int]:
             raise SchemaError("odometer diagonal multiplicity must be >= 2")
         return lambda v: a
     if isinstance(a, dict):
-        slope = int(a.get("slope", 0))
-        offset = int(a.get("offset", 2))
+        try:
+            slope = int(a.get("slope", 0))
+            offset = int(a.get("offset", 2))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed a-rule {a!r}: {exc}") from None
         def rule(v, s=slope, c=offset):
             val = s * v + c
             if val < 2:
@@ -82,9 +85,15 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
 def build_banded(offsets=None, side: str = "two", base: int = 1):
     if offsets is None:
         raise SchemaError("banded family requires offsets")
-    return _banded_handle(dict(offsets), side, int(base), "banded",
-                          {"offsets": {int(k): int(v) for k, v in dict(offsets).items()},
-                           "side": side, "base": int(base)})
+    if side not in ("one", "two"):
+        raise SchemaError(f"banded side must be 'one' or 'two', got {side!r}")
+    try:
+        offsets = {int(o): int(m) for o, m in dict(offsets).items()}
+        base = int(base)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed banded parameters: {exc}") from None
+    return _banded_handle(offsets, side, base, "banded",
+                          {"offsets": offsets, "side": side, "base": base})
 
 
 def build_tridiag_B(**_):

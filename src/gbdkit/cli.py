@@ -3,12 +3,14 @@
 Exit codes: 0 for pass/Yes, 1 for No, 3 for Unknown, 2 for usage or
 parse errors, so scripts can branch on verdicts.
 
-Every command is one row of COMMANDS.  A command function takes the
-parsed arguments and the loaded diagram and returns (payload, outcome)
-or (payload, outcome, artifact); `_run` loads --spec, times the call,
-prints the probe report and maps the outcome (a Verdict, a bool or an
-exit code) to the exit code.  With --out, the artifact (when there is
-one) or else the printed text goes to that file.
+Every command is one row of COMMANDS, which lists the flags the command
+reads besides the common --spec and --out; any other flag exits 2.  A
+command function takes the parsed arguments and the loaded diagram and
+returns (payload, outcome) or (payload, outcome, artifact); `_run`
+loads --spec, times the call, prints the probe report and maps the
+outcome (a Verdict, a bool or an exit code) to the exit code.  With
+--out, the artifact (when there is one) or else the printed text goes
+to that file.
 """
 
 from __future__ import annotations
@@ -364,37 +366,58 @@ REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 LEVEL = {"type": int, "default": 0}
 SPAN = {"type": _span, "help": "lo:hi"}
+WINDOW = {"type": _span, "help": "lo:hi vertex window"}
+LEVELS = {"type": _at_least(0), "default": 4}
 
-# One row per command: its name, its function, the defaults it sets
-# (--depth, or the runner of a raw-text command) and its own flags on
-# top of the common --spec/--depth/--window/--levels/--out.  A --depth
-# left at None lets the function use its own horizon.
+
+def _depth(default):
+    """--depth with this command's default; None lets the function use
+    its own horizon."""
+    return {"type": _at_least(1), "default": default}
+
+
+# One row per command: its name, its function, the defaults it sets (the
+# runner of a raw-text command) and the flags it reads on top of the
+# common --spec and --out.  A flag the command does not read exits 2.
 COMMANDS = (
-    ("probe irreducible", cmd_probe_irreducible, {"depth": DEFAULT_DEPTH},
-     {"--src": REQUIRED_INT, "--dst": REQUIRED_INT, "--level": LEVEL}),
-    ("probe connected", cmd_probe_connected, {}, {}),
-    ("probe period", cmd_probe_period, {"depth": 8}, {"--index": REQUIRED_INT}),
-    ("probe bounded-size", cmd_probe_bounded_size, {}, {"--level": LEVEL}),
-    ("probe classify", cmd_probe_classify, {"depth": 64}, {}),
-    ("orbit visit", cmd_orbit_visit, {"depth": DEFAULT_DEPTH},
-     {"--generator": {"required": True, "help": "generator spec (inline)"},
+    ("probe irreducible", cmd_probe_irreducible, {},
+     {"--depth": _depth(DEFAULT_DEPTH), "--src": REQUIRED_INT,
+      "--dst": REQUIRED_INT, "--level": LEVEL}),
+    ("probe connected", cmd_probe_connected, {},
+     {"--window": WINDOW, "--levels": LEVELS}),
+    ("probe period", cmd_probe_period, {},
+     {"--depth": _depth(8), "--index": REQUIRED_INT}),
+    ("probe bounded-size", cmd_probe_bounded_size, {},
+     {"--window": WINDOW, "--level": LEVEL}),
+    ("probe classify", cmd_probe_classify, {},
+     {"--depth": _depth(64), "--window": WINDOW}),
+    ("orbit visit", cmd_orbit_visit, {},
+     {"--depth": _depth(DEFAULT_DEPTH),
+      "--generator": {"required": True, "help": "generator spec (inline)"},
       "--cylinder": {"required": True,
                      "help": '{"vertex": v} or {"trace": [v0, v1, ...]}'}}),
-    ("orbit transitive", cmd_orbit_transitive, {"depth": DEFAULT_DEPTH},
-     {"--generator": REQUIRED, "--cyl-depth": {"type": _at_least(0), "default": 3}}),
-    ("orbit minimal", cmd_orbit_minimal, {}, {}),
+    ("orbit transitive", cmd_orbit_transitive, {},
+     {"--depth": _depth(DEFAULT_DEPTH), "--window": WINDOW,
+      "--generator": REQUIRED, "--cyl-depth": {"type": _at_least(0), "default": 3}}),
+    ("orbit minimal", cmd_orbit_minimal, {},
+     {"--depth": _depth(None), "--window": WINDOW}),
     ("iso check", cmd_iso_check, {},
-     {"--spec-b": REQUIRED, "--bijection": REQUIRED}),
+     {"--levels": LEVELS, "--spec-b": REQUIRED, "--bijection": REQUIRED}),
     ("iso search", cmd_iso_search, {},
-     {"--spec-b": REQUIRED, "--budget": {"type": int, "default": 100_000}}),
-    ("iso relabel", cmd_iso_relabel, {}, {"--bijection": REQUIRED}),
-    ("construct toeplitz", cmd_construct_toeplitz, {"depth": 2000},
-     {"--generator": {"action": "append", "required": True,
+     {"--window": WINDOW, "--levels": LEVELS, "--spec-b": REQUIRED,
+      "--budget": {"type": int, "default": 100_000}}),
+    ("iso relabel", cmd_iso_relabel, {},
+     {"--window": WINDOW, "--levels": LEVELS, "--bijection": REQUIRED}),
+    ("construct toeplitz", cmd_construct_toeplitz, {},
+     {"--depth": _depth(2000),
+      "--generator": {"action": "append", "required": True,
                       "help": "repeatable generator spec"}}),
     ("construct dense", cmd_construct_dense, {}, {"--generator": REQUIRED}),
-    ("construct flatten", cmd_construct_flatten, {"depth": 64},
-     {"--anchor": {"type": _anchor, "help": "vertex:level for cone anchoring"}}),
-    ("export dot", cmd_export_dot, {"run": _run_text}, {}),
+    ("construct flatten", cmd_construct_flatten, {},
+     {"--depth": _depth(64), "--window": WINDOW,
+      "--anchor": {"type": _anchor, "help": "vertex:level for cone anchoring"}}),
+    ("export dot", cmd_export_dot, {"run": _run_text},
+     {"--window": WINDOW, "--levels": LEVELS}),
     ("export matrix", cmd_export_matrix, {},
      {"--level": LEVEL, "--rows": SPAN, "--cols": SPAN}),
 )
@@ -416,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="cmd", required=True)
         p = groups[group].add_parser(cmd)
         p.add_argument("--spec", required=True, help="diagram spec file")
-        p.add_argument("--depth", type=_at_least(1))
-        p.add_argument("--window", type=_span, help="lo:hi vertex window")
-        p.add_argument("--levels", type=_at_least(0), default=4)
         p.add_argument("--out", help="write a copy of the printed report to this "
                        "file; iso search and construct toeplitz write their "
                        "artifact there instead")

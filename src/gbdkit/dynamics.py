@@ -37,10 +37,10 @@ def _edge_or_none(obj, m: int) -> Optional[Edge]:
     return obj.edge_at(m)
 
 
-def metric_dist(x, y, horizon: int = DEFAULT_HORIZON) -> Fraction:
+def metric_dist(x, y) -> Fraction:
     """1 / 2^N with N the first disagreeing edge index; 0 when the paths
-    agree on every compared index up to the horizon."""
-    for m in range(horizon):
+    agree on every compared index below DEFAULT_HORIZON."""
+    for m in range(DEFAULT_HORIZON):
         ex, ey = _edge_or_none(x, m), _edge_or_none(y, m)
         if ex is None or ey is None:
             break
@@ -64,17 +64,16 @@ def _traces_eventually_equal(ex: EventualTrace, ey: EventualTrace):
     return all(same), not all(same)
 
 
-def tail_equivalent(x: PathGenerator, y: PathGenerator,
-                    horizon: int = DEFAULT_HORIZON) -> Verdict:
+def tail_equivalent(x: PathGenerator, y: PathGenerator) -> Verdict:
     """Do the two paths share all edges from some level on?"""
     last_diff = -1
-    for m in range(horizon):
+    for m in range(DEFAULT_HORIZON):
         if _edge_or_none(x, m) != _edge_or_none(y, m):
             last_diff = m
-    ex, ey = x.eventual(horizon), y.eventual(horizon)
+    ex, ey = x.eventual(), y.eventual()
     if ex is not None and ey is not None:
         equal_forever, differ_infinitely = _traces_eventually_equal(ex, ey)
-        if equal_forever and last_diff < horizon - 1:
+        if equal_forever and last_diff < DEFAULT_HORIZON - 1:
             return Verdict.yes(witness=last_diff + 1,
                                agreement_level=last_diff + 1)
         if differ_infinitely:
@@ -82,14 +81,13 @@ def tail_equivalent(x: PathGenerator, y: PathGenerator,
                 "reason": "eventual traces provably differ at unboundedly "
                           "many levels",
                 "x": x.describe(), "y": y.describe()})
-    return Verdict.unknown(depth=horizon)
+    return Verdict.unknown(depth=DEFAULT_HORIZON)
 
 
 # --- orbit probes ---------------------------------------------------------------
 
 def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
-                          depth: int = DEFAULT_DEPTH,
-                          horizon: int = DEFAULT_HORIZON) -> Verdict:
+                          depth: int = DEFAULT_DEPTH) -> Verdict:
     """Does the tail-equivalence orbit of x meet the cylinder of prefix c?"""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
@@ -107,7 +105,7 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     if found is not None:
         return found
 
-    ev = x.eventual(horizon)
+    ev = x.eventual()
     if ev is not None and ev.certified:
         # cone first: it names the t-rule and matches the slanting-set
         # picture; a clopen or non-global invariant separates nothing
@@ -240,25 +238,30 @@ def _forced_hit_bound(d: DiagramHandle, w: int, u: int, n0: int,
     return None
 
 
-def _generator_battery(d: DiagramHandle, radius: int = 6) -> list:
-    """Small deterministic family of generators for obstruction search."""
-    gens = []
+def _generator_battery(d: DiagramHandle) -> list:
+    """Small deterministic family of generators for obstruction search:
+    vertical loops at the radius-6 window's vertices, two off the
+    full-out columns and one on them, then both slants from the center.
+    A candidate counts only when it is a path through DEFAULT_DEPTH + 1
+    levels."""
+    def path(kind, v):
+        try:
+            g = PathGenerator(d, kind, {"vertex": v})
+            g.validate_to(DEFAULT_DEPTH + 1)
+        except GbdError:
+            return None
+        return g
+
     hub = {f.vertex for f in d.get_flags(FullOutColumnFlag)}
-    rows = d.window_rows(0, *d.indexing.default_interval(radius))
+    rows = d.window_rows(0, *d.indexing.default_interval(6))
     loops = [v for v in sorted(rows, key=lambda t: (abs(t), t))
              if any(w == v for w, _ in rows[v])]
-    loops = [v for v in loops if v not in hub][:2] + [v for v in loops if v in hub][:1]
-    for v in loops:
-        gens.append(PathGenerator(d, "vertical", {"vertex": v}))
+    verticals = [(v, g) for v in loops if (g := path("vertical", v)) is not None]
     center = d.indexing.base + 1 if d.indexing.mode == "one_sided" else 0
-    for kind in ("rightmost_slant", "leftmost_slant"):
-        try:
-            g = PathGenerator(d, kind, {"vertex": center})
-            g.vertex_at(4)
-            gens.append(g)
-        except GbdError:
-            pass
-    return gens
+    slants = [path(kind, center) for kind in ("rightmost_slant", "leftmost_slant")]
+    return [g for v, g in verticals if v not in hub][:2] \
+        + [g for v, g in verticals if v in hub][:1] \
+        + [g for g in slants if g is not None]
 
 
 def minimality_certificate(d: DiagramHandle, horizon: int | None = None,

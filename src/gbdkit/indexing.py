@@ -84,5 +84,9 @@ def _parse_indexing(desc) -> VertexIndexing:
     if mode == TWO_SIDED:
         return two_sided()
     if mode == ONE_SIDED:
-        return one_sided(int(desc.get("base", 1)))
+        try:
+            return one_sided(int(desc.get("base", 1)))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"one-sided base must be an integer, got {desc['base']!r}") from None
     raise SchemaError(f"unknown indexing mode {mode!r}")

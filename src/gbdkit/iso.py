@@ -8,6 +8,7 @@ exactly, with no tolerance.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .bijections import VertexBijectionSeq, partial_sequence, pushed_row
@@ -81,6 +82,33 @@ def _row_multiset(d: DiagramHandle, n: int, v: int) -> tuple:
     return tuple(sorted(m for _, m in d.row(n, v)))
 
 
+def _assignment_order(variables: list, nbrs: dict) -> list:
+    """The order the search assigns its variables in: each time the first
+    free variable next to an assigned one, else the first free one, by
+    position in `variables`.  Which variable comes next depends only on
+    which ones are assigned, so one order serves every branch."""
+    position = {x: i for i, x in enumerate(variables)}
+    free = set(range(len(variables)))
+    frontier = []  # heap of positions next to an assigned variable
+    order = []
+    first = 0
+    while free:
+        while frontier and frontier[0] not in free:
+            heapq.heappop(frontier)
+        if frontier:
+            i = heapq.heappop(frontier)
+        else:
+            while first not in free:
+                first += 1
+            i = first
+        free.discard(i)
+        order.append(variables[i])
+        for x in nbrs[variables[i]]:
+            if position[x] in free:
+                heapq.heappush(frontier, position[x])
+    return order
+
+
 def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
                windows_a: LevelWindow, windows_b: LevelWindow,
                budget: int = 100_000):
@@ -88,10 +116,12 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
 
     Variables are window vertices; assignment starts at level 0 near the
     window center and spreads along edges, so row constraints bind as
-    early as possible.  Candidates must have the same full-row
-    multiplicity multiset (exact rows, an isomorphism invariant) and are
-    tried in ascending |vertex| order.  Exhausting the node budget is a
-    result, not an error.
+    early as possible (`_assignment_order`).  Candidates must have the
+    same full-row multiplicity multiset (exact rows, an isomorphism
+    invariant) and are tried in ascending |vertex| order.  The search
+    walks an explicit stack, one frame per assigned variable, so deep
+    windows never meet the recursion limit.  Exhausting the node budget
+    is a result, not an error.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -112,6 +142,9 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
                 if (n - 1, w) in nbrs:
                     nbrs[(n, v)][(n - 1, w)] = m
                     nbrs[(n - 1, w)][(n, v)] = m
+    order = _assignment_order(variables, nbrs)
+    # v@n's in-edges are the row of level n - 1, read above
+    sigs = [_row_multiset(dA, n - 1, v) if n > 0 else None for n, v in order]
 
     tables = {n: {} for n in levels}  # the assignment, level -> {v: image}
     used = {n: set() for n in levels}
@@ -125,48 +158,41 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
                 and all(nb.get((n + 1, u), 0) == dB.entry(n, got, v_img)
                         for u, got in tables.get(n + 1, {}).items()))
 
-    def pick_variable():
-        # the first free variable next to an assigned one, else the first
-        # free one; variables are listed by (level, |v|, v)
-        first = None
-        for n, v in variables:
-            if v in tables[n]:
-                continue
-            if any(w in tables[m] for m, w in nbrs[(n, v)]):
-                return n, v
-            if first is None:
-                first = (n, v)
-        return first
-
-    def backtrack():
+    def search() -> bool:
+        # tried[k] is how many candidates of order[k] have been taken up
         nonlocal nodes
-        var = pick_variable()
-        if var is None:
-            return True
-        n, v = var
-        # v@n's in-edges are the row of level n - 1
-        sig = _row_multiset(dA, n - 1, v) if n > 0 else None
-        for v_img in cand_pool[n]:
-            if v_img in used[n]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return False
-            if n > 0 and _row_multiset(dB, n - 1, v_img) != sig:
-                continue
-            if not consistent(n, v, v_img):
-                continue
-            tables[n][v] = v_img
-            used[n].add(v_img)
-            if backtrack():
-                return True
-            del tables[n][v]
-            used[n].discard(v_img)
-            if nodes > budget:
-                return False
-        return False
+        tried = [0] * len(order)
+        k = 0
+        while k < len(order):
+            n, v = order[k]
+            pool = cand_pool[n]
+            while tried[k] < len(pool):
+                v_img = pool[tried[k]]
+                tried[k] += 1
+                if v_img in used[n]:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    return False
+                if n > 0 and _row_multiset(dB, n - 1, v_img) != sigs[k]:
+                    continue
+                if not consistent(n, v, v_img):
+                    continue
+                tables[n][v] = v_img
+                used[n].add(v_img)
+                k += 1
+                break
+            else:
+                # every candidate failed: free the variable before this one
+                if k == 0:
+                    return False
+                tried[k] = 0
+                k -= 1
+                n, v = order[k]
+                used[n].discard(tables[n].pop(v))
+        return True
 
-    if not backtrack():
+    if not search():
         return NoneWithinBudget(nodes_explored=nodes, budget=budget, depth=depth)
     witness = IsoWitness(tables=tables, depth=depth, windows=windows_a,
                          nodes_explored=nodes)

@@ -37,10 +37,14 @@ class ForcedAssignment:
 class AssignmentLog:
     records: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._levels = {r.level for r in self.records}
+
     def add(self, rec: ForcedAssignment):
-        if any(r.level == rec.level for r in self.records):
+        if rec.level in self._levels:
             raise ConflictError(
                 f"level {rec.level} already carries a forced assignment")
+        self._levels.add(rec.level)
         self.records.append(rec)
 
     def by_generator(self, i: int) -> list:

@@ -68,9 +68,16 @@ def _reject_floats(obj, where):
             _reject_floats(v, f"{where}[{i}]")
 
 
+def _triangular_flag(p) -> TriangularFlag:
+    if p["direction"] not in ("lower", "upper"):
+        raise SchemaError(f"triangular direction must be 'lower' or 'upper', "
+                          f"got {p['direction']!r}")
+    return TriangularFlag(p["direction"], int(p.get("slack", 0)))
+
+
 _FLAG_PARSERS = {
     "banded": lambda p: BandedFlag.from_dict(p["offsets"]),
-    "triangular": lambda p: TriangularFlag(p["direction"], int(p.get("slack", 0))),
+    "triangular": _triangular_flag,
     "full_out_column": lambda p: FullOutColumnFlag(int(p["vertex"])),
     "infinite_out_degrees": lambda p: InfiniteOutDegreesFlag(),
     "bounded_size": lambda p: BoundedSizeFlag(
@@ -80,19 +87,31 @@ _FLAG_PARSERS = {
 
 
 def _parse_flags(descs) -> tuple:
+    descs = descs or []
+    if not isinstance(descs, list):
+        raise SchemaError("flags must be a list")
     flags = []
-    for desc in descs or []:
+    for desc in descs:
         if isinstance(desc, str):
             desc = {"kind": desc}
+        if not isinstance(desc, dict):
+            raise SchemaError(f"a flag is a kind or a mapping, got {desc!r}")
         kind = desc.get("kind")
-        if kind not in _FLAG_PARSERS:
+        if not isinstance(kind, str) or kind not in _FLAG_PARSERS:
             raise SchemaError(f"unknown flag kind {kind!r}")
-        flags.append(_FLAG_PARSERS[kind](desc))
+        try:
+            flags.append(_FLAG_PARSERS[kind](desc))
+        except KeyError as exc:
+            raise SchemaError(f"{kind} flag needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed {kind} flag {desc}: {exc}") from None
     return tuple(flags)
 
 
 def _explicit_handle(doc: dict) -> DiagramHandle:
     body = doc.get("explicit", doc)
+    if not isinstance(body, dict):
+        raise SchemaError("an explicit spec body must be a mapping")
     raw_levels = body.get("levels")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise SchemaError("explicit spec needs a nonempty 'levels' list")
@@ -106,12 +125,17 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
             raise SchemaError(f"level {n} matrix must be a nonempty mapping")
         rows = {}
         for v, row in mat.items():
-            entries = sorted((int(w), int(m)) for w, m in dict(row).items())
+            try:
+                entries = sorted((int(w), int(m)) for w, m in dict(row).items())
+                v = int(v)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"malformed row {v!r} at level {n}: {exc}") from None
             if not entries:
                 raise SchemaError(
                     f"declared row {v} at level {n} is empty: every row "
                     f"must have at least one edge")
-            rows[int(v)] = tuple(entries)
+            rows[v] = tuple(entries)
         matrices.append(rows)
 
     # levels past the declared ones never reach these rules: the handle

@@ -367,6 +367,25 @@ def test_malformed_arguments_exit_2(argv, specs, capsys):
     assert "error:" in captured.err
 
 
+# spec documents whose values have the wrong type or are out of range
+HOSTILE_SPECS = {
+    "banded offsets 5": "family: banded\noffsets: 5\n",
+    "banded offset a": "family: banded\noffsets: {a: 1}\n",
+    "banded side three": "family: banded\noffsets: {0: 1}\nside: three\n",
+    "banded flag without offsets": "levels: [{0: {0: 1}}]\nflags: [{kind: banded}]\n",
+    "bounded_size flag without t":
+        "levels: [{0: {0: 1}}]\nflags: [{kind: bounded_size}]\n",
+    "flag 5": "levels: [{0: {0: 1}}]\nflags: [5]\n",
+    "triangular sideways":
+        "levels: [{0: {0: 1}}]\nflags: [{kind: triangular, direction: sideways}]\n",
+    "base x": "levels: [{0: {0: 1}}]\nindexing: {mode: one_sided, base: x}\n",
+    "explicit body 5": "explicit: 5\n",
+    "multiplicity x": "levels: [{0: {0: x}}]\n",
+    "row as a list": "levels: [{0: [1, 2]}]\n",
+    "a-rule slope x": "family: odometer_one_sided\na: {slope: x}\n",
+}
+
+
 def _hostile_inputs(tmp_path):
     deep = tmp_path / "deep.yaml"
     deep.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n")
@@ -374,8 +393,13 @@ def _hostile_inputs(tmp_path):
     latin1.write_bytes(b"family: tridiag_B # \xe9\n")
     suite = tmp_path / "suite.yaml"
     suite.write_text("[1_fold_isomorphism, 'unclosed\n")
-    return {"deep": str(deep), "latin1": str(latin1), "dir": str(tmp_path),
-            "suite": str(suite), "missing_dir": str(tmp_path / "no" / "out.txt")}
+    files = {"deep": str(deep), "latin1": str(latin1), "dir": str(tmp_path),
+             "suite": str(suite), "missing_dir": str(tmp_path / "no" / "out.txt")}
+    for i, (name, text) in enumerate(HOSTILE_SPECS.items()):
+        path = tmp_path / f"hostile{i}.yaml"
+        path.write_text(text)
+        files[name] = str(path)
+    return files
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,11 +408,13 @@ def _hostile_inputs(tmp_path):
     ["probe", "connected", "--spec", "latin1"],
     ["report", "--suite", "custom", "--file", "suite"],
     ["probe", "connected", "--spec", "td", "--out", "missing_dir"],
-], ids=["nested 3000 deep", "directory", "not UTF-8", "unparseable suite",
-        "unwritable out"])
+] + [["probe", "connected", "--spec", name] for name in HOSTILE_SPECS],
+    ids=["nested 3000 deep", "directory", "not UTF-8", "unparseable suite",
+         "unwritable out"] + list(HOSTILE_SPECS))
 def test_hostile_input_files_exit_2(argv, specs, tmp_path, capsys):
     # exit 1 means No to a script, so a file that cannot be read or
-    # written must never end in a traceback
+    # written, or a spec value of the wrong kind, must never end in a
+    # traceback or be taken for something else
     files = {**specs, **_hostile_inputs(tmp_path)}
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
@@ -455,3 +481,45 @@ def test_consecutive_calls_share_no_parser_state(specs, capsys, tmp_path):
     assert parse(["probe", "irreducible", "--spec", "s", "--src", "1",
                   "--dst", "2"]).depth == 24
     assert parse(["orbit", "minimal", "--spec", "s"]).depth is None
+
+
+# the common flags each command reads, with their defaults
+COMMON_FLAGS = {
+    "probe irreducible": {"depth": 24},
+    "probe connected": {"window": None, "levels": 4},
+    "probe period": {"depth": 8},
+    "probe bounded-size": {"window": None},
+    "probe classify": {"depth": 64, "window": None},
+    "orbit visit": {"depth": 24},
+    "orbit transitive": {"depth": 24, "window": None},
+    "orbit minimal": {"depth": None, "window": None},
+    "iso check": {"levels": 4},
+    "iso search": {"window": None, "levels": 4},
+    "iso relabel": {"window": None, "levels": 4},
+    "construct toeplitz": {"depth": 2000},
+    "construct dense": {},
+    "construct flatten": {"depth": 64, "window": None},
+    "export dot": {"window": None, "levels": 4},
+    "export matrix": {},
+}
+
+
+@pytest.mark.parametrize("row", cli.COMMANDS, ids=lambda row: row[0])
+def test_each_command_takes_only_the_common_flags_it_reads(row, capsys):
+    name, _, _, flags = row
+    argv = name.split() + ["--spec", "s"]
+    for flag, kwargs in flags.items():
+        if kwargs.get("required"):
+            argv += [flag, "1"]
+    given = {"depth": ("5", 5), "window": ("1:5", (1, 5)), "levels": ("3", 3)}
+    reads = COMMON_FLAGS[name]
+    parse = cli.build_parser().parse_args
+    for flag, (text, value) in given.items():
+        if flag in reads:
+            assert getattr(parse(argv), flag) == reads[flag]
+            assert getattr(parse(argv + [f"--{flag}", text]), flag) == value
+        else:
+            assert main(argv + [f"--{flag}", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: --{flag} {text}" in captured.err

@@ -285,6 +285,27 @@ def test_column_rule_disagreeing_with_rows_rejected():
         DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols)
 
 
+def column_claiming_20(n, w):
+    # source 0 claims target 20, outside the verified window, whose row
+    # does not hold 0
+    return ColumnSupport.finite([(w, 1)] + ([(20, 1)] if w == 0 else []))
+
+
+def column_all_at_0(n, w):
+    return ColumnSupport.all_targets() if w == 0 else ColumnSupport.finite([(w, 1)])
+
+
+@pytest.mark.parametrize("cols,message", [
+    (column_claiming_20,
+     r"column rule claims \(20,1\) missing from rows at level 0, source 0"),
+    (column_all_at_0, "column rule 'all' fails at level 0, source 0"),
+], ids=["finite beyond the window", "all"])
+def test_column_rule_checked_beyond_the_window_rows(cols, message):
+    with pytest.raises(InvariantError, match=message):
+        DiagramHandle(two_sided(), lambda n, v: [(v, 1)], stationary=True,
+                      col_rule=cols)
+
+
 def test_building_a_handle_reads_few_rows(monkeypatch):
     reads = [0]
     row = DiagramHandle.row

@@ -34,6 +34,7 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
+from gbdkit.dynamics import _generator_battery
 
 from conftest import NAMES
 from test_sweep_reuse import explicit_error_beyond
@@ -303,6 +304,19 @@ def test_minimality_skips_battery_probes_past_the_declared_levels():
     m = minimality_certificate(d)
     assert m.is_unknown
     assert m.describe()["searched_windows"] == (-16, 16)
+
+
+def test_battery_keeps_only_generators_that_are_paths():
+    # 0 and 2 loop at level 0 but not at level 1; only 1 loops at every
+    # level.  No column is known, so the slants fail at their first step.
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                   "levels": [{0: {0: 1, 1: 1}, 1: {1: 1}, 2: {1: 1, 2: 1}},
+                              {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}],
+                   "extension": "repeat_last"})
+    assert [g.describe() for g in _generator_battery(d)] == [
+        {"kind": "vertical", "params": {"vertex": 1}}]
+    # past its three declared levels no candidate is a path
+    assert _generator_battery(explicit_error_beyond()) == []
 
 
 def test_trisection():

@@ -185,6 +185,15 @@ def test_compactness():
     assert compact_cylinder_check(so, cylinder_at(so, 1)).is_no
     o1 = make_diagram("odometer_one_sided")
     assert compact_cylinder_check(o1, cylinder_at(o1, 4)).is_yes
+    # every edge runs from v or v + 1 down to v, so a cone stays below the
+    # prefix end; no column is known, so only the triangular
+    # certificate can say so
+    d = load_spec({"indexing": {"mode": "one_sided", "base": 1},
+                   "levels": [{v: {v: 1, v + 1: 1} for v in range(1, 41)}],
+                   "extension": "repeat_last",
+                   "flags": [{"kind": "triangular", "direction": "upper"}]})
+    v = compact_cylinder_check(d, cylinder_at(d, 3))
+    assert v.is_yes and v.witness["reason"].startswith("ids never increase")
 
 
 def test_full_out_row_check():

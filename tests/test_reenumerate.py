@@ -47,6 +47,27 @@ def test_assignment_log_rejects_level_collision():
         log.add(ForcedAssignment(1, 5, 2, 0))
 
 
+def test_assignment_log_reads_each_level_once():
+    # a collision is looked up among the logged levels, not found by
+    # rescanning every earlier record
+    reads = [0]
+
+    class Counted(ForcedAssignment):
+        def __getattribute__(self, name):
+            if name == "level":
+                reads[0] += 1
+            return super().__getattribute__(name)
+
+    log = AssignmentLog()
+    for level in range(300):
+        log.add(Counted(0, level, 0, level))
+    assert reads[0] <= 2 * 300
+    with pytest.raises(ConflictError):
+        log.add(Counted(1, 150, 0, 0))
+    with pytest.raises(ConflictError):
+        AssignmentLog([ForcedAssignment(0, 5, 7, 1)]).add(ForcedAssignment(1, 5, 2, 0))
+
+
 def test_toeplitz_four_generators():
     td = make_diagram("tridiag_B")
     gens = [vertical_from(td, 0), vertical_from(td, 1),
