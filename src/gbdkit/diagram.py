@@ -271,14 +271,21 @@ class DiagramHandle:
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
         self.indexing.check(v)
-        if self._explicit is not None:
-            n = self._explicit.level_of(n)
-        key = (0 if self.stationary else n, v)
+        key = (self._stored_level(n), v)
         row = self._row_cache.get(key)
         if row is None:
-            row = self._validated_row(n, v)
+            row = self._validated_row(*key)
             self._row_cache[key] = row
         return row
+
+    def _stored_level(self, n: int) -> int:
+        """The level whose rules serve level n, and under which `row` and
+        `column_support` cache it: an explicit spec's declared level
+        (`ExplicitLevelsFlag.level_of`), then level 0 on a stationary
+        handle, whose levels all have the same rows."""
+        if self._explicit is not None:
+            n = self._explicit.level_of(n)
+        return 0 if self.stationary else n
 
     def _validated_row(self, n: int, v: int) -> tuple:
         raw = self._row_rule(n, v)
@@ -353,9 +360,8 @@ class DiagramHandle:
         t_rule = self._width
         if self._col_rule is None and t_rule is None:
             return None
-        if self._explicit is not None:
-            n = self._explicit.level_of(n)
-        key = (0 if self.stationary else n, w)
+        n = self._stored_level(n)
+        key = (n, w)
         if key not in self._col_cache:
             sup = None if self._col_rule is None else self._col_rule(n, w)
             if sup is None and t_rule is not None:
@@ -365,13 +371,6 @@ class DiagramHandle:
                     for src, m in self.row(n, v) if src == w)
             self._col_cache[key] = sup
         return self._col_cache[key]
-
-    def out_edges_exact(self, n: int, w: int) -> Optional[list]:
-        """Complete out-edge list when the column is known finite, else None."""
-        sup = self.column_support(n, w)
-        if sup is not None and sup.is_finite:
-            return list(sup.entries)
-        return None
 
     # -- flags ------------------------------------------------------------
 
@@ -398,8 +397,8 @@ class DiagramHandle:
         """Spot-verify every declared flag, then the column rule, on a
         default window; reject failures.
 
-        One snapshot of the window's rows per level, read on first need,
-        serves every check.  Flags remain assumptions beyond the verified
+        One snapshot of the window's rows per stored level, read on first
+        need, serves every check, so a stationary handle reads one.  Flags remain assumptions beyond the verified
         window; certificate consumers report them as such.  Window
         vertices without declared rows (explicit specs) are skipped, and
         so are the columns that would read one.
@@ -409,14 +408,15 @@ class DiagramHandle:
         snapshots = {}
 
         def snapshot(n):
-            if n not in snapshots:
+            stored = self._stored_level(n)
+            if stored not in snapshots:
                 rows = self.window_rows(n, lo, hi)
                 cols = {}
                 for v, row in rows.items():
                     for w, m in row:
                         cols.setdefault(w, []).append((v, m))
-                snapshots[n] = rows, cols
-            return snapshots[n]
+                snapshots[stored] = rows, cols
+            return snapshots[stored]
 
         for flag in self.flags:
             for n in levels:

@@ -148,18 +148,18 @@ class PathGenerator(TraceGenerator):
         if rule == "climbing" and self.d.indexing.contains(v + 1) \
                 and self.d.entry(m, v + 1, v) > 0:
             return v + 1
-        out = self.d.out_edges_exact(m, v)
-        if out is None:
+        sup = self.d.column_support(m, v)
+        if sup is None or not sup.is_finite:
             if rule == "climbing":
                 raise InvariantError(
                     f"climbing fallback needs exact column support at {v}")
-            sup = self.d.column_support(m, v)
             if sup is not None and sup.kind == "all" and \
                     rule == "leftmost_slant" and \
                     self.d.indexing.mode == "one_sided":
                 return self.d.indexing.base  # full column: base is leftmost
             raise InvariantError(
                 f"{rule} needs exact column support at vertex {v}")
+        out = sup.entries
         if not out:
             raise InvariantError(f"{rule} finds no out-edge at vertex {v}, level {m}")
         return out[-1][0] if rule == "rightmost_slant" else out[0][0]

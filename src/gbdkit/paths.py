@@ -9,12 +9,14 @@ Forward cones go through `forward_layers`, whose docstring states when
 a forward step is exact.
 
 Probes that ask for the first level m at which w@n reaches a target
-t(m)@m go through `first_reach` and `reach_frontiers`.  On a stationary
-handle the rows are the same at every level, so the k-step backward
-reach set of a vertex is too: one frontier per distinct target is kept
-for the whole query and extended a step at a time as m grows, and the
-witness path is enumerated once, at the hit.  On any other handle the
-rows may change with the level, so every m restarts the sweep.
+t(m)@m go through `first_reach`, which tests each m on the reach set
+`reach_frontiers` yields and enumerates the witness path once, at the
+hit.  `reach_frontiers` alone chooses how a reach set is found: on a
+stationary handle the rows are the same at every level, so the k-step
+backward reach set of a vertex is too, and one frontier per distinct
+target is kept for the whole query and extended a step at a time as m
+grows; on any other handle the rows may change with the level, so every
+m restarts the sweep.
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ def backward_reach_set(d: DiagramHandle, v: int, m: int, n: int) -> set:
     return reach
 
 
-def backward_reach_profile(d: DiagramHandle, v: int, m: int, n: int) -> list:
-    """Reach sets from v@m at levels m, m-1, ..., n (in that order)."""
-    return list(_sweep(d, v, m, n, counting=False))
-
-
 def enumerate_paths(d: DiagramHandle, w: int, n: int, v: int, m: int,
                     cap: Optional[int] = None):
     """Distinct paths w@n -> v@m in lexicographic edge order.
@@ -247,21 +244,12 @@ def reach_frontiers(d: DiagramHandle, n: int, levels, target):
 def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     """First m in levels (ascending) with a path w@n -> target(m)@m, as
     (m, path) where path is the first one enumerate_paths yields; None when
-    no level has one.
-
-    On a stationary handle the kept frontiers skip the levels that miss w,
-    and enumerate_paths sweeps once, at the hit, for the witness.  On other
-    handles enumerate_paths sweeps at every level, which finds the witness
-    in the same pass as the test.
-    """
+    no level has one.  Each m is tested on the reach set of
+    `reach_frontiers`, and enumerate_paths sweeps once, at the hit, for
+    the witness."""
     d.indexing.check(w)
-    if d.stationary:
-        tries = ((m, t) for m, t, reach in reach_frontiers(d, n, levels, target)
-                 if w in reach)
-    else:
-        tries = ((m, target(m)) for m in levels)
-    for m, t in tries:
-        paths, _ = enumerate_paths(d, w, n, t, m, cap=1)
-        if paths:
+    for m, t, reach in reach_frontiers(d, n, levels, target):
+        if w in reach:
+            paths, _ = enumerate_paths(d, w, n, t, m, cap=1)
             return m, paths[0]
     return None

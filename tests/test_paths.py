@@ -10,7 +10,7 @@ from gbdkit import (
     enumerate_paths,
     make_diagram,
 )
-from gbdkit.paths import Edge, backward_reach_profile
+from gbdkit.paths import Edge
 
 
 def test_renewal_count_examples():
@@ -108,8 +108,8 @@ def test_windowed_matrix_product(handles):
         n, m = 0, 3
         w = rng.randrange(lo, hi + 1)
         v = rng.randrange(lo, hi + 1)
-        profile = backward_reach_profile(d, v, m, n)
-        reach_at = {m - i: s for i, s in enumerate(profile)}
+        reach_at = {lvl: backward_reach_set(d, v, m, lvl)
+                    for lvl in range(n, m + 1)}
         windows = {}
         for lvl, s in reach_at.items():
             windows[lvl] = (min(s | {w}), max(s | {w}))
