@@ -322,31 +322,30 @@ def _bijection_pairs():
 def criterion_10_cross_cutting():
     from .probes import connected_probe
 
+    # each pair's relabeled handle, built once
+    pairs = [(d, g, relabel(d, g)) for d, g in _bijection_pairs()]
     # relabel round trip
-    for d, g in _bijection_pairs():
-        d2 = relabel(relabel(d, g), g.inverted())
+    for d, g, d2 in pairs:
+        back = relabel(d2, g.inverted())
         for n in range(7):
             lo, hi = d.indexing.default_interval(12)
-            _check(d2.incidence_window(n, (lo, hi), (lo, hi))
+            _check(back.incidence_window(n, (lo, hi), (lo, hi))
                    == d.incidence_window(n, (lo, hi), (lo, hi)),
                    f"round trip broke {d.name} under {g.kind} at level {n}")
     # path-count preservation
     rng = random.Random(SEED + 10)
-    pairs = _bijection_pairs()
     for _ in range(100):
-        d, g = pairs[rng.randrange(len(pairs))]
+        d, g, d2 = pairs[rng.randrange(len(pairs))]
         lo, hi = d.indexing.default_interval(6)
         n = rng.randrange(0, 3)
         m = n + rng.randrange(0, 5)
         w = rng.randrange(lo, hi + 1)
         v = rng.randrange(lo, hi + 1)
-        d2 = relabel(d, g)
         _check(count_paths(d, w, n, v, m)
                == count_paths(d2, g.forward(n, w), n, g.forward(m, v), m),
                f"count not preserved: {d.name} {g.kind} {w}@{n}->{v}@{m}")
     # equal-row-sum preservation, row by row
-    for d, g in pairs:
-        d2 = relabel(d, g)
+    for d, g, d2 in pairs:
         for n in range(3):
             lo, hi = d.indexing.default_interval(8)
             for v in range(lo, hi + 1):

@@ -405,7 +405,7 @@ COMMANDS = (
      {"--levels": LEVELS, "--spec-b": REQUIRED, "--bijection": REQUIRED}),
     ("iso search", cmd_iso_search, {},
      {"--window": WINDOW, "--levels": LEVELS, "--spec-b": REQUIRED,
-      "--budget": {"type": int, "default": 100_000}}),
+      "--budget": {"type": _at_least(1), "default": 100_000}}),
     ("iso relabel", cmd_iso_relabel, {},
      {"--window": WINDOW, "--levels": LEVELS, "--bijection": REQUIRED}),
     ("construct toeplitz", cmd_construct_toeplitz, {},

@@ -270,10 +270,10 @@ class DiagramHandle:
         """The row of in_edges as the cached tuple itself, without a copy."""
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
-        self.indexing.check(v)
         key = (self._stored_level(n), v)
         row = self._row_cache.get(key)
         if row is None:
+            self.indexing.check(v)  # so only vertices in range are cached
             row = self._validated_row(*key)
             self._row_cache[key] = row
         return row
@@ -397,9 +397,10 @@ class DiagramHandle:
         """Spot-verify every declared flag, then the column rule, on a
         default window; reject failures.
 
-        One snapshot of the window's rows per stored level, read on first
-        need, serves every check, so a stationary handle reads one.  Flags remain assumptions beyond the verified
-        window; certificate consumers report them as such.  Window
+        One snapshot of the window's rows per stored level
+        (`_stored_level`), read on first need, serves every check, so a
+        stationary handle reads one.  Flags remain assumptions beyond the
+        verified window; certificate consumers report them as such.  Window
         vertices without declared rows (explicit specs) are skipped, and
         so are the columns that would read one.
         """

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .diagram import DiagramHandle
-from .windows import LevelWindow
+from .windows import LevelWindow, clamped_interval
 
 
 def _node_id(n: int, v: int) -> str:
@@ -13,20 +13,21 @@ def _node_id(n: int, v: int) -> str:
 
 def render_dot(d: DiagramHandle, levels: int, window=None, radius: int = 4) -> str:
     """One node per (level, vertex) in the window, one edge per
-    multiplicity unit; byte-identical across runs."""
+    multiplicity unit; byte-identical across runs.  EmptyWindowError
+    when a level's interval holds no vertex."""
     if window is None:
         window = LevelWindow.uniform(d.indexing, levels, radius) \
             if levels >= 0 else LevelWindow({})
     lines = ["digraph diagram {", "  rankdir=TB;", "  node [shape=circle];"]
     lvls = [n for n in window.levels if n <= levels]
     for n in lvls:
-        lo, hi = d.indexing.clamp(*window.interval(n))
+        lo, hi = clamped_interval(d.indexing, window.interval(n))
         names = [f'"{_node_id(n, v)}" [label="{v}"];' for v in range(lo, hi + 1)]
         lines.append("  { rank=same; " + " ".join(names) + " }")
     for n in lvls:
         if n + 1 not in lvls:
             continue
-        clo, chi = d.indexing.clamp(*window.interval(n))
+        clo, chi = clamped_interval(d.indexing, window.interval(n))
         for v, row in d.window_rows(n, *window.interval(n + 1)).items():
             for w, mult in row:
                 if not clo <= w <= chi:

@@ -118,6 +118,8 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
             found = first_visit(range(ell + depth + 1, M))
             if found is not None:
                 return found
+            # the No speaks of x as a path through every level it rests on
+            x.validate_to(max(ell + depth, M) + 1)
             return Verdict.no(certificate=inv,
                               separated_from_level=M,
                               generator=x.describe(),

@@ -63,6 +63,7 @@ class TraceGenerator:
     d: DiagramHandle
     kind: str
     params: dict
+    _validated = 0  # edges x_0 .. x_{_validated - 1} are known to exist
 
     def edge_at(self, m: int) -> Edge:
         """x_m, validated against the diagram's rows."""
@@ -74,8 +75,10 @@ class TraceGenerator:
         return Edge(m, src, tgt, 0)
 
     def validate_to(self, horizon: int):
-        for m in range(horizon):
+        """Check the edges x_0 .. x_{horizon-1}, each once per generator."""
+        for m in range(self._validated, horizon):
             self.edge_at(m)
+        self._validated = max(self._validated, horizon)
         return True
 
     def describe(self) -> dict:

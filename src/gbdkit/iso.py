@@ -125,6 +125,8 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
 
     def by_size(d, window, n):
         lo, hi = clamped_interval(d.indexing, window.interval(n))

@@ -59,11 +59,12 @@ def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None) -
 
 def _window_nodes(d: DiagramHandle, window: LevelWindow, levels: int) -> list:
     """The (level, vertex) pairs of the window on levels <= levels, each
-    level's interval clamped to the vertex range."""
+    level's interval clamped to the vertex range; EmptyWindowError when
+    one holds no vertex."""
     nodes = []
     for n in window.levels:
         if n <= levels:
-            lo, hi = d.indexing.clamp(*window.interval(n))
+            lo, hi = clamped_interval(d.indexing, window.interval(n))
             nodes.extend((n, v) for v in range(lo, hi + 1))
     return nodes
 

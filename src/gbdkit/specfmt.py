@@ -23,6 +23,7 @@ from .diagram import (
     TriangularFlag,
 )
 from .errors import ParseError, SchemaError, UndeclaredRowError
+from .windows import clamped_interval
 
 
 def read_input(path) -> str:
@@ -207,8 +208,9 @@ def witness_text(tables: dict) -> str:
 
 
 def explicit_spec_of_window(d: DiagramHandle, levels: int, window) -> dict:
-    """Windowed explicit-spec document for a handle (export helper)."""
-    lo, hi = d.indexing.clamp(*window)
+    """Windowed explicit-spec document for a handle (export helper);
+    EmptyWindowError when the window holds no vertex."""
+    lo, hi = clamped_interval(d.indexing, window)
     mats = []
     for n in range(levels + 1):
         mat = {}

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .diagram import (
     BandedFlag,
+    BoundedSizeFlag,
     DiagramHandle,
     TriangularFlag,
 )
@@ -309,8 +310,10 @@ def _search(d: DiagramHandle, window: LevelWindow) -> list:
     if t_rule is not None and t_rule.kind == "const":
         t = t_rule.value
         if all(abs(w - v) <= t for v, w in edges):
-            found.append(NonReachInvariant(
-                CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
+            # the flag that t_rule() reads its width from
+            via = "BoundedSizeFlag" if d.get_flag(BoundedSizeFlag) is not None \
+                else "BandedFlag"
+            found.append(NonReachInvariant(CONE, (t,), wdesc, True, (via,)))
     return found
 
 

@@ -29,6 +29,7 @@ def specs(tmp_path):
         ("bi", 'family: b_infinity\n'),
         ("o2", 'family: odometer_two_sided\n'),
         ("p1", 'family: parity_1\n'),
+        ("p2", 'family: parity_2\n'),
         ("typo", 'family: odometer_one_sided\nA: 3\n'),
         # vertex 1 feeds nothing: every declared row has source 0 only
         ("hole", 'indexing: {mode: one_sided, base: 0}\n'
@@ -357,6 +358,13 @@ def test_usage_errors(specs, capsys):
      "{kind: identity}", "--levels=-1"],
     ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels=-1"],
     ["iso", "search", "--spec", "td", "--spec-b", "p1", "--levels", "two"],
+    ["iso", "search", "--spec", "td", "--spec-b", "td", "--budget=0"],
+    ["iso", "search", "--spec", "td", "--spec-b", "td", "--budget=-5"],
+    # 1 -> 1 is no edge of parity_2, so no orbit verdict speaks of this path
+    ["orbit", "visit", "--spec", "p2", "--generator", "{kind: vertical, vertex: 1}",
+     "--cylinder", "{vertex: 0}"],
+    ["orbit", "visit", "--spec", "p2", "--generator", "{kind: vertical, vertex: 1}",
+     "--cylinder", "{vertex: 3}"],
     ["probe", "connected", "--spec", "typo"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):

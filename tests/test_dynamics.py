@@ -404,3 +404,36 @@ def test_minimality_certificate_rejects_inverted_window():
 def test_minimality_certificate_rejects_window_below_the_base():
     with pytest.raises(ValueError, match="below one-sided base 1"):
         minimality_certificate(make_diagram("renewal_shift"), window=(-5, -1))
+
+
+@pytest.mark.parametrize("cylinder", [0, 3])
+def test_orbit_verdicts_need_a_generator_that_is_a_path(cylinder):
+    # 1 -> 1 is no edge of parity_2: neither a Yes nor a No may speak of
+    # this generator's orbit
+    d = make_diagram("parity_2")
+    x = vertical_from(d, 1)
+    with pytest.raises(InvalidEdgeError, match="missing edge 1->1 at level 0"):
+        orbit_visits_cylinder(d, x, cylinder_at(d, cylinder))
+    with pytest.raises(InvalidEdgeError):
+        transitivity_probe(d, x, 1, (-2, 2))
+
+
+def test_a_generator_checks_each_edge_once(monkeypatch):
+    d = make_diagram("tridiag_B")
+    x = vertical_from(d, 0)
+    checked = []
+    edge_at = type(x).edge_at
+    monkeypatch.setattr(type(x), "edge_at",
+                        lambda self, m: checked.append(m) or edge_at(self, m))
+    x.validate_to(26)
+    x.validate_to(26)
+    x.validate_to(30)
+    assert checked == list(range(30))
+    # a No validates x through the levels it rests on (depth 24 here), and
+    # a repeated probe checks no edge again
+    bi = make_diagram("b_infinity")
+    y = vertical_from(bi, 2)
+    checked.clear()
+    for _ in range(3):
+        assert orbit_visits_cylinder(bi, y, cylinder_at(bi, 5)).is_no
+    assert checked == list(range(25))

@@ -5,16 +5,19 @@ takes its interval through `windows.clamped_interval`, which raises
 import pytest
 
 from gbdkit import (
+    connected_probe,
     full_out_row_check,
     identity,
     iso_search,
     make_diagram,
+    render_dot,
     transitivity_probe,
     verify_permutation_identity,
     vertical_from,
 )
 from gbdkit.cli import main
 from gbdkit.errors import EmptyWindowError
+from gbdkit.specfmt import explicit_spec_of_window
 from gbdkit.windows import LevelWindow
 
 # renewal_shift's vertices start at 1, so -5:-1 holds none of them
@@ -48,10 +51,29 @@ def test_iso_search(rs):
         iso_search(rs, make_diagram("star_odometer"), 2, W, W)
 
 
+def test_connected_probe(rs):
+    with pytest.raises(EmptyWindowError):
+        connected_probe(rs, 3, W)
+
+
+def test_render_dot(rs):
+    with pytest.raises(EmptyWindowError):
+        render_dot(rs, 3, W)
+
+
+def test_explicit_spec_of_window(rs):
+    with pytest.raises(EmptyWindowError):
+        explicit_spec_of_window(rs, 3, SPAN)
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "transitive", "--generator", "{kind: vertical, vertex: 1}"],
     ["iso", "search", "--spec-b", "so"],
-], ids=["orbit transitive", "iso search"])
+    ["export", "dot"],
+    ["iso", "relabel", "--bijection", "{kind: identity, mode: one_sided, base: 1}"],
+    ["probe", "connected"],
+], ids=["orbit transitive", "iso search", "export dot", "iso relabel",
+        "probe connected"])
 def test_cli_exits_2(argv, tmp_path, capsys):
     specs = {}
     for name, family in (("rs", "renewal_shift"), ("so", "star_odometer")):

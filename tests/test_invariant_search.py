@@ -50,6 +50,7 @@ from gbdkit.verdicts import (
 )
 from gbdkit import verdicts
 from gbdkit.probes import invariant_certificate
+from gbdkit.specfmt import load_spec
 from gbdkit.windows import LevelWindow
 
 from conftest import NAMES
@@ -298,3 +299,19 @@ def test_reverify_searches_afresh_from_the_rows():
     assert find_invariants(d, window) == [forged]
     assert not reverify(d, forged)
     assert reverify(d, genuine)
+
+
+def test_cone_invariant_names_the_flag_its_width_comes_from():
+    # the band is the only width flag, so it backs the cone
+    d = load_spec({"levels": [{v: {v - 1: 1, v: 2, v + 1: 1} for v in range(-20, 21)}],
+                   "extension": "repeat_last",
+                   "flags": [{"kind": "banded", "offsets": {-1: 1, 0: 2, 1: 1}}]})
+    cone = next(inv for inv in find_invariants(d, d.default_window())
+                if inv.kind == CONE)
+    assert cone.global_via == ("BandedFlag",)
+    assert cone.describe()["structural_assumptions"] == ["BandedFlag"]
+    assert reverify(d, cone)
+    # catalog bands also carry BoundedSizeFlag, which keeps the name
+    td = make_diagram("tridiag_B")
+    assert [inv.global_via for inv in find_invariants(td, td.default_window())
+            if inv.kind == CONE] == [("BoundedSizeFlag",)]

@@ -186,6 +186,15 @@ def test_negative_level_counts_are_rejected():
         iso_search(td, p1, -1, w, w)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_is_rejected(budget):
+    # a search allowed no node would still explore one and report Unknown
+    td = make_diagram("tridiag_B")
+    w = LevelWindow.uniform(td.indexing, 2, 4)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        iso_search(td, td, 2, w, w, budget=budget)
+
+
 def test_partial_table_raises_window_too_small():
     td = make_diagram("tridiag_B")
     g = partial_sequence(td.indexing, td.indexing,
