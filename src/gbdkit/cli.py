@@ -6,9 +6,11 @@ parse errors, so scripts can branch on verdicts.
 Every command is one row of COMMANDS, which lists the flags the command
 reads besides the common --spec and --out; any other flag exits 2.  A
 command function takes the parsed arguments and the loaded diagram and
-returns (payload, outcome) or (payload, outcome, artifact); `_run`
-loads --spec, times the call, prints the probe report and maps the
-outcome (a Verdict, a bool or an exit code) to the exit code.  With
+returns a probe's Verdict, whose payload is its description and the
+line of `verdicts.recheck`, or else (payload, outcome) or (payload,
+outcome, artifact); `_run` loads --spec, times the call, prints the
+probe report and maps the outcome (a Verdict, a bool or an exit code)
+to the exit code.  With
 --out, the artifact (when there is one) or else the printed text goes
 to that file.
 """
@@ -19,14 +21,12 @@ import argparse
 import functools
 import sys
 import time
-from collections import Counter
 
 from . import specfmt
 from .bijections import relabel
 from .diagram import DEFAULT_DEPTH, DiagramHandle
 from .dot import render_dot
 from .dynamics import (
-    _forced_hit_bound,
     minimality_certificate,
     orbit_visits_cylinder,
     transitivity_probe,
@@ -36,7 +36,6 @@ from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from
 from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
 from .paths import FinitePath
 from .probes import (
-    _window_nodes,
     bounded_size_params,
     classify_irreducibility_type,
     connected_probe,
@@ -49,7 +48,7 @@ from .reenumerate import (
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
-from .verdicts import Verdict, residue_coloring, reverify
+from .verdicts import Verdict, recheck
 from .windows import LevelWindow
 
 EXIT_YES = 0
@@ -131,12 +130,6 @@ def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
     return prefix_from_trace(d, trace)
 
 
-def _verdict_payload(v: Verdict, recheck: str) -> dict:
-    payload = v.describe()
-    payload["recheck"] = recheck
-    return payload
-
-
 def _exit_code(outcome) -> int:
     """Exit code of a Verdict, a bool (True is Yes) or an exit code."""
     if isinstance(outcome, Verdict):
@@ -162,7 +155,10 @@ def _run(args) -> int:
     """Load --spec, run the command, print its probe report; the exit code."""
     started = time.perf_counter()
     d = specfmt.load_spec_file(args.spec)
-    payload, outcome, *artifact = args.fn(args, d)
+    result = args.fn(args, d)
+    if isinstance(result, Verdict):
+        result = {**result.describe(), "recheck": recheck(d, result)}, result
+    payload, outcome, *artifact = result
     text = probe_report(f"{args.group} {args.cmd}", d, payload,
                         time.perf_counter() - started)
     _write(args, text, *artifact)
@@ -180,30 +176,11 @@ def _run_text(args) -> int:
 # --- probe ----------------------------------------------------------------------
 
 def cmd_probe_irreducible(args, d):
-    v = irreducible_probe(d, args.src, args.dst, args.level, args.depth)
-    recheck = "unknown depth exhausted"
-    if v.is_yes:
-        v.witness.validate(d)
-        recheck = "witness path re-validated edge-by-edge"
-    elif v.is_no:
-        ok = reverify(d, v.certificate) and \
-            v.certificate.excludes_pair(args.src, args.dst)
-        recheck = f"certificate re-verified: {ok}"
-    return _verdict_payload(v, recheck), v
+    return irreducible_probe(d, args.src, args.dst, args.level, args.depth)
 
 
 def cmd_probe_connected(args, d):
-    window = _level_window(args, d, 8)
-    v = connected_probe(d, args.levels, window)
-    recheck = "union-find over windowed edges"
-    if v.is_no:
-        coloring = residue_coloring(v.certificate, window)
-        classes = Counter(str(coloring[x])
-                          for x in _window_nodes(d, window, args.levels))
-        ok = reverify(d, v.certificate) and len(classes) > 1 \
-            and classes == v.detail["classes"]
-        recheck = f"certificate re-verified: {ok}"
-    return _verdict_payload(v, recheck), v
+    return connected_probe(d, args.levels, _level_window(args, d, 8))
 
 
 def cmd_probe_period(args, d):
@@ -228,54 +205,18 @@ def cmd_probe_classify(args, d):
 # --- orbit ----------------------------------------------------------------------
 
 def cmd_orbit_visit(args, d):
-    x = _generator(d, args.generator)
-    c = _cylinder(d, args.cylinder)
-    v = orbit_visits_cylinder(d, x, c, args.depth)
-    recheck = "unknown depth exhausted"
-    if v.is_yes:
-        full = list(c.edges) + list(v.witness["connecting_path"].edges)
-        FinitePath(0, c.start_vertex, tuple(full)).validate(d)
-        recheck = "prefix + connecting path re-validated as one chain"
-    elif v.is_no:
-        inv = v.certificate
-        ok = reverify(d, inv) and \
-            inv.separation_level(c.end_vertex, c.end_level, x.eventual()) \
-            == v.detail["separated_from_level"]
-        recheck = f"certificate re-verified: {ok}"
-    return _verdict_payload(v, recheck), v
+    return orbit_visits_cylinder(d, _generator(d, args.generator),
+                                 _cylinder(d, args.cylinder), args.depth)
 
 
 def cmd_orbit_transitive(args, d):
-    x = _generator(d, args.generator)
-    v = transitivity_probe(d, x, args.cyl_depth, _window(args.window, d, 6),
-                           args.depth)
-    recheck = "unknown depth exhausted"
-    if v.is_yes:
-        recheck = "one verdict asked per endpoint; cylinders counted exactly"
-    elif v.is_no:
-        FinitePath.from_description(v.detail["witness_cylinder"]).validate(d)
-        recheck = "witness cylinder rebuilt and re-validated edge-by-edge"
-    return _verdict_payload(v, recheck), v
+    return transitivity_probe(d, _generator(d, args.generator), args.cyl_depth,
+                              _window(args.window, d, 6), args.depth)
 
 
 def cmd_orbit_minimal(args, d):
-    v = minimality_certificate(d, horizon=args.depth,
-                               window=_window(args.window, d, 16))
-    recheck = "unknown depth exhausted"
-    if v.is_yes:
-        # a bound b is the least one exactly when a walk of b steps finds it
-        u = v.witness["distinguished_vertex"]
-        ok = all(_forced_hit_bound(d, w, u, 0, b) == b
-                 for w, b in v.witness["forced_bounds"].items())
-        recheck = f"forced bounds re-walked: {ok}"
-    elif v.is_no:
-        gen = v.detail["witness"]["generator"]
-        x = PathGenerator(d, gen["kind"], gen["params"])
-        j0 = v.detail["witness"]["missed_cylinder_vertex"]
-        ok = reverify(d, v.certificate) and \
-            v.certificate.separation_level(j0, 0, x.eventual()) is not None
-        recheck = f"certificate re-verified: {ok}"
-    return _verdict_payload(v, recheck), v
+    return minimality_certificate(d, horizon=args.depth,
+                                  window=_window(args.window, d, 16))
 
 
 # --- iso ------------------------------------------------------------------------

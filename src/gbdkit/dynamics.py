@@ -25,7 +25,7 @@ from .diagram import (
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
 from .paths import Edge, FinitePath, first_reach, forward_step
-from .verdicts import CONE, Verdict, find_invariants
+from .verdicts import CONE, Verdict, find_invariants, reverify
 from .windows import clamped_interval
 
 
@@ -91,6 +91,7 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     """Does the tail-equivalence orbit of x meet the cylinder of prefix c?"""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
+    q = (_recheck_visit, x, c)
 
     def first_visit(levels) -> Optional[Verdict]:
         hit = first_reach(d, j, ell, levels, x.vertex_at)
@@ -99,7 +100,7 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
         m, connecting = hit
         x.validate_to(m + 1)
         return Verdict.yes(witness={"level": m, "connecting_path": connecting,
-                                    "cylinder": c})
+                                    "cylinder": c}, question=q)
 
     found = first_visit(range(ell + 1, ell + depth + 1))
     if found is not None:
@@ -120,11 +121,30 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
                 return found
             # the No speaks of x as a path through every level it rests on
             x.validate_to(max(ell + depth, M) + 1)
-            return Verdict.no(certificate=inv,
+            return Verdict.no(certificate=inv, question=q,
                               separated_from_level=M,
                               generator=x.describe(),
                               cylinder=c.describe())
-    return Verdict.unknown(depth=depth)
+    return Verdict.unknown(depth=depth, question=q)
+
+
+def _recheck_visit(d: DiagramHandle, v: Verdict, x: PathGenerator,
+                   c: FinitePath):
+    if v.is_yes:
+        full = list(c.edges) + list(v.witness["connecting_path"].edges)
+        FinitePath(0, c.start_vertex, tuple(full)).validate(d)
+        return "prefix + connecting path re-validated as one chain"
+    if v.is_no:
+        M = _separation(d, v.certificate, c.end_vertex, c.end_level, x)
+        ok = M is not None and M == v.detail["separated_from_level"]
+        return f"certificate re-verified: {ok}"
+
+
+def _separation(d: DiagramHandle, inv, j: int, ell: int,
+                x: PathGenerator) -> Optional[int]:
+    """The level from which inv, found again from the rows, separates x's
+    trace from j@ell; None when it is not found again or separates nothing."""
+    return inv.separation_level(j, ell, x.eventual()) if reverify(d, inv) else None
 
 
 def _cylinders_at(d: DiagramHandle, length: int, v: int):
@@ -197,6 +217,7 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
         window = d.indexing.default_interval(8)
     lo, hi = clamped_interval(d.indexing, window)
     ends = range(lo, hi + 1)
+    q = (_recheck_transitive, x)
     unknowns = 0
     checked = 0
     for length in range(cyl_depth + 1):
@@ -207,17 +228,26 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
             c = next(_cylinders_at(d, length, j))
             v = orbit_visits_cylinder(d, x, c, depth)
             if v.is_no:
-                return Verdict.no(certificate=v.certificate,
+                return Verdict.no(certificate=v.certificate, question=q,
                                   witness_cylinder=c.describe(),
                                   cylinders_checked=checked + 1)
             checked += n
             if v.is_unknown:
                 unknowns += n
     if unknowns:
-        return Verdict.unknown(depth=depth, windows=window,
+        return Verdict.unknown(depth=depth, windows=window, question=q,
                                unknown_cylinders=unknowns)
     return Verdict.yes(witness={"cylinders_checked": checked,
-                                "cyl_depth": cyl_depth, "window": list(window)})
+                                "cyl_depth": cyl_depth, "window": list(window)},
+                       question=q)
+
+
+def _recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator):
+    if v.is_yes:
+        return "one verdict asked per endpoint; cylinders counted exactly"
+    if v.is_no:
+        FinitePath.from_description(v.detail["witness_cylinder"]).validate(d)
+        return "witness cylinder rebuilt and re-validated edge-by-edge"
 
 
 # --- minimality -----------------------------------------------------------------
@@ -280,6 +310,7 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
     lo, hi = clamped_interval(d.indexing, window)
     if horizon is None:
         horizon = max(64, 2 * (window[1] - window[0]) + 2)
+    q = (_recheck_minimal, lo, hi)
     foc = d.get_flag(FullOutColumnFlag)
     if foc is not None:
         u = foc.vertex
@@ -293,7 +324,7 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
                     break
                 bounds[w] = b
             if ok:
-                return Verdict.yes(witness={
+                return Verdict.yes(question=q, witness={
                     "distinguished_vertex": u,
                     "forced_bounds": bounds,
                     "step_bound": max(bounds.values(), default=0),
@@ -309,11 +340,25 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
                 v = orbit_visits_cylinder(d, g, cylinder_at(d, j0))
             except GbdError:  # past a spec's declared levels, or off its edges
                 continue
-            if v.is_no:
-                return Verdict.no(certificate=v.certificate,
+            if v.is_no:  # the question gains the generator asked about
+                return Verdict.no(certificate=v.certificate, question=q + (g,),
                                   witness={"generator": g.describe(),
                                            "missed_cylinder_vertex": j0})
-    return Verdict.unknown(depth=horizon, windows=window)
+    return Verdict.unknown(depth=horizon, windows=window, question=q)
+
+
+def _recheck_minimal(d: DiagramHandle, v: Verdict, lo: int, hi: int,
+                     g: Optional[PathGenerator] = None):
+    if v.is_yes:
+        # a bound b is the least one exactly when a walk of b steps finds it
+        u = v.witness["distinguished_vertex"]
+        ok = all(_forced_hit_bound(d, w, u, 0, b) == b
+                 for w, b in v.witness["forced_bounds"].items())
+        return f"forced bounds re-walked: {ok}"
+    if v.is_no:
+        j0 = v.detail["witness"]["missed_cylinder_vertex"]
+        ok = _separation(d, v.certificate, j0, 0, g) is not None
+        return f"certificate re-verified: {ok}"
 
 
 # --- trace structure ---------------------------------------------------------

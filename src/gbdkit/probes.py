@@ -10,6 +10,7 @@ structural flag; everything else is Unknown at the searched depth.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagram import (
@@ -27,7 +28,7 @@ from .verdicts import (
     TRIANGULAR,
     Verdict,
     find_invariants,
-    residue_coloring,
+    reverify,
 )
 from .windows import LevelWindow, clamped_interval
 
@@ -39,14 +40,24 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
         raise ValueError("depth must be >= 1")
     d.indexing.check(i)
     d.indexing.check(j)
+    q = (_recheck_irreducible, i, j, n0)
     hit = first_reach(d, i, n0, range(n0 + 1, n0 + depth + 1), lambda m: j)
     if hit is not None:
         m, witness = hit
-        return Verdict.yes(witness=witness, level=m)
+        return Verdict.yes(witness=witness, question=q, level=m)
     for inv in find_invariants(d, d.default_window()):
         if inv.excludes_pair(i, j):
-            return Verdict.no(certificate=inv, source=i, target=j)
-    return Verdict.unknown(depth=depth)
+            return Verdict.no(certificate=inv, question=q, source=i, target=j)
+    return Verdict.unknown(depth=depth, question=q)
+
+
+def _recheck_irreducible(d: DiagramHandle, v: Verdict, i, j, n0):
+    if v.is_yes:
+        v.witness.validate(d)
+        return "witness path re-validated edge-by-edge"
+    if v.is_no:
+        ok = reverify(d, v.certificate) and v.certificate.excludes_pair(i, j)
+        return f"certificate re-verified: {ok}"
 
 
 def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None) -> list:
@@ -103,20 +114,31 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
                     if (n - 1, w) in node_set:
                         union((n, v), (n - 1, w))
     roots = {find(x) for x in nodes}
+    q = (_recheck_connected, nodes)
     if len(roots) == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
-                                    "levels": min(levels, window.max_level)})
+                                    "levels": min(levels, window.max_level)},
+                           question=q)
     for inv in find_invariants(d, window):
-        if inv.kind != CLOPEN or not inv.is_global:
-            continue
-        coloring = residue_coloring(inv, window)
-        classes = {coloring[(n, v)] for n, v in nodes}
-        if len(classes) > 1:
-            return Verdict.no(certificate=inv,
-                              classes={str(k): sum(1 for x in nodes
-                                                   if coloring[x] == k)
-                                       for k in classes})
-    return Verdict.unknown(windows=window, components=len(roots))
+        if inv.kind == CLOPEN and inv.is_global \
+                and len(classes := _class_counts(inv, nodes)) > 1:
+            return Verdict.no(certificate=inv, question=q, classes=classes)
+    return Verdict.unknown(windows=window, question=q, components=len(roots))
+
+
+def _class_counts(inv, nodes: list) -> Counter:
+    """How many of the (level, vertex) nodes each class of a clopen
+    invariant's coloring holds, keyed by the class as a string."""
+    return Counter(str(inv.residue_class(v, n)) for n, v in nodes)
+
+
+def _recheck_connected(d: DiagramHandle, v: Verdict, nodes):
+    if v.is_no:
+        classes = _class_counts(v.certificate, nodes)
+        ok = reverify(d, v.certificate) and len(classes) > 1 \
+            and classes == v.detail["classes"]
+        return f"certificate re-verified: {ok}"
+    return "union-find over windowed edges"
 
 
 def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):

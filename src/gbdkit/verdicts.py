@@ -158,6 +158,9 @@ class Verdict:
     depth: Optional[int] = None
     windows: object = None
     detail: dict = field(default_factory=dict)
+    # (check, *asked): what the probe was asked, led by the check beside it
+    # that `recheck` calls; describe() leaves it out
+    question: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_yes(self) -> bool:
@@ -172,16 +175,18 @@ class Verdict:
         return self.value == "unknown"
 
     @classmethod
-    def yes(cls, witness=None, **detail):
-        return cls("yes", witness=witness, detail=detail)
+    def yes(cls, witness=None, question=(), **detail):
+        return cls("yes", witness=witness, detail=detail, question=question)
 
     @classmethod
-    def no(cls, certificate=None, **detail):
-        return cls("no", certificate=certificate, detail=detail)
+    def no(cls, certificate=None, question=(), **detail):
+        return cls("no", certificate=certificate, detail=detail,
+                   question=question)
 
     @classmethod
-    def unknown(cls, depth=None, windows=None, **detail):
-        return cls("unknown", depth=depth, windows=windows, detail=detail)
+    def unknown(cls, depth=None, windows=None, question=(), **detail):
+        return cls("unknown", depth=depth, windows=windows, detail=detail,
+                   question=question)
 
     def describe(self) -> dict:
         out = {"verdict": self.value}
@@ -324,7 +329,13 @@ def reverify(d: DiagramHandle, inv: NonReachInvariant) -> bool:
     return inv in _search(d, window)
 
 
-def residue_coloring(inv: NonReachInvariant, window: LevelWindow) -> dict:
-    """Materialize a residue invariant as a class table on a window."""
-    return {(n, v): inv.residue_class(v, n)
-            for n in window.levels for v in window.vertices(n)}
+def recheck(d: DiagramHandle, v: Verdict) -> str:
+    """The line that re-derives v's evidence from d's rows.
+
+    The check is the one the probe recorded in `v.question`, beside the
+    probe; it reads the evidence from v's own witness, certificate and
+    detail, so a doctored No reads False and a Yes witness that is no
+    path raises InvalidEdgeError.  A check that says nothing of an
+    Unknown leaves the depth line."""
+    check, *asked = v.question
+    return check(d, v, *asked) or "unknown depth exhausted"

@@ -51,10 +51,6 @@ class LevelWindow:
         lo, hi = self._intervals[n]
         return lo <= v <= hi
 
-    def vertices(self, n: int):
-        lo, hi = self._intervals[n]
-        return range(lo, hi + 1)
-
     def describe(self):
         return {n: list(self._intervals[n]) for n in self.levels}
 
