@@ -100,6 +100,7 @@ from .probes import (
     invariant_certificate,
     irreducible_probe,
     period_of_index,
+    recheck_period,
     slanting_membership,
 )
 from .reenumerate import (
@@ -119,7 +120,7 @@ from .specfmt import (
     to_text,
     witness_text,
 )
-from .verdicts import NonReachInvariant, Verdict, find_invariants
+from .verdicts import NonReachInvariant, Verdict, find_invariants, recheck
 from .windows import LevelWindow
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from .probes import (
     connected_probe,
     irreducible_probe,
     period_of_index,
+    recheck_period,
 )
 from .reenumerate import (
     cone_flatten,
@@ -186,8 +187,7 @@ def cmd_probe_connected(args, d):
 def cmd_probe_period(args, d):
     g, lengths = period_of_index(d, args.index, args.depth)
     payload = {"period": g, "return_lengths": lengths,
-               "recheck": "every return length divisible by the gcd: "
-                          + str(all(l % g == 0 for l in lengths) if g else "n/a")}
+               "recheck": recheck_period(d, args.index, args.depth, g, lengths)}
     return payload, EXIT_YES if g is not None else EXIT_UNKNOWN
 
 

@@ -131,8 +131,11 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
 def _recheck_visit(d: DiagramHandle, v: Verdict, x: PathGenerator,
                    c: FinitePath):
     if v.is_yes:
+        m = v.witness["level"]
         full = list(c.edges) + list(v.witness["connecting_path"].edges)
-        FinitePath(0, c.start_vertex, tuple(full)).validate(d)
+        chain = FinitePath(0, c.start_vertex, tuple(full))
+        chain.check_ends((c.start_vertex, 0), (x.vertex_at(m), m))
+        chain.validate(d)
         return "prefix + connecting path re-validated as one chain"
     if v.is_no:
         M = _separation(d, v.certificate, c.end_vertex, c.end_level, x)
@@ -246,8 +249,11 @@ def _recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator):
     if v.is_yes:
         return "one verdict asked per endpoint; cylinders counted exactly"
     if v.is_no:
-        FinitePath.from_description(v.detail["witness_cylinder"]).validate(d)
-        return "witness cylinder rebuilt and re-validated edge-by-edge"
+        c = FinitePath.from_description(v.detail["witness_cylinder"])
+        c.validate(d)
+        ok = _separation(d, v.certificate, c.end_vertex, c.end_level, x) is not None
+        return "witness cylinder rebuilt and re-validated edge-by-edge; " \
+            f"certificate re-verified: {ok}"
 
 
 # --- minimality -----------------------------------------------------------------
@@ -351,9 +357,9 @@ def _recheck_minimal(d: DiagramHandle, v: Verdict, lo: int, hi: int,
                      g: Optional[PathGenerator] = None):
     if v.is_yes:
         # a bound b is the least one exactly when a walk of b steps finds it
-        u = v.witness["distinguished_vertex"]
-        ok = all(_forced_hit_bound(d, w, u, 0, b) == b
-                 for w, b in v.witness["forced_bounds"].items())
+        u, bounds = v.witness["distinguished_vertex"], v.witness["forced_bounds"]
+        ok = sorted(bounds) == list(range(lo, hi + 1)) and \
+            all(_forced_hit_bound(d, w, u, 0, b) == b for w, b in bounds.items())
         return f"forced bounds re-walked: {ok}"
     if v.is_no:
         j0 = v.detail["witness"]["missed_cylinder_vertex"]

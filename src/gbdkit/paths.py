@@ -66,6 +66,15 @@ class FinitePath:
     def vertex_trace(self) -> list:
         return [self.start_vertex] + [e.target for e in self.edges]
 
+    def check_ends(self, start: tuple, end: tuple):
+        """InvalidEdgeError unless the path runs from start to end, each a
+        (vertex, level) pair."""
+        ends = ((self.start_vertex, self.start_level),
+                (self.end_vertex, self.end_level))
+        if ends != (start, end):
+            raise InvalidEdgeError(f"path runs from {ends[0]} to {ends[1]}, "
+                                   f"not from {start} to {end}")
+
     def validate(self, d: DiagramHandle):
         """Re-check every edge against the diagram's rows."""
         d.indexing.check(self.start_vertex)

@@ -10,7 +10,7 @@ structural flag; everything else is Unknown at the searched depth.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .diagram import (
@@ -22,7 +22,13 @@ from .diagram import (
     FullOutColumnFlag,
 )
 from .errors import GbdError, NoBoundedSizeFlagError, NotStationaryError
-from .paths import FinitePath, first_reach, forward_layers, reach_frontiers
+from .paths import (
+    FinitePath,
+    backward_reach_set,
+    first_reach,
+    forward_layers,
+    reach_frontiers,
+)
 from .verdicts import (
     CLOPEN,
     TRIANGULAR,
@@ -53,6 +59,7 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
 
 def _recheck_irreducible(d: DiagramHandle, v: Verdict, i, j, n0):
     if v.is_yes:
+        v.witness.check_ends((i, n0), (j, v.detail["level"]))
         v.witness.validate(d)
         return "witness path re-validated edge-by-edge"
     if v.is_no:
@@ -68,16 +75,23 @@ def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None) -
             if inv.kind != TRIANGULAR or inv.never_ascends or inv.never_descends]
 
 
-def _window_nodes(d: DiagramHandle, window: LevelWindow, levels: int) -> list:
-    """The (level, vertex) pairs of the window on levels <= levels, each
-    level's interval clamped to the vertex range; EmptyWindowError when
-    one holds no vertex."""
+def _window_graph(d: DiagramHandle, window: LevelWindow, levels: int) -> tuple:
+    """(nodes, edges): the (level, vertex) pairs of the window on levels
+    <= levels, each level's interval clamped to the vertex range
+    (EmptyWindowError when one holds no vertex), and the edges (n, v) --
+    (n - 1, w) between them that the declared rows hold.  A vertex
+    without a declared row has no edge up, so it blocks a Yes."""
     nodes = []
     for n in window.levels:
         if n <= levels:
             lo, hi = clamped_interval(d.indexing, window.interval(n))
             nodes.extend((n, v) for v in range(lo, hi + 1))
-    return nodes
+    node_set = set(nodes)
+    edges = [((n, v), (n - 1, w))
+             for n in window.levels if 0 < n <= levels and d.level_known(n - 1)
+             for v, row in d.window_rows(n - 1, *window.interval(n)).items()
+             for w, _ in row if (n - 1, w) in node_set]
+    return nodes, edges
 
 
 def connected_probe(d: DiagramHandle, levels: int = 4,
@@ -91,7 +105,7 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
     """
     if window is None:
         window = d.default_window(levels)
-    nodes = _window_nodes(d, window, levels)
+    nodes, edges = _window_graph(d, window, levels)
     parent = {x: x for x in nodes}
 
     def find(x):
@@ -105,16 +119,10 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
         if ra != rb:
             parent[ra] = rb
 
-    # a vertex without a declared row stays isolated, so it blocks a Yes
-    node_set = set(nodes)
-    for n in window.levels:
-        if 0 < n <= levels and d.level_known(n - 1):
-            for v, row in d.window_rows(n - 1, *window.interval(n)).items():
-                for w, _ in row:
-                    if (n - 1, w) in node_set:
-                        union((n, v), (n - 1, w))
+    for a, b in edges:
+        union(a, b)
     roots = {find(x) for x in nodes}
-    q = (_recheck_connected, nodes)
+    q = (_recheck_connected, window, levels)
     if len(roots) == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
                                     "levels": min(levels, window.max_level)},
@@ -132,13 +140,29 @@ def _class_counts(inv, nodes: list) -> Counter:
     return Counter(str(inv.residue_class(v, n)) for n, v in nodes)
 
 
-def _recheck_connected(d: DiagramHandle, v: Verdict, nodes):
+def _recheck_connected(d: DiagramHandle, v: Verdict, window: LevelWindow,
+                       levels: int):
+    if v.is_unknown:
+        return "union-find over windowed edges"
+    nodes, edges = _window_graph(d, window, levels)
     if v.is_no:
         classes = _class_counts(v.certificate, nodes)
         ok = reverify(d, v.certificate) and len(classes) > 1 \
             and classes == v.detail["classes"]
         return f"certificate re-verified: {ok}"
-    return "union-find over windowed edges"
+    adjacent = {x: [] for x in nodes}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    reached = set(nodes[:1])
+    queue = deque(reached)
+    while queue:
+        for y in adjacent[queue.popleft()]:
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    ok = 0 < len(reached) == len(nodes) == v.witness["vertices"]
+    return f"window re-walked breadth first from one vertex: {ok}"
 
 
 def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
@@ -153,6 +177,16 @@ def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
     if not lengths:
         return None, []
     return math.gcd(*lengths), lengths
+
+
+def recheck_period(d: DiagramHandle, i: int, horizon: int, g, lengths) -> str:
+    """Whether `period_of_index(d, i, horizon)` answered (g, lengths): the
+    return lengths are swept afresh, one backward sweep per length m, not
+    from a kept frontier, and compared with lengths and their gcd with g."""
+    swept = [m for m in range(1, horizon + 1)
+             if i in backward_reach_set(d, i, m, 0)]
+    ok = swept == lengths and g == (math.gcd(*swept) if swept else None)
+    return f"return lengths re-swept level by level: {ok}"
 
 
 def bounded_size_params(d: DiagramHandle, n: int,

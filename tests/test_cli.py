@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import pathlib
@@ -15,6 +16,7 @@ from gbdkit import (
     minimality_certificate,
     orbit_visits_cylinder,
     toeplitz_reenumeration,
+    transitivity_probe,
     vertical_from,
 )
 from gbdkit.cli import main
@@ -102,7 +104,7 @@ def test_probe_connected_exit_codes(specs, capsys):
 
 @pytest.mark.parametrize("command,yes_recheck", [
     ("orbit minimal", "'forced bounds re-walked: True'"),
-    ("probe connected", "union-find over windowed edges"),
+    ("probe connected", "'window re-walked breadth first from one vertex: True'"),
 ])
 def test_minimal_and_connected_recheck_lines(command, yes_recheck, specs, capsys):
     code, out = run_cli(command.split() + ["--spec", specs["rs"]], capsys)
@@ -142,6 +144,52 @@ def test_probe_period(specs, capsys):
                          "--index", "0"], capsys)
     assert code == 0
     assert "period: 2" in out
+
+
+def test_probe_period_doctored_result_reads_false(specs, capsys, monkeypatch):
+    # 4 divides both lengths, yet parity_1 returns to 0 at every even length
+    monkeypatch.setattr(cli, "period_of_index", lambda *args: (4, [4, 8]))
+    code, out = run_cli(["probe", "period", "--spec", specs["p1"],
+                         "--index", "0"], capsys)
+    assert code == 0
+    assert "recheck: 'return lengths re-swept level by level: False'" in out
+
+
+def test_probe_connected_doctored_yes_reads_false(specs, capsys, monkeypatch):
+    def probe(*args, **kwargs):
+        v = connected_probe(*args, **kwargs)
+        return dataclasses.replace(v, witness={**v.witness,
+                                               "vertices": v.witness["vertices"] + 1})
+    monkeypatch.setattr(cli, "connected_probe", probe)
+    code, out = run_cli(["probe", "connected", "--spec", specs["rs"]], capsys)
+    assert code == 0
+    assert "recheck: 'window re-walked breadth first from one vertex: False'" in out
+
+
+def test_yes_witness_for_another_question_exits_2(specs, capsys, monkeypatch, tmp_path):
+    # a real path, but for 3 -> 8
+    def probe(d, i, j, *args):
+        return dataclasses.replace(irreducible_probe(d, i, j, *args),
+                                   witness=irreducible_probe(d, i, 8).witness)
+    monkeypatch.setattr(cli, "irreducible_probe", probe)
+    assert main(["probe", "irreducible", "--spec", specs["rs"],
+                 "--src=3", "--dst=7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: path runs from" in captured.err
+
+    # a connecting path that ends at 2, on the orbit of vertex 2, not of 5
+    def visit(d, x, c, *args):
+        other = orbit_visits_cylinder(d, vertical_from(d, 2), c, *args)
+        return dataclasses.replace(orbit_visits_cylinder(d, x, c, *args),
+                                   witness=other.witness)
+    monkeypatch.setattr(cli, "orbit_visits_cylinder", visit)
+    star = tmp_path / "star.yaml"
+    star.write_text("family: star_odometer\n")
+    assert main(["orbit", "visit", "--spec", str(star),
+                 "--generator", "{kind: vertical, vertex: 5}",
+                 "--cylinder", "{vertex: 1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: path runs from" in captured.err
 
 
 def test_probe_bounded_size(specs, capsys):
@@ -221,8 +269,25 @@ def test_orbit_transitive_recheck_lines(specs, capsys):
                          "--generator", "{kind: leftmost_slant, vertex: -1}",
                          "--cyl-depth", "3", "--window=-3:-3"], capsys)
     assert code == 1 and "cylinders_checked: 14" in out
-    assert "recheck: witness cylinder rebuilt and re-validated edge-by-edge" \
-        in out
+    assert yaml.safe_load(out)["result"]["recheck"] == \
+        "witness cylinder rebuilt and re-validated edge-by-edge; " \
+        "certificate re-verified: True"
+
+
+@pytest.mark.parametrize("changes", [
+    {"params": ("lower", -2)},            # a slack the rows do not admit
+    {"global_via": ("BandedFlag",)},      # a flag the handle does not carry
+])
+def test_orbit_transitive_tampered_certificate_reads_false(
+        changes, specs, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "transitivity_probe",
+                        _tampered(transitivity_probe, **changes))
+    code, out = run_cli(["orbit", "transitive", "--spec", specs["o2"],
+                         "--generator", "{kind: leftmost_slant, vertex: -1}",
+                         "--cyl-depth", "3", "--window=-3:-3"], capsys)
+    assert code == 1
+    assert yaml.safe_load(out)["result"]["recheck"].endswith(
+        "certificate re-verified: False")
 
 
 def test_iso_check_and_search(specs, capsys, tmp_path):
@@ -531,3 +596,14 @@ def test_each_command_takes_only_the_common_flags_it_reads(row, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"unrecognized arguments: --{flag} {text}" in captured.err
+
+
+def test_cli_imports_no_private_helper():
+    # every recheck lives in the library beside its probe, so the CLI
+    # needs no underscore-prefixed name from another gbdkit module
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name)
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               if node.level > 0 or (node.module or "").startswith("gbdkit")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
