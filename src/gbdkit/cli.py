@@ -6,13 +6,12 @@ parse errors, so scripts can branch on verdicts.
 Every command is one row of COMMANDS, which lists the flags the command
 reads besides the common --spec and --out; any other flag exits 2.  A
 command function takes the parsed arguments and the loaded diagram and
-returns a probe's Verdict, whose payload is its description and the
+returns a probe's Verdict, whose payload is its description plus the
 line of `verdicts.recheck`, or else (payload, outcome) or (payload,
 outcome, artifact); `_run` loads --spec, times the call, prints the
 probe report and maps the outcome (a Verdict, a bool or an exit code)
-to the exit code.  With
---out, the artifact (when there is one) or else the printed text goes
-to that file.
+to the exit code.  With --out, the artifact (when there is one) or else
+the printed text goes to that file.
 """
 
 from __future__ import annotations

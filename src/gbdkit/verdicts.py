@@ -334,8 +334,11 @@ def recheck(d: DiagramHandle, v: Verdict) -> str:
 
     The check is the one the probe recorded in `v.question`, beside the
     probe; it reads the evidence from v's own witness, certificate and
-    detail, so a doctored No reads False and a Yes witness that is no
-    path raises InvalidEdgeError.  A check that says nothing of an
-    Unknown leaves the depth line."""
+    detail, so a doctored No reads False, and a Yes witness that is no
+    path, or a path that answers another question, raises
+    InvalidEdgeError.  A check that says nothing of an Unknown leaves
+    the depth line.  ValueError when no probe recorded a question."""
+    if not v.question:
+        raise ValueError("the verdict records no question to recheck")
     check, *asked = v.question
     return check(d, v, *asked) or "unknown depth exhausted"

@@ -269,9 +269,8 @@ def test_orbit_transitive_recheck_lines(specs, capsys):
                          "--generator", "{kind: leftmost_slant, vertex: -1}",
                          "--cyl-depth", "3", "--window=-3:-3"], capsys)
     assert code == 1 and "cylinders_checked: 14" in out
-    assert yaml.safe_load(out)["result"]["recheck"] == \
-        "witness cylinder rebuilt and re-validated edge-by-edge; " \
-        "certificate re-verified: True"
+    assert "recheck: 'witness cylinder re-validated; certificate " \
+        "re-verified: True'" in out
 
 
 @pytest.mark.parametrize("changes", [

@@ -15,6 +15,7 @@ from gbdkit import (
     GbdError,
     InvalidEdgeError,
     LevelWindow,
+    compact_cylinder_check,
     connected_probe,
     cylinder_at,
     irreducible_probe,
@@ -151,8 +152,7 @@ def test_orbit_transitive(d):
     o2 = d["odometer_two_sided"]
     # the slant falls one vertex a level: it misses the cylinder ending at -3@3
     no = transitivity_probe(o2, leftmost_slant_from(o2, -1), 3, (-3, -3))
-    line = "witness cylinder rebuilt and re-validated edge-by-edge; " \
-           "certificate re-verified: {}"
+    line = "witness cylinder re-validated; certificate re-verified: {}"
     assert recheck(o2, no) == line.format(True)
     for changes in ({"params": ("lower", -2)}, {"global_via": ("BandedFlag",)}):
         assert recheck(o2, _certificate(no, **changes)) == line.format(False)
@@ -184,3 +184,9 @@ def test_probe_period(d):
     # each of these lists is divisible by its own gcd, yet the period is 2
     for doctored in ((4, [4, 8]), (2, [2, 4]), (None, [])):
         assert recheck_period(p1, 0, 8, *doctored) == line.format(False)
+
+
+def test_a_verdict_without_a_question_is_not_rechecked(d):
+    td = d["tridiag_B"]
+    with pytest.raises(ValueError, match="records no question"):
+        recheck(td, compact_cylinder_check(td, cylinder_at(td, 0)))
