@@ -80,7 +80,8 @@ def _window_graph(d: DiagramHandle, window: LevelWindow, levels: int) -> tuple:
     <= levels, each level's interval clamped to the vertex range
     (EmptyWindowError when one holds no vertex), and the edges (n, v) --
     (n - 1, w) between them that the declared rows hold.  A vertex
-    without a declared row has no edge up, so it blocks a Yes."""
+    without a declared row has no edge to the level below, so it can
+    block a Yes."""
     nodes = []
     for n in window.levels:
         if n <= levels:
