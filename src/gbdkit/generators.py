@@ -13,6 +13,7 @@ the stepping rule commutes with translation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,6 +109,7 @@ class PathGenerator(TraceGenerator):
         # table's last level
         self._phase = len(table) - 1
         self._trace: list = table
+        self._extending = threading.Lock()  # one thread extends _trace at a time
 
     def _vertex(self, v) -> int:
         v = int(v)
@@ -171,10 +173,16 @@ class PathGenerator(TraceGenerator):
         """s(x_m): the vertex the path passes through on level m."""
         if m < 0:
             raise ValueError("negative level")
-        while len(self._trace) <= m:
-            lvl = len(self._trace) - 1
-            self._trace.append(self._next_vertex(lvl, self._trace[-1]))
-        return self._trace[m]
+        trace = self._trace
+        if m >= len(trace):
+            # acquire and release: `with` costs about three times as much
+            self._extending.acquire()
+            try:
+                while len(trace) <= m:
+                    trace.append(self._next_vertex(len(trace) - 1, trace[-1]))
+            finally:
+                self._extending.release()
+        return trace[m]
 
     # -- eventual behavior -----------------------------------------------
 

@@ -17,10 +17,21 @@ backward reach set of a vertex is too, and one frontier per distinct
 target is kept for the whole query and extended a step at a time as m
 grows; on any other handle the rows may change with the level, so every
 m restarts the sweep.
+
+`count_paths` answers from the band's polynomial power instead of
+sweeping when the handle is stationary and every row the sweep from v@m
+to level n could read is a translate of v's row, as on the catalog's
+bands, their level shifts and `odometer_one_sided` away from its base
+(`_band_offsets` checks those rows): the count is then one coefficient
+of the (m - n)-th power of the row polynomial, sum of mult * x^offset,
+taken by Kronecker substitution (`_band_count`).  Any other handle, or
+a row read that raises, is left to the sweep, so the answer and the
+error raised are the sweep's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -165,12 +176,67 @@ def forward_layers(d: DiagramHandle, w: int, n: int, steps: int):
         yield layer
 
 
+def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
+    """v's row at level n as ascending (offset, mult) pairs, when the
+    handle is stationary, m > n, level m - 1 is known and every row the
+    sweep from v@m to level n could read is a translate of it; else None.
+
+    The sweep's layer j holds v plus sums of j offsets, so it reads rows
+    only at the vertices u = v (mod g) in [v + min(0, (k-1) o_min),
+    v + max(0, (k-1) o_max)], k = m - n and g the gcd of the offsets;
+    each is checked, and a read that raises (a vertex out of range, an
+    undeclared row) leaves the question to the sweep.
+    """
+    if not (d.stationary and m > n and d.level_known(m - 1)):
+        return None
+    try:
+        offs = tuple([(src - v, mult) for src, mult in d.row(n, v)])
+        lo, hi = offs[0][0] * (m - n - 1), offs[-1][0] * (m - n - 1)
+        step = math.gcd(*[o for o, _ in offs]) or 1
+        for u in range(v + min(0, lo), v + max(0, hi) + 1, step):
+            if d.row(n, u) != tuple([(u + o, mult) for o, mult in offs]):
+                return None
+    except GbdError:
+        return None
+    return offs
+
+
+def _band_count(offs, k: int, t: int) -> int:
+    """Coefficient t of P^k, P(x) = sum of mult * x^(o - o_min) over offs.
+
+    P is packed into one integer, one byte-aligned field per coefficient,
+    each wide enough for row_sum^ceil(k/2), which bounds every
+    coefficient of both half powers; the two are unpacked and convolved
+    at t alone."""
+    base, half = offs[0][0], k // 2
+    width = ((sum([mult for _, mult in offs]) ** (k - half)).bit_length() + 7) // 8
+    p = 0
+    for o, mult in offs:
+        p |= mult << 8 * width * (o - base)
+
+    def fields(x):  # the coefficients of a packed power, lowest first
+        buf = memoryview(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, len(buf), width)]
+
+    low = pow(p, half)
+    a = fields(low)
+    b = fields(low * p) if k % 2 else a
+    return sum([a[i] * b[t - i]
+                for i in range(max(0, t - len(b) + 1), min(t + 1, len(a)))])
+
+
 def count_paths(d: DiagramHandle, w: int, n: int, v: int, m: int) -> int:
     """Exact number of finite paths from w at level n to v at level m."""
-    for layer in _sweep(d, v, m, n, counting=True):
-        pass
+    offs = _band_offsets(d, n, v, m)
+    if offs is not None:
+        count = _band_count(offs, m - n, w - v - (m - n) * offs[0][0])
+    else:
+        for layer in _sweep(d, v, m, n, counting=True):
+            pass
+        count = layer.get(w, 0)
     d.indexing.check(w)
-    return layer.get(w, 0)
+    return count
 
 
 def backward_reach_set(d: DiagramHandle, v: int, m: int, n: int) -> set:

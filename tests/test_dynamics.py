@@ -55,6 +55,29 @@ def test_generator_traces():
     assert vertical_from(bi, 5).vertex_at(100) == 5
 
 
+def test_concurrent_vertex_at_extends_the_trace_once_per_level(monkeypatch):
+    import threading
+    import time
+
+    o2 = make_diagram("odometer_two_sided")
+    expected = [alternating_from(o2, 0).vertex_at(m) for m in range(40)]
+    x = alternating_from(o2, 0)
+    step = x._next_vertex
+
+    def slow_step(m, v):  # widens the window between reading and extending
+        time.sleep(0.001)
+        return step(m, v)
+
+    monkeypatch.setattr(x, "_next_vertex", slow_step)
+    threads = [threading.Thread(target=x.vertex_at, args=(39,)) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert [x.vertex_at(m) for m in range(40)] == expected
+
+
 def test_generator_validates_lazily():
     p1 = make_diagram("parity_1")  # no vertical edges at all
     x = vertical_from(p1, 0)
