@@ -1,14 +1,18 @@
-"""Acceptance gate: every criterion must pass, one line printed per item.
+"""Acceptance gate: every criterion must pass, one line printed per item,
+and each line must equal its golden copy under tests/golden/acceptance/.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 use the CLI: `gbdkit report --suite acceptance`.
 """
 
+import pathlib
 import time
 
 import pytest
 
 from gbdkit.acceptance import CRITERIA, run_criterion
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "acceptance"
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CRITERIA])
@@ -16,6 +20,7 @@ def test_criterion(name):
     result = run_criterion(name)
     print(result.line)
     assert result.passed, result.line
+    assert result.line + "\n" == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_runtime_budget():

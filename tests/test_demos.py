@@ -1,3 +1,9 @@
+"""Each demo runs and prints exactly its golden output under tests/golden/demos/.
+
+The demos print no timings, so their stdout is deterministic.  A change
+that alters a demo's output on purpose updates the golden file with it.
+"""
+
 import os
 import pathlib
 import subprocess
@@ -7,6 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_all_demos_found():
@@ -21,3 +28,4 @@ def test_demo_runs(demo):
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
