@@ -27,7 +27,6 @@ from .diagram import (
     ExplicitLevelsFlag,
     FullOutColumnFlag,
     InfiniteOutDegreesFlag,
-    LevelRule,
     TriangularFlag,
 )
 from .dot import render_dot

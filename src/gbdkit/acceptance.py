@@ -357,7 +357,7 @@ def criterion_10_cross_cutting():
         if name == "banded":
             continue
         d = make_diagram(name)
-        if d.t_rule() is None:
+        if d.width is None:
             continue
         lo, hi = d.indexing.default_interval(6)
         for v in range(lo, hi + 1):

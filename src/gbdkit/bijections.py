@@ -21,7 +21,6 @@ from .diagram import (
     ExplicitLevelsFlag,
     FullOutColumnFlag,
     InfiniteOutDegreesFlag,
-    LevelRule,
     TriangularFlag,
 )
 from .errors import (
@@ -232,15 +231,24 @@ def level_shift(step: int) -> VertexBijectionSeq:
                               params={"step": step})
 
 
-def cone_shift(t_rule) -> VertexBijectionSeq:
-    """g_n(v) = v - sum of t over levels below n; straightens width-t slants."""
-    rule = t_rule if isinstance(t_rule, LevelRule) else LevelRule.const(int(t_rule))
-    const = rule.kind == "const"
+def cone_shift(t, tail=0) -> VertexBijectionSeq:
+    """g_n(v) = v - sum of the widths of the levels below n; straightens
+    width-t slants.  t is one width for every level, or a table of the
+    widths of levels 0, 1, ..., with width `tail` on every later level."""
+    if not isinstance(t, (list, tuple)):
+        t = int(t)
+        return VertexBijectionSeq("cone_shift", ix.two_sided(), ix.two_sided(),
+                                  lambda n: AffineMap(-t * n),
+                                  level_const=(t == 0), step=-t, params={"t": t})
+    table, tail = [int(x) for x in t], int(tail)
+
+    def offset(n):
+        k = min(n, len(table))
+        return -sum(table[:k]) - tail * (n - k)
+
     return VertexBijectionSeq("cone_shift", ix.two_sided(), ix.two_sided(),
-                              lambda n: AffineMap(-rule.partial_sum(0, n)),
-                              level_const=const and rule.value == 0,
-                              step=-rule.value if const else None,
-                              params={"t": rule.value if const else list(rule.table)})
+                              lambda n: AffineMap(offset(n)),
+                              params={"t": table, "tail": tail})
 
 
 def affine_levels(offsets: Callable[[int], int], source: VertexIndexing,
@@ -280,11 +288,7 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
     if kind == "level_shift":
         return level_shift(int(params.get("step", 1)))
     if kind == "cone_shift":
-        t = params.get("t", 0)
-        rule = LevelRule("table", int(params.get("tail", 0)),
-                         tuple(int(x) for x in t)) if isinstance(t, (list, tuple)) \
-            else LevelRule.const(int(t))
-        return cone_shift(rule)
+        return cone_shift(params.get("t", 0), params.get("tail", 0))
     if kind == "table_fill":
         src = ix._parse_indexing(params.get("source", {"mode": "two_sided"}))
         tgt = ix._parse_indexing(params.get("target", {"mode": "one_sided", "base": 0}))
@@ -318,10 +322,9 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
         if banded is not None:
             flags.append(BandedFlag(tuple(sorted(
                 (o - delta, m) for o, m in banded.offsets))))
-        if bsize is not None and bsize.t_rule.kind == "const":
-            t = bsize.t_rule.value
-            flags.append(BoundedSizeFlag(LevelRule.const(t + abs(delta)),
-                                         bsize.l_rule))
+        if bsize is not None:
+            t = bsize.t
+            flags.append(BoundedSizeFlag(t + abs(delta), bsize.L))
             if -t - delta >= 0:
                 flags.append(TriangularFlag("upper", -t - delta))
             if t - delta <= 0:
@@ -329,9 +332,8 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
         for tf in d.get_flags(TriangularFlag):
             flags.append(TriangularFlag(tf.direction, tf.slack - delta))
     elif g.kind == "interleave":
-        if bsize is not None and bsize.t_rule.kind == "const":
-            flags.append(BoundedSizeFlag(LevelRule.const(2 * bsize.t_rule.value),
-                                         bsize.l_rule))
+        if bsize is not None:
+            flags.append(BoundedSizeFlag(2 * bsize.t, bsize.L))
     if g.level_const:
         for f in d.get_flags(FullOutColumnFlag):
             flags.append(FullOutColumnFlag(g.forward(0, f.vertex)))
@@ -388,4 +390,5 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
         flags=_relabeled_flags(d, g),
         col_rule=cols,
         name=f"relabel({d.name},{g.kind})",
-        params={"base": d.name, "bijection": g.kind, **g.params})
+        params={"base": d.name, "base_params": d.params, "bijection": g.kind,
+                **g.params})

@@ -20,7 +20,6 @@ from .diagram import (
     DiagramHandle,
     FullOutColumnFlag,
     InfiniteOutDegreesFlag,
-    LevelRule,
     TriangularFlag,
 )
 from .errors import InvariantError, SchemaError
@@ -70,8 +69,8 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
         return [(v + o, m) for o, m in items if idx.contains(v + o)]
 
     flags = [BandedFlag(items),
-             BoundedSizeFlag(LevelRule.const(max(abs(o) for o, _ in items)),
-                             LevelRule.const(sum(m for _, m in items)))]
+             BoundedSizeFlag(max(abs(o) for o, _ in items),
+                             sum(m for _, m in items))]
     if all(o <= 0 for o, _ in items):
         flags.append(TriangularFlag("lower", 0))
     if all(o >= 0 for o, _ in items):
@@ -112,7 +111,7 @@ def build_interleaved_Bprime(**_):
             return list(special_rows[v])
         return [(v - 2, 1), (v, 2), (v + 2, 1)]
 
-    flags = (BoundedSizeFlag(LevelRule.const(2), LevelRule.const(4)),)
+    flags = (BoundedSizeFlag(2, 4),)
     return DiagramHandle(idx, rows, stationary=True, flags=flags,
                          name="interleaved_Bprime", params={})
 
@@ -190,11 +189,10 @@ def _odometer_handle(side: str, params: dict, name: str):
     a_param = params.get("a", 2)
     flags = [TriangularFlag("upper", 0)]
     if isinstance(a_param, int):
-        flags.append(BoundedSizeFlag(LevelRule.const(1),
-                                     LevelRule.const(a_param + 1)))
+        flags.append(BoundedSizeFlag(1, a_param + 1))
         flags.append(BandedFlag(((0, a_param), (1, 1))))
     else:
-        flags.append(BoundedSizeFlag(LevelRule.const(1), None))
+        flags.append(BoundedSizeFlag(1))
     return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
                          name=name, params=dict(params))
 

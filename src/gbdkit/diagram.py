@@ -36,34 +36,6 @@ DEFAULT_RADIUS = 16
 DEFAULT_HORIZON = 512
 
 
-@dataclass(frozen=True)
-class LevelRule:
-    """Integer-valued function of the level: constant, or table with constant tail."""
-
-    kind: str = "const"
-    value: int = 0
-    table: tuple = ()
-
-    def __call__(self, n: int) -> int:
-        if self.kind == "const":
-            return self.value
-        if n < len(self.table):
-            return self.table[n]
-        return self.value
-
-    @classmethod
-    def const(cls, value: int) -> "LevelRule":
-        return cls("const", value)
-
-    def partial_sum(self, lo: int, hi: int) -> int:
-        """Sum of rule values over levels lo..hi-1."""
-        if hi <= lo:
-            return 0
-        if self.kind == "const":
-            return self.value * (hi - lo)
-        return sum(self(k) for k in range(lo, hi))
-
-
 # --- structural flags -------------------------------------------------------
 #
 # Each flag's verify(d, n, rows, cols) spot-checks it at level n and raises
@@ -151,18 +123,18 @@ class InfiniteOutDegreesFlag:
 
 @dataclass(frozen=True)
 class BoundedSizeFlag:
-    """Row support within distance t_rule(n) of the target; row sums
-    bounded by l_rule(n) when a sum bound is known."""
+    """Row support within distance t of the target, at every level; row
+    sums bounded by L when a sum bound is known."""
 
-    t_rule: LevelRule
-    l_rule: Optional[LevelRule] = None
+    t: int
+    L: Optional[int] = None
 
     def verify(self, d, n, rows, cols):
-        t = self.t_rule(n)
+        t = self.t
         for v, row in rows.items():
             if any(abs(w - v) > t for w, _ in row):
                 raise InvariantError(f"BoundedSize t={t} fails at level {n}, vertex {v}")
-            if self.l_rule is not None and sum(m for _, m in row) > self.l_rule(n):
+            if self.L is not None and sum(m for _, m in row) > self.L:
                 raise InvariantError(
                     f"BoundedSize row-sum bound fails at level {n}, vertex {v}")
 
@@ -244,7 +216,12 @@ class DiagramHandle:
         self.stationary = stationary
         self.flags = tuple(flags)
         self._explicit = self.get_flag(ExplicitLevelsFlag)
-        self._width = self.t_rule()
+        # the row-width bound of every level: a BoundedSize flag's t, else
+        # a Banded flag's width, else None
+        bs = self.get_flag(BoundedSizeFlag)
+        banded = self.get_flag(BandedFlag)
+        self.width = (bs.t if bs is not None
+                      else banded.width if banded is not None else None)
         self.name = name
         self.params = dict(params or {})
         self._row_rule = row_rule
@@ -352,20 +329,20 @@ class DiagramHandle:
 
     def column_support(self, n: int, w: int) -> Optional[ColumnSupport]:
         """Exact column knowledge, else None: the column rule's answer when
-        it gives one, else, under a row-width bound t, the targets within
-        t(n) of w whose rows hold w.  The width flag puts every target of w
-        there, so the derived column is exact; a row read that fails raises.
-        Cached under the key of `row`."""
+        it gives one, else, under a row-width bound t (`width`), the
+        targets within t of w whose rows hold w.  The width flag puts every
+        target of w there, so the derived column is exact; a row read that
+        fails raises.  Cached under the key of `row`."""
         self.indexing.check(w)
-        t_rule = self._width
-        if self._col_rule is None and t_rule is None:
+        t = self.width
+        if self._col_rule is None and t is None:
             return None
         n = self._stored_level(n)
         key = (n, w)
         if key not in self._col_cache:
             sup = None if self._col_rule is None else self._col_rule(n, w)
-            if sup is None and t_rule is not None:
-                lo, hi = self.indexing.clamp(w - t_rule(n), w + t_rule(n))
+            if sup is None and t is not None:
+                lo, hi = self.indexing.clamp(w - t, w + t)
                 sup = ColumnSupport.finite(
                     (v, m) for v in range(lo, hi + 1)
                     for src, m in self.row(n, v) if src == w)
@@ -383,41 +360,36 @@ class DiagramHandle:
     def get_flags(self, cls):
         return [f for f in self.flags if isinstance(f, cls)]
 
-    def t_rule(self) -> Optional[LevelRule]:
-        """Row-width bound per level, from a BoundedSize or Banded flag."""
-        bs = self.get_flag(BoundedSizeFlag)
-        if bs is not None:
-            return bs.t_rule
-        banded = self.get_flag(BandedFlag)
-        if banded is not None:
-            return LevelRule.const(banded.width)
-        return None
-
     def _verify_flags(self):
         """Spot-verify every declared flag, then the column rule, on a
         default window; reject failures.
 
-        One snapshot of the window's rows per stored level
-        (`_stored_level`), read on first need, serves every check, so a
-        stationary handle reads one.  Flags remain assumptions beyond the
-        verified window; certificate consumers report them as such.  Window
-        vertices without declared rows (explicit specs) are skipped, and
-        so are the columns that would read one.
+        No flag's bound depends on the level, so each stored level
+        (`_stored_level`) is checked once, at the first level n that
+        serves it, which is also the level a failure names; a stationary
+        handle checks one.  One snapshot of that level's window rows,
+        read on first need, serves every check.  Flags remain assumptions
+        beyond the verified window; certificate consumers report them as
+        such.  Window vertices without declared rows (explicit specs) are
+        skipped, and so are the columns that would read one.
         """
         lo, hi = self.indexing.default_interval(FLAG_VERIFY_RADIUS)
-        levels = [n for n in range(FLAG_VERIFY_LEVELS + 1) if self.level_known(n)]
+        firsts = {}
+        for n in range(FLAG_VERIFY_LEVELS + 1):
+            if self.level_known(n):
+                firsts.setdefault(self._stored_level(n), n)
+        levels = list(firsts.values())
         snapshots = {}
 
         def snapshot(n):
-            stored = self._stored_level(n)
-            if stored not in snapshots:
+            if n not in snapshots:
                 rows = self.window_rows(n, lo, hi)
                 cols = {}
                 for v, row in rows.items():
                     for w, m in row:
                         cols.setdefault(w, []).append((v, m))
-                snapshots[stored] = rows, cols
-            return snapshots[stored]
+                snapshots[n] = rows, cols
+            return snapshots[n]
 
         for flag in self.flags:
             for n in levels:

@@ -55,7 +55,7 @@ class NotStationaryError(GbdError):
 
 
 class NoBoundedSizeFlagError(GbdError):
-    """An operation needs a row-width bound (t-rule) the diagram does not carry."""
+    """An operation needs a row-width bound the diagram does not carry."""
 
 
 class UnknownKindError(GbdError):

@@ -95,6 +95,29 @@ def _window_graph(d: DiagramHandle, window: LevelWindow, levels: int) -> tuple:
     return nodes, edges
 
 
+def _component_count(nodes: list, edges: list) -> int:
+    """The number of components of the undirected graph, each walked
+    breadth first from its first node in `nodes`."""
+    adjacent = {x: [] for x in nodes}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    reached = set()
+    count = 0
+    for x in nodes:
+        if x in reached:
+            continue
+        count += 1
+        reached.add(x)
+        queue = deque([x])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+    return count
+
+
 def connected_probe(d: DiagramHandle, levels: int = 4,
                     window: LevelWindow | None = None) -> Verdict:
     """Connectedness of the windowed undirected graph.
@@ -107,24 +130,9 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
     if window is None:
         window = d.default_window(levels)
     nodes, edges = _window_graph(d, window, levels)
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in edges:
-        union(a, b)
-    roots = {find(x) for x in nodes}
+    components = _component_count(nodes, edges)
     q = (_recheck_connected, window, levels)
-    if len(roots) == 1:
+    if components == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
                                     "levels": min(levels, window.max_level)},
                            question=q)
@@ -132,7 +140,7 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
         if inv.kind == CLOPEN and inv.is_global \
                 and len(classes := _class_counts(inv, nodes)) > 1:
             return Verdict.no(certificate=inv, question=q, classes=classes)
-    return Verdict.unknown(windows=window, question=q, components=len(roots))
+    return Verdict.unknown(windows=window, question=q, components=components)
 
 
 def _class_counts(inv, nodes: list) -> Counter:
@@ -143,26 +151,17 @@ def _class_counts(inv, nodes: list) -> Counter:
 
 def _recheck_connected(d: DiagramHandle, v: Verdict, window: LevelWindow,
                        levels: int):
-    if v.is_unknown:
-        return "union-find over windowed edges"
     nodes, edges = _window_graph(d, window, levels)
+    if v.is_unknown:
+        ok = _component_count(nodes, edges) == v.detail["components"]
+        return f"components re-counted breadth first: {ok}"
     if v.is_no:
         classes = _class_counts(v.certificate, nodes)
         ok = reverify(d, v.certificate) and len(classes) > 1 \
             and classes == v.detail["classes"]
         return f"certificate re-verified: {ok}"
-    adjacent = {x: [] for x in nodes}
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    reached = set(nodes[:1])
-    queue = deque(reached)
-    while queue:
-        for y in adjacent[queue.popleft()]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    ok = 0 < len(reached) == len(nodes) == v.witness["vertices"]
+    ok = _component_count(nodes, edges) == 1 \
+        and len(nodes) == v.witness["vertices"]
     return f"window re-walked breadth first from one vertex: {ok}"
 
 
@@ -208,23 +207,22 @@ def bounded_size_params(d: DiagramHandle, n: int,
     banded = d.get_flag(BandedFlag)
     if banded is not None:
         exact = banded.width == t_lower and banded.row_sum == l_lower
-    elif bs is not None and bs.t_rule.kind == "const":
-        exact = (bs.t_rule.value == t_lower and bs.l_rule is not None
-                 and bs.l_rule.kind == "const" and bs.l_rule.value == l_lower)
+    elif bs is not None:
+        exact = bs.t == t_lower and bs.L == l_lower
     return t_lower, l_lower, exact and bool(rows)
 
 
 def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
-    """Width-bounded forward cone: the interval the t-rule licenses at
-    level m, and the exact reachable set inside it, walked through the
-    columns, which the width bound lets every handle derive from its
-    rows.  A column the walk cannot read raises its read error."""
+    """Width-bounded forward cone: the interval v +- t(m - n) that the
+    row-width bound t licenses at level m, and the exact reachable set
+    inside it, walked through the columns, which the width bound lets
+    every handle derive from its rows.  A column the walk cannot read
+    raises its read error."""
     if m <= n:
         raise ValueError("m must exceed n")
-    t_rule = d.t_rule()
-    if t_rule is None:
+    if d.width is None:
         raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
-    total = t_rule.partial_sum(n, m)
+    total = d.width * (m - n)
     layers = list(forward_layers(d, v, n, m - n))
     if len(layers) <= m - n:
         level = n + len(layers) - 1
@@ -239,9 +237,9 @@ def slanting_membership(d: DiagramHandle, prefix: FinitePath, w: int,
                         side: str) -> bool:
     """Necessary condition for extensions of the prefix to stay in the
     one-sided slanting set anchored at w: every covered range vertex
-    clears w by the accumulated width bound."""
-    t_rule = d.t_rule()
-    if t_rule is None:
+    clears w by the accumulated width bound, t(k + 1) after k + 1 edges."""
+    t = d.width
+    if t is None:
         raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -249,11 +247,11 @@ def slanting_membership(d: DiagramHandle, prefix: FinitePath, w: int,
     if side == "+":
         if prefix.start_vertex < w:
             return False
-        return all(e.target >= w + t_rule.partial_sum(0, k + 1)
+        return all(e.target >= w + t * (k + 1)
                    for k, e in enumerate(prefix.edges))
     if prefix.start_vertex > w:
         return False
-    return all(e.target <= w - t_rule.partial_sum(0, k + 1)
+    return all(e.target <= w - t * (k + 1)
                for k, e in enumerate(prefix.edges))
 
 
@@ -268,10 +266,10 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
     nothing, so the walk goes on to the horizon."""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
-    if d.t_rule() is not None:
+    if d.width is not None:
         return Verdict.yes(witness={
             "reason": "row-width bound keeps every forward cone finite",
-            "t": d.t_rule()(ell)})
+            "t": d.width})
     for inv in find_invariants(d, d.default_window()):
         if inv.kind == TRIANGULAR and inv.is_global and inv.never_ascends \
                 and d.indexing.mode == "one_sided":
@@ -327,11 +325,11 @@ def full_out_row_check(d: DiagramHandle, levels: int = 4,
             witness[n] = covered
         return Verdict.yes(witness={"full_out_vertex_per_level": witness})
     banded = d.get_flag(BandedFlag)
-    if banded is not None or d.t_rule() is not None:
+    if banded is not None or d.width is not None:
         return Verdict.no(certificate={
             "reason": "bounded out-degree cannot cover an infinite level",
             "out_degree_bound": (len(banded.offsets) if banded is not None
-                                 else 2 * d.t_rule()(0) + 1)})
+                                 else 2 * d.width + 1)})
     return Verdict.unknown(depth=levels, windows=window)
 
 

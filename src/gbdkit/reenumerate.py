@@ -140,12 +140,11 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
     flattened by per-level shifts pinned to the cone minima, verified to
     the horizon only.
     """
-    t_rule = d.t_rule()
-    if t_rule is not None:
+    if d.width is not None:
         if d.indexing.mode != ix.TWO_SIDED:
             raise IndexingMismatchError(
                 "cumulative shifts need two-sided levels")
-        g = cone_shift(t_rule)
+        g = cone_shift(d.width)
         d2 = relabel(d, g)
         window = d2.default_window(5, 12)
         cert = next((inv for inv in find_invariants(d2, window)

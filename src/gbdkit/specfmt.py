@@ -19,7 +19,6 @@ from .diagram import (
     ExplicitLevelsFlag,
     FullOutColumnFlag,
     InfiniteOutDegreesFlag,
-    LevelRule,
     TriangularFlag,
 )
 from .errors import ParseError, SchemaError, UndeclaredRowError
@@ -69,6 +68,13 @@ def _reject_floats(obj, where):
             _reject_floats(v, f"{where}[{i}]")
 
 
+def _banded_flag(p) -> BandedFlag:
+    flag = BandedFlag.from_dict(p["offsets"])
+    if not flag.offsets:
+        raise SchemaError("banded flag needs a nonempty offset map")
+    return flag
+
+
 def _triangular_flag(p) -> TriangularFlag:
     if p["direction"] not in ("lower", "upper"):
         raise SchemaError(f"triangular direction must be 'lower' or 'upper', "
@@ -77,13 +83,12 @@ def _triangular_flag(p) -> TriangularFlag:
 
 
 _FLAG_PARSERS = {
-    "banded": lambda p: BandedFlag.from_dict(p["offsets"]),
+    "banded": _banded_flag,
     "triangular": _triangular_flag,
     "full_out_column": lambda p: FullOutColumnFlag(int(p["vertex"])),
     "infinite_out_degrees": lambda p: InfiniteOutDegreesFlag(),
     "bounded_size": lambda p: BoundedSizeFlag(
-        LevelRule.const(int(p["t"])),
-        LevelRule.const(int(p["L"])) if "L" in p else None),
+        int(p["t"]), int(p["L"]) if "L" in p else None),
 }
 
 

@@ -311,14 +311,12 @@ def _search(d: DiagramHandle, window: LevelWindow) -> list:
                 if p == 2:
                     found.append(NonReachInvariant(
                         CLOPEN, (p, a_canon), wdesc, True, via))
-    t_rule = d.t_rule()
-    if t_rule is not None and t_rule.kind == "const":
-        t = t_rule.value
-        if all(abs(w - v) <= t for v, w in edges):
-            # the flag that t_rule() reads its width from
-            via = "BoundedSizeFlag" if d.get_flag(BoundedSizeFlag) is not None \
-                else "BandedFlag"
-            found.append(NonReachInvariant(CONE, (t,), wdesc, True, (via,)))
+    t = d.width
+    if t is not None and all(abs(w - v) <= t for v, w in edges):
+        # the flag that d.width reads its width from
+        via = "BoundedSizeFlag" if d.get_flag(BoundedSizeFlag) is not None \
+            else "BandedFlag"
+        found.append(NonReachInvariant(CONE, (t,), wdesc, True, (via,)))
     return found
 
 

@@ -74,7 +74,7 @@ SHIFTS = ("interleave", "level_shift", "cone_shift")
 # cone_shift needs a width rule, which renewal_shift, b_infinity and
 # star_odometer do not carry
 CASES = [(name, label) for name in NAMES for label in RELABELINGS
-         if label != "cone_shift" or make_diagram(name).t_rule() is not None]
+         if label != "cone_shift" or make_diagram(name).width is not None]
 
 
 def relabeled(d, label):
@@ -84,7 +84,7 @@ def relabeled(d, label):
         return toeplitz_reenumeration(d, gens[:int(label[-1])], 64)[:2]
     g = {"interleave": interleave,
          "level_shift": lambda: level_shift(1),
-         "cone_shift": lambda: cone_shift(d.t_rule()),
+         "cone_shift": lambda: cone_shift(d.width),
          "dense": lambda: dense_orbit_reenumeration(d, gens[0])}[label]()
     return g, relabel(d, g)
 

@@ -445,6 +445,9 @@ HOSTILE_SPECS = {
     "banded offset a": "family: banded\noffsets: {a: 1}\n",
     "banded side three": "family: banded\noffsets: {0: 1}\nside: three\n",
     "banded flag without offsets": "levels: [{0: {0: 1}}]\nflags: [{kind: banded}]\n",
+    "banded flag with empty offsets":
+        "levels: [{0: {0: 1}}]\nextension: repeat_last\n"
+        "flags: [{kind: banded, offsets: {}}]\n",
     "bounded_size flag without t":
         "levels: [{0: {0: 1}}]\nflags: [{kind: bounded_size}]\n",
     "flag 5": "levels: [{0: {0: 1}}]\nflags: [5]\n",

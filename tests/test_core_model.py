@@ -6,7 +6,6 @@ from gbdkit import (
     DiagramHandle,
     InvalidVertexError,
     InvariantError,
-    LevelRule,
     ParseError,
     SchemaError,
     UnsupportedLevelError,
@@ -343,7 +342,7 @@ def test_row_with_a_source_below_the_base_rejected():
 
     with pytest.raises(InvariantError,
                        match=r"source 0 below one-sided base 1 in row \(0, 2\)"):
-        DiagramHandle(one_sided(1), rows, flags=(BoundedSizeFlag(LevelRule.const(1)),))
+        DiagramHandle(one_sided(1), rows, flags=(BoundedSizeFlag(1),))
 
 
 def test_explicit_row_with_a_source_below_the_base_rejected():

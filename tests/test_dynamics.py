@@ -8,7 +8,6 @@ from gbdkit import (
     FinitePath,
     InvalidEdgeError,
     InvariantError,
-    LevelRule,
     alternating_from,
     classify_edge,
     climbing,
@@ -123,7 +122,7 @@ def test_table_then_rule_tail_vertex_must_be_the_table_end():
 def test_table_then_rule_reads_the_tail_at_the_true_level():
     # a non-stationary relabeling: the slant's column depends on the level
     d = relabel(make_diagram("tridiag_B"),
-                cone_shift(LevelRule("table", 1, (0, 1, 2, 0, 3))))
+                cone_shift((0, 1, 2, 0, 3), tail=1))
     g = make_generator(d, "table_then_rule", table=[0, 0, 0],
                        tail={"kind": "leftmost_slant"})
     assert g.validate_to(8)

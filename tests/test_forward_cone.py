@@ -22,7 +22,6 @@ from gbdkit.diagram import (
     ColumnSupport,
     DiagramHandle,
     ExplicitLevelsFlag,
-    LevelRule,
 )
 from gbdkit.errors import IndexingMismatchError, UndeclaredRowError
 from gbdkit.indexing import two_sided
@@ -58,7 +57,7 @@ def width_rows_only():
         return [(v - 1, 1), (v, 2)]
 
     return DiagramHandle(two_sided(), rows, stationary=True,
-                         flags=(BoundedSizeFlag(LevelRule.const(1)),))
+                         flags=(BoundedSizeFlag(1),))
 
 
 def without_columns(d):
@@ -93,7 +92,7 @@ KERNEL_HANDLES = kernel_handles()
 # width, with any column rule taken away
 WALKS = ([(name, "columns") for name in sorted(KERNEL_HANDLES)]
          + [(name, "rows") for name in sorted(KERNEL_HANDLES)
-            if KERNEL_HANDLES[name].t_rule() is not None])
+            if KERNEL_HANDLES[name].width is not None])
 
 
 @pytest.mark.parametrize("name,through", WALKS)
@@ -168,7 +167,7 @@ def test_walk_ends_at_the_undeclared_level():
 
 def reference_cone_bound(d, v, n, m):
     """The per-vertex backward formula: one sweep per interval vertex."""
-    total = d.t_rule().partial_sum(n, m)
+    total = d.width * (m - n)
     lo, hi = d.indexing.clamp(v - total, v + total)
     return (v - total, v + total), sorted(
         u for u in range(lo, hi + 1) if v in backward_reach_set(d, u, m, n))
@@ -180,7 +179,7 @@ def test_cone_bound_matches_the_backward_formula():
         if name == "banded":
             continue
         d = make_diagram(name)
-        if d.t_rule() is None:
+        if d.width is None:
             continue
         lo, hi = d.indexing.default_interval(6)
         for v in range(lo, hi + 1):

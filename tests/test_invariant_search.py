@@ -92,12 +92,10 @@ def reference_find_invariants(d, window, kinds=ALL_KINDS,
                         found.append(NonReachInvariant(
                             CLOPEN, (p, a_canon), wdesc, True, via))
     if CONE in kinds:
-        t_rule = d.t_rule()
-        if t_rule is not None and t_rule.kind == "const":
-            t = t_rule.value
-            if all(abs(w - v) <= t for v, w in edges):
-                found.append(NonReachInvariant(
-                    CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
+        t = d.width
+        if t is not None and all(abs(w - v) <= t for v, w in edges):
+            found.append(NonReachInvariant(
+                CONE, (t,), wdesc, True, ("BoundedSizeFlag",)))
     return found
 
 

@@ -150,7 +150,7 @@ def test_cone_bound_examples():
 
 def test_cone_containment_all_bounded(handles):
     for d in handles.values():
-        if d.t_rule() is None:
+        if d.width is None:
             continue
         lo, hi = d.indexing.default_interval(6)
         for v in range(lo, hi + 1):

@@ -20,6 +20,7 @@ from gbdkit import (
     cylinder_at,
     irreducible_probe,
     leftmost_slant_from,
+    load_spec,
     make_diagram,
     minimality_certificate,
     orbit_visits_cylinder,
@@ -131,6 +132,18 @@ def test_connected(d):
     nodes = sum(no.detail["classes"].values())
     turned = replace(no, value="yes", witness={"vertices": nodes, "levels": 4})
     assert recheck(p1, turned) == "window re-walked breadth first from one vertex: False"
+    # vertices 3 and up have no declared row, so the window falls apart
+    # into components that no global coloring separates
+    holes = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                       "levels": [{0: {0: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}],
+                       "extension": "repeat_last"})
+    unknown = connected_probe(holes)
+    assert unknown.is_unknown
+    assert recheck(holes, unknown) == "components re-counted breadth first: True"
+    for off in (-1, 1):
+        doctored = replace(unknown, detail={
+            **unknown.detail, "components": unknown.detail["components"] + off})
+        assert recheck(holes, doctored) == "components re-counted breadth first: False"
 
 
 def test_orbit_visit(d):

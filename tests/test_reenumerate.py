@@ -179,7 +179,7 @@ def test_cone_flatten_anchor_mode():
 
     plain = DiagramHandle(ix.two_sided(), rows, stationary=True,
                           col_rule=cols, name="plain_odometer")
-    assert plain.t_rule() is None
+    assert plain.width is None
     g, d2, cert = cone_flatten(plain, anchor=(0, 0), horizon=32)
     assert cert["kind"] == "anchored_floor"
     # the cone minima descend one per level, so the shift flattens them to 0

@@ -6,7 +6,6 @@ from gbdkit import (
     ExplicitLevelsFlag,
     IndexingMismatchError,
     IsoWitness,
-    LevelRule,
     LevelWindow,
     NoneWithinBudget,
     SchemaError,
@@ -64,7 +63,7 @@ def test_bijection_indexing_is_parsed_like_a_spec(doc):
 
 def test_inverted_sequences():
     seqs = [identity(one_sided(1)), interleave(), level_shift(2), cone_shift(1),
-            cone_shift(LevelRule("table", 1, (0, 1, 2))),
+            cone_shift((0, 1, 2), tail=1),
             builtin_bijection("table_fill", {"tables": {0: {0: 3, 1: 0}}}),
             partial_sequence(two_sided(), two_sided(), {1: {0: 1, 1: 0, 2: 2}})]
     kinds = ["affine", "interleave_inv", "affine", "affine", "affine",
@@ -294,3 +293,19 @@ def test_row_col_sums():
     assert row_col_sum(td, 0, "col", 0, (0, 2)) == (3, False)
     assert row_col_sum(rs, 0, "col", 1, (1, 10))[1] is False
     assert row_col_sum(rs, 0, "col", 5, (1, 10)) == (1, True)
+
+
+def test_relabeled_handles_of_different_diagrams_have_different_fingerprints():
+    # equal base names and bijections, different base rows or tables
+    td = make_diagram("tridiag_B")
+    pairs = [
+        (relabel(make_diagram("banded", offsets={-1: 1, 1: 1}), level_shift(1)),
+         relabel(make_diagram("banded", offsets={0: 1, 1: 2}), level_shift(1))),
+        (relabel(make_diagram("odometer_two_sided", a=3), level_shift(1)),
+         relabel(make_diagram("odometer_two_sided", a=2), level_shift(1))),
+        (relabel(td, builtin_bijection("cone_shift", {"t": [0, 1], "tail": 1})),
+         relabel(td, builtin_bijection("cone_shift", {"t": [0, 1], "tail": 2}))),
+    ]
+    for d1, d2 in pairs:
+        assert any(d1.row(n, 0) != d2.row(n, 0) for n in range(4))
+        assert d1.fingerprint() != d2.fingerprint(), d1.params

@@ -5,7 +5,6 @@ import pytest
 
 from gbdkit import (
     DiagramHandle,
-    LevelRule,
     backward_reach_set,
     classify_irreducibility_type,
     climbing,
@@ -60,7 +59,7 @@ def extra_handles():
     return {
         "interleaved tridiag_B": relabel(td, interleave()),
         "cone-shifted tridiag_B": relabel(
-            td, cone_shift(LevelRule("table", 1, (0, 1, 2)))),
+            td, cone_shift((0, 1, 2), tail=1)),
         "explicit error_beyond": explicit_error_beyond(),
     }
 
