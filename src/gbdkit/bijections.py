@@ -28,6 +28,7 @@ from .errors import (
     InvariantError,
     UnknownKindError,
     WindowTooSmallError,
+    reject_unknown_keys,
 )
 from .indexing import VertexIndexing
 
@@ -278,9 +279,21 @@ def partial_sequence(src: VertexIndexing, tgt: VertexIndexing,
     return VertexBijectionSeq("partial", src, tgt, map_at)
 
 
+# the parameters each named bijection reads
+_BIJECTION_KEYS = {"identity": ("mode", "base"), "interleave": (),
+                   "level_shift": ("step",), "cone_shift": ("t", "tail"),
+                   "table_fill": ("source", "target", "tables")}
+
+
 def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijectionSeq:
     """Named bijection constructors usable from spec files."""
     params = dict(params or {})
+    if not isinstance(kind, str) or kind not in _BIJECTION_KEYS:
+        raise UnknownKindError(f"unknown bijection kind {kind!r}")
+    known = _BIJECTION_KEYS[kind]
+    if kind == "cone_shift" and not isinstance(params.get("t"), (list, tuple)):
+        known = ("t",)  # a tail follows only a table of widths
+    reject_unknown_keys(params, known, f"the {kind} bijection")
     if kind == "identity":
         return identity(ix._parse_indexing({"mode": "two_sided", **params}))
     if kind == "interleave":
@@ -289,14 +302,13 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
         return level_shift(int(params.get("step", 1)))
     if kind == "cone_shift":
         return cone_shift(params.get("t", 0), params.get("tail", 0))
-    if kind == "table_fill":
-        src = ix._parse_indexing(params.get("source", {"mode": "two_sided"}))
-        tgt = ix._parse_indexing(params.get("target", {"mode": "one_sided", "base": 0}))
-        tables = {int(n): {int(v): int(lab) for v, lab in t.items()}
-                  for n, t in dict(params.get("tables", {})).items()}
-        return fill_sequence(src, tgt, lambda n: tables.get(n, {}),
-                             params={"tables": tables})
-    raise UnknownKindError(f"unknown bijection kind {kind!r}")
+    # table_fill
+    src = ix._parse_indexing(params.get("source", {"mode": "two_sided"}))
+    tgt = ix._parse_indexing(params.get("target", {"mode": "one_sided", "base": 0}))
+    tables = {int(n): {int(v): int(lab) for v, lab in t.items()}
+              for n, t in dict(params.get("tables", {})).items()}
+    return fill_sequence(src, tgt, lambda n: tables.get(n, {}),
+                         params={"tables": tables})
 
 
 # --- relabeling ---------------------------------------------------------------
@@ -345,14 +357,8 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
     exp = d.get_flag(ExplicitLevelsFlag)
     if exp is not None and (exp.extension == "error_beyond" or g.level_const):
         flags.append(exp)
-    # drop triangular flags made vacuous or duplicated
-    seen, out = set(), []
-    for f in flags:
-        key = repr(f)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return tuple(out)
+    # drop duplicates, such as a triangular flag derived twice
+    return tuple(dict.fromkeys(flags))
 
 
 def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:

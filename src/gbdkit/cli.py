@@ -30,7 +30,7 @@ from .dynamics import (
     orbit_visits_cylinder,
     transitivity_probe,
 )
-from .errors import GbdError, OutputError, SchemaError
+from .errors import GbdError, OutputError, SchemaError, reject_unknown_keys
 from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from_trace
 from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
 from .paths import FinitePath
@@ -115,6 +115,7 @@ def _generator(d: DiagramHandle, arg: str) -> PathGenerator:
 
 def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
     doc = specfmt.parse_document(arg)
+    reject_unknown_keys(doc, ("vertex", "trace"), "a cylinder")
     if "vertex" in doc and "trace" not in doc:
         try:
             vertex = int(doc["vertex"])

@@ -49,6 +49,10 @@ class BandedFlag:
 
     offsets: tuple  # sorted tuple of (offset, value)
 
+    def __post_init__(self):
+        if not self.offsets:
+            raise InvariantError("a banded flag needs at least one offset")
+
     @classmethod
     def from_dict(cls, d) -> "BandedFlag":
         items = tuple(sorted((int(o), int(m)) for o, m in dict(d).items()))

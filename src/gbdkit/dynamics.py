@@ -11,6 +11,7 @@ comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +25,14 @@ from .diagram import (
 )
 from .errors import GbdError, InvalidEdgeError
 from .generators import EventualTrace, PathGenerator, cylinder_at
-from .paths import Edge, FinitePath, first_reach, forward_step
+from .paths import (
+    Edge,
+    FinitePath,
+    backward_reach_set,
+    count_paths,
+    first_reach,
+    forward_step,
+)
 from .verdicts import CONE, Verdict, find_invariants, reverify
 from .windows import clamped_interval
 
@@ -55,7 +63,6 @@ def _traces_eventually_equal(ex: EventualTrace, ey: EventualTrace):
         return None, None
     if ex.step * ey.period != ey.step * ex.period:
         return False, True  # distinct slopes: equal at most finitely often
-    import math
     q = math.lcm(ex.period, ey.period)
     start = max(ex.start, ey.start)
     same = [ex.value(m) == ey.value(m) for m in range(start, start + q)]
@@ -167,28 +174,22 @@ def _cylinders_at(d: DiagramHandle, length: int, v: int):
 
 def _count_cylinders(d: DiagramHandle, length: int, v: int) -> int:
     """How many prefixes `_cylinders_at` yields, counted exactly without
-    building them: the same depth-first walk, expanding each (level,
-    vertex) once, so rows are first read in the listing's order and a
-    failing row raises what the listing would raise."""
-    count: dict = {}
+    building them.  A depth-first pass reads each (level, vertex) pair's
+    row once, in the order the listing first reads it, so a failing row
+    raises what the listing would raise; a pass by ascending level then
+    sums mult * count over each row, a level-0 vertex counting 1."""
+    rows = {}
     stack = [(length, v)]
     while stack:
-        node = stack[-1]
-        lvl, at = node
-        if node in count:
-            stack.pop()
-        elif lvl == 0:
-            count[node] = 1
-            stack.pop()
-        else:
-            row = d.row(lvl - 1, at)
-            pending = [(lvl - 1, w) for w, _ in row if (lvl - 1, w) not in count]
-            if pending:
-                stack.extend(pending)
-            else:
-                count[node] = sum(mult * count[lvl - 1, w] for w, mult in row)
-                stack.pop()
-    return count[length, v]
+        lvl, at = node = stack.pop()
+        if lvl > 0 and node not in rows:
+            rows[node] = d.row(lvl - 1, at)
+            stack.extend((lvl - 1, w) for w, _ in rows[node])
+    count = {}
+    for lvl, at in sorted(rows):
+        count[lvl, at] = sum(mult * (count[lvl - 1, w] if lvl > 1 else 1)
+                             for w, mult in rows[lvl, at])
+    return count[length, v] if length else 1
 
 
 def cylinders_ending_in(d: DiagramHandle, length: int, window) -> list:
@@ -247,7 +248,16 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
 
 def _recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator):
     if v.is_yes:
-        return "one verdict asked per endpoint; cylinders counted exactly"
+        # each cylinder ending at j@length is one path into j@length from
+        # level 0, so the count is re-derived from the forward path counts
+        w = v.witness
+        lo, hi = clamped_interval(d.indexing, w["window"])
+        total = sum(count_paths(d, s, 0, j, length)
+                    for length in range(w["cyl_depth"] + 1)
+                    for j in range(lo, hi + 1)
+                    for s in backward_reach_set(d, j, length, 0))
+        ok = total == w["cylinders_checked"]
+        return f"cylinders re-counted from path counts: {ok}"
     if v.is_no:
         c = FinitePath.from_description(v.detail["witness_cylinder"])
         c.validate(d)

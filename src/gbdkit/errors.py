@@ -29,6 +29,14 @@ class SchemaError(GbdError):
     """A spec document parses but violates the schema."""
 
 
+def reject_unknown_keys(doc: dict, known, what: str) -> None:
+    """SchemaError naming the keys of a spec mapping that its reader
+    does not read."""
+    unknown = sorted(set(doc) - set(known), key=repr)
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown} in {what}")
+
+
 class InvariantError(GbdError):
     """A structural invariant fails (empty row, bad flag, bad rule output)."""
 

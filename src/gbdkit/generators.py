@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import DEFAULT_HORIZON, BandedFlag, DiagramHandle
-from .errors import InvalidEdgeError, InvariantError, SchemaError, UnknownKindError
+from .errors import (
+    InvalidEdgeError,
+    InvariantError,
+    SchemaError,
+    UnknownKindError,
+    reject_unknown_keys,
+)
 from .paths import Edge, FinitePath
 
 PathPrefix = FinitePath  # a prefix anchored at level 0 names a cylinder set
@@ -88,6 +94,10 @@ class TraceGenerator:
 
 _RULES = ("vertical", "leftmost_slant", "rightmost_slant", "alternating",
           "climbing")
+# the parameters each generator kind reads
+_GENERATOR_KEYS = {**{rule: ("vertex",) for rule in _RULES},
+                   "eventually_vertical": ("prefix", "vertex"),
+                   "table_then_rule": ("table", "tail")}
 
 
 class PathGenerator(TraceGenerator):
@@ -118,28 +128,30 @@ class PathGenerator(TraceGenerator):
 
     def _table_and_rule(self) -> tuple:
         p = self.params
+        if not isinstance(self.kind, str) or self.kind not in _GENERATOR_KEYS:
+            raise UnknownKindError(f"unknown generator kind {self.kind!r}")
+        reject_unknown_keys(p, _GENERATOR_KEYS[self.kind], f"the {self.kind} generator")
         if self.kind in _RULES:
             return [self._vertex(p["vertex"])], self.kind
         if self.kind == "eventually_vertical":
             prefix = [int(v) for v in p.get("prefix", [])]
             v = self._vertex(p["vertex"])
             return (prefix if prefix[-1:] == [v] else prefix + [v]), "vertical"
-        if self.kind == "table_then_rule":
-            table = [int(v) for v in p["table"]]
-            if not table:
-                raise InvariantError("table_then_rule needs a nonempty table")
-            tail = dict(p["tail"])
-            rule = tail["kind"]
-            if rule not in _RULES:
-                raise UnknownKindError(f"unsupported tail rule {rule!r}")
-            # the tail starts where the table ends; it may restate that vertex
-            start = self._vertex(tail.get("vertex", table[-1]))
-            if start != table[-1]:
-                raise InvariantError(
-                    f"table_then_rule tail vertex {start} differs from the "
-                    f"table's last vertex {table[-1]}")
-            return table, rule
-        raise UnknownKindError(f"unknown generator kind {self.kind!r}")
+        table = [int(v) for v in p["table"]]  # table_then_rule
+        if not table:
+            raise InvariantError("table_then_rule needs a nonempty table")
+        tail = dict(p["tail"])
+        reject_unknown_keys(tail, ("kind", "vertex"), "the table_then_rule tail")
+        rule = tail["kind"]
+        if rule not in _RULES:
+            raise UnknownKindError(f"unsupported tail rule {rule!r}")
+        # the tail starts where the table ends; it may restate that vertex
+        start = self._vertex(tail.get("vertex", table[-1]))
+        if start != table[-1]:
+            raise InvariantError(
+                f"table_then_rule tail vertex {start} differs from the "
+                f"table's last vertex {table[-1]}")
+        return table, rule
 
     # -- trace ----------------------------------------------------------
 
@@ -202,12 +214,12 @@ class PathGenerator(TraceGenerator):
             while start > 0 and trace[start - 1 + q] - trace[start - 1] == step:
                 start -= 1
             if start < horizon // 2:
-                certified = self._certify_eventual(start, q, step, trace)
+                certified = self._certify_eventual(step)
                 return EventualTrace(start, q, step, certified,
                                      tuple(trace[start:start + q]))
         return None
 
-    def _certify_eventual(self, start, q, step, trace) -> bool:
+    def _certify_eventual(self, step) -> bool:
         if self._rule in ("vertical", "alternating"):
             # the rule never consults the diagram; the pattern is forced
             return True

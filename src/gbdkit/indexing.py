@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError, SchemaError
+from .errors import InvalidVertexError, SchemaError, reject_unknown_keys
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
@@ -80,6 +80,7 @@ def _parse_indexing(desc) -> VertexIndexing:
     diagram specs and bijection documents alike."""
     if not isinstance(desc, dict) or "mode" not in desc:
         raise SchemaError("indexing needs {mode, base}")
+    reject_unknown_keys(desc, ("mode", "base"), "an indexing")
     mode = desc["mode"]
     if mode == TWO_SIDED:
         return two_sided()

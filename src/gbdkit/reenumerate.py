@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import indexing as ix
-from .bijections import VertexBijectionSeq, cone_shift, fill_sequence, relabel
+from .bijections import (
+    VertexBijectionSeq,
+    affine_levels,
+    cone_shift,
+    fill_sequence,
+    relabel,
+)
 from .diagram import DiagramHandle
 from .errors import ConflictError, IndexingMismatchError, NoBoundedSizeFlagError
 from .generators import PathGenerator
@@ -171,8 +177,6 @@ def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
             f"the forward cone of {v0}@{n0} is empty at level {empty}; "
             f"no minimum to pin")
     minima = {m: min(cone) for m, cone in enumerate(layers, n0)}
-
-    from .bijections import affine_levels
 
     def offset(n: int) -> int:
         if n in minima:

@@ -21,7 +21,7 @@ from .diagram import (
     InfiniteOutDegreesFlag,
     TriangularFlag,
 )
-from .errors import ParseError, SchemaError, UndeclaredRowError
+from .errors import ParseError, SchemaError, UndeclaredRowError, reject_unknown_keys
 from .windows import clamped_interval
 
 
@@ -69,10 +69,9 @@ def _reject_floats(obj, where):
 
 
 def _banded_flag(p) -> BandedFlag:
-    flag = BandedFlag.from_dict(p["offsets"])
-    if not flag.offsets:
+    if not p["offsets"]:
         raise SchemaError("banded flag needs a nonempty offset map")
-    return flag
+    return BandedFlag.from_dict(p["offsets"])
 
 
 def _triangular_flag(p) -> TriangularFlag:
@@ -82,13 +81,14 @@ def _triangular_flag(p) -> TriangularFlag:
     return TriangularFlag(p["direction"], int(p.get("slack", 0)))
 
 
+# each flag kind's parser and the keys it reads besides the kind
 _FLAG_PARSERS = {
-    "banded": _banded_flag,
-    "triangular": _triangular_flag,
-    "full_out_column": lambda p: FullOutColumnFlag(int(p["vertex"])),
-    "infinite_out_degrees": lambda p: InfiniteOutDegreesFlag(),
-    "bounded_size": lambda p: BoundedSizeFlag(
-        int(p["t"]), int(p["L"]) if "L" in p else None),
+    "banded": (_banded_flag, ("offsets",)),
+    "triangular": (_triangular_flag, ("direction", "slack")),
+    "full_out_column": (lambda p: FullOutColumnFlag(int(p["vertex"])), ("vertex",)),
+    "infinite_out_degrees": (lambda p: InfiniteOutDegreesFlag(), ()),
+    "bounded_size": (lambda p: BoundedSizeFlag(
+        int(p["t"]), int(p["L"]) if "L" in p else None), ("t", "L")),
 }
 
 
@@ -105,8 +105,10 @@ def _parse_flags(descs) -> tuple:
         kind = desc.get("kind")
         if not isinstance(kind, str) or kind not in _FLAG_PARSERS:
             raise SchemaError(f"unknown flag kind {kind!r}")
+        parse, keys = _FLAG_PARSERS[kind]
+        reject_unknown_keys(desc, ("kind",) + keys, f"the {kind} flag")
         try:
-            flags.append(_FLAG_PARSERS[kind](desc))
+            flags.append(parse(desc))
         except KeyError as exc:
             raise SchemaError(f"{kind} flag needs {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -118,6 +120,12 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
     body = doc.get("explicit", doc)
     if not isinstance(body, dict):
         raise SchemaError("an explicit spec body must be a mapping")
+    if body is doc:
+        reject_unknown_keys(doc, ("indexing", "flags", "levels", "extension"),
+                            "an explicit spec")
+    else:
+        reject_unknown_keys(doc, ("indexing", "flags", "explicit"), "an explicit spec")
+        reject_unknown_keys(body, ("levels", "extension"), "an explicit spec body")
     raw_levels = body.get("levels")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise SchemaError("explicit spec needs a nonempty 'levels' list")

@@ -261,8 +261,7 @@ def test_orbit_transitive_recheck_lines(specs, capsys):
                          "--generator", "{kind: alternating, vertex: 0}",
                          "--cyl-depth", "2", "--window=-4:4"], capsys)
     assert code == 0 and "cylinders_checked: 117" in out
-    assert "recheck: one verdict asked per endpoint; cylinders counted " \
-           "exactly" in out
+    assert "recheck: 'cylinders re-counted from path counts: True'" in out
     # the slant falls one vertex a level: the first cylinder it misses
     # ends at -3@3
     code, out = run_cli(["orbit", "transitive", "--spec", specs["o2"],
@@ -271,6 +270,19 @@ def test_orbit_transitive_recheck_lines(specs, capsys):
     assert code == 1 and "cylinders_checked: 14" in out
     assert "recheck: 'witness cylinder re-validated; certificate " \
         "re-verified: True'" in out
+
+
+def test_orbit_transitive_doctored_yes_reads_false(specs, capsys, monkeypatch):
+    def probe(*args, **kwargs):
+        v = transitivity_probe(*args, **kwargs)
+        return dataclasses.replace(v, witness={
+            **v.witness, "cylinders_checked": v.witness["cylinders_checked"] + 1})
+    monkeypatch.setattr(cli, "transitivity_probe", probe)
+    code, out = run_cli(["orbit", "transitive", "--spec", specs["o2"],
+                         "--generator", "{kind: alternating, vertex: 0}",
+                         "--cyl-depth", "2", "--window=-4:4"], capsys)
+    assert code == 0 and "cylinders_checked: 118" in out
+    assert "recheck: 'cylinders re-counted from path counts: False'" in out
 
 
 @pytest.mark.parametrize("changes", [
@@ -430,6 +442,13 @@ def test_usage_errors(specs, capsys):
     ["orbit", "visit", "--spec", "p2", "--generator", "{kind: vertical, vertex: 1}",
      "--cylinder", "{vertex: 3}"],
     ["probe", "connected", "--spec", "typo"],
+    # keys that the document's kind does not read
+    ["iso", "relabel", "--spec", "td", "--bijection",
+     "{kind: level_shift, step: 2, bogus: 1}"],
+    ["orbit", "visit", "--spec", "bi", "--generator",
+     "{kind: vertical, vertex: 2, bogus: 1}", "--cylinder", "{vertex: 2}"],
+    ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
+     "--cylinder", "{vertex: 2, bogus: 1}"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]
@@ -458,6 +477,7 @@ HOSTILE_SPECS = {
     "multiplicity x": "levels: [{0: {0: x}}]\n",
     "row as a list": "levels: [{0: [1, 2]}]\n",
     "a-rule slope x": "family: odometer_one_sided\na: {slope: x}\n",
+    "explicit spec key bogus": "levels: [{0: {0: 1}}]\nbogus: 3\n",
 }
 
 

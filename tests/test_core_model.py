@@ -1,6 +1,7 @@
 import pytest
 
 from gbdkit import (
+    BandedFlag,
     BoundedSizeFlag,
     ColumnSupport,
     DiagramHandle,
@@ -14,6 +15,8 @@ from gbdkit import (
     load_spec,
     make_diagram,
     one_sided,
+    parse_bijection,
+    parse_generator,
     relabel,
     two_sided,
 )
@@ -225,6 +228,68 @@ def test_family_parameters_still_load():
     with pytest.raises(SchemaError, match=r"unknown banded params \['sides'\]"):
         make_diagram("banded", offsets={0: 1}, sides="two")
 
+
+
+@pytest.mark.parametrize("read,message", [
+    (lambda: parse_bijection("{kind: level_shift, step: 2, bogus: 1}"),
+     r"unknown keys \['bogus'\] in the level_shift bijection"),
+    # a tail follows only a table of widths
+    (lambda: parse_bijection("{kind: cone_shift, t: 2, tail: 1}"),
+     r"unknown keys \['tail'\] in the cone_shift bijection"),
+    (lambda: parse_bijection("{kind: interleave, step: 1}"),
+     r"unknown keys \['step'\] in the interleave bijection"),
+    (lambda: load_spec("levels: [{0: {0: 1}}]\n"
+                       "flags: [{kind: bounded_size, t: 1, bogus: 2}]\n"),
+     r"unknown keys \['bogus'\] in the bounded_size flag"),
+    (lambda: parse_generator(make_diagram("tridiag_B"),
+                             {"kind": "vertical", "vertex": 3, "bogus": 1}),
+     r"unknown keys \['bogus'\] in the vertical generator"),
+    (lambda: parse_generator(make_diagram("renewal_shift"), {
+        "kind": "table_then_rule", "table": [3, 2, 1],
+        "tail": {"kind": "vertical", "vertex": 1, "step": 2}}),
+     r"unknown keys \['step'\] in the table_then_rule tail"),
+    (lambda: load_spec("levels: [{0: {0: 1}}]\nbogus: 3\n"),
+     r"unknown keys \['bogus'\] in an explicit spec"),
+    (lambda: load_spec("explicit: {levels: [{0: {0: 1}}]}\nextension: repeat_last\n"),
+     r"unknown keys \['extension'\] in an explicit spec"),
+    (lambda: load_spec("explicit: {levels: [{0: {0: 1}}], bogus: 1}\n"),
+     r"unknown keys \['bogus'\] in an explicit spec body"),
+    (lambda: load_spec("levels: [{0: {0: 1}}]\n"
+                       "indexing: {mode: two_sided, bogus: 1}\n"),
+     r"unknown keys \['bogus'\] in an indexing"),
+], ids=["bijection", "cone_shift tail", "interleave", "flag", "generator",
+        "generator tail", "explicit spec", "beside explicit", "explicit body",
+        "indexing"])
+def test_spec_readers_reject_keys_their_kind_does_not_read(read, message):
+    with pytest.raises(SchemaError, match=message):
+        read()
+
+
+def test_every_key_a_kind_reads_still_loads():
+    assert parse_bijection("{kind: cone_shift, t: [1, 2], tail: 3}").params == \
+        {"t": [1, 2], "tail": 3}
+    assert parse_bijection("{kind: identity, mode: one_sided, base: 1}") \
+        .source_indexing == one_sided(1)
+    g = parse_bijection("{kind: table_fill, source: {mode: two_sided}, "
+                        "target: {mode: one_sided, base: 0}, tables: {0: {0: 5}}}")
+    assert g.forward(0, 0) == 5
+    d = load_spec("explicit: {levels: [{0: {0: 1}}], extension: repeat_last}\n"
+                  "indexing: {mode: one_sided, base: 0}\n"
+                  "flags: [{kind: bounded_size, t: 0, L: 1}, "
+                  "{kind: triangular, direction: lower, slack: 0}]\n")
+    assert d.row(7, 0) == ((0, 1),)
+    x = parse_generator(make_diagram("renewal_shift"), {
+        "kind": "table_then_rule", "table": [3, 2, 1],
+        "tail": {"kind": "vertical", "vertex": 1}})
+    assert x.vertex_at(5) == 1
+
+
+def test_an_empty_banded_flag_is_rejected_at_construction():
+    with pytest.raises(InvariantError, match="at least one offset"):
+        BandedFlag(())
+    # a spec file names its own field
+    with pytest.raises(SchemaError, match="nonempty offset map"):
+        load_spec("levels: [{0: {0: 1}}]\nflags: [{kind: banded, offsets: {}}]\n")
 
 def test_declared_flag_failure_rejected():
     text = """
