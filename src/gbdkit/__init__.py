@@ -39,7 +39,6 @@ from .dynamics import (
     trace_trisection,
     transitivity_probe,
 )
-from .dynamics import classify_edge
 from .errors import (
     ConflictError,
     EmptyWindowError,
@@ -59,17 +58,13 @@ from .errors import (
 )
 from .generators import (
     PathGenerator,
-    PathPrefix,
     alternating_from,
     climbing,
     cylinder_at,
-    eventually_vertical,
     leftmost_slant_from,
     make_generator,
     parse_generator,
     prefix_from_trace,
-    pushed_generator,
-    rightmost_slant_from,
     vertical_from,
 )
 from .indexing import VertexIndexing, one_sided, two_sided
@@ -77,7 +72,6 @@ from .iso import (
     IsoWitness,
     NoneWithinBudget,
     iso_search,
-    row_col_sum,
     verify_permutation_identity,
     verify_witness,
 )
@@ -95,12 +89,10 @@ from .probes import (
     compact_cylinder_check,
     cone_bound,
     connected_probe,
-    full_out_row_check,
     invariant_certificate,
     irreducible_probe,
     period_of_index,
     recheck_period,
-    slanting_membership,
 )
 from .reenumerate import (
     AssignmentLog,

@@ -31,6 +31,7 @@ from .errors import (
     reject_unknown_keys,
 )
 from .indexing import VertexIndexing
+from .windows import clamped_interval
 
 
 # --- level maps --------------------------------------------------------------
@@ -398,3 +399,23 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
         name=f"relabel({d.name},{g.kind})",
         params={"base": d.name, "base_params": d.params, "bijection": g.kind,
                 **g.params})
+
+
+def recheck_relabel(d: DiagramHandle, g: VertexBijectionSeq, levels: int,
+                    window, doc: dict) -> str:
+    """Whether `doc` is `explicit_spec_of_window(relabel(d, g), levels,
+    window)`, re-read from d: each exported entry m at (n, v', w') is d's
+    entry at (g_{n+1}^{-1}(v'), g_n^{-1}(w')), and each entry of d whose
+    image lies in the window is exported."""
+    lo, hi = clamped_interval(g.target_indexing, window)
+    ok = len(doc["levels"]) == levels + 1
+    for n, mat in enumerate(doc["levels"]):
+        ok = ok and all(lo <= v <= hi for v in mat)
+        for v in range(lo, hi + 1):
+            u = g.inverse(n + 1, v)
+            base = dict(d.window_rows(n, u, u).get(u, ()))
+            row = mat.get(v, {})
+            inside = sum(lo <= g.forward(n, w) <= hi for w in base)
+            ok = ok and len(row) == inside and all(
+                lo <= w <= hi and base.get(g.inverse(n, w)) == m for w, m in row.items())
+    return f"exported rows re-derived from the bijection: {ok}"

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import specfmt
-from .bijections import relabel
+from .bijections import recheck_relabel, relabel
 from .diagram import DEFAULT_DEPTH, DiagramHandle
 from .dot import render_dot
 from .dynamics import (
@@ -45,6 +45,7 @@ from .probes import (
 from .reenumerate import (
     cone_flatten,
     dense_orbit_reenumeration,
+    recheck_dense,
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
@@ -116,7 +117,9 @@ def _generator(d: DiagramHandle, arg: str) -> PathGenerator:
 def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
     doc = specfmt.parse_document(arg)
     reject_unknown_keys(doc, ("vertex", "trace"), "a cylinder")
-    if "vertex" in doc and "trace" not in doc:
+    if "vertex" in doc and "trace" in doc:
+        raise SchemaError("a cylinder takes a vertex or a trace, not both")
+    if "vertex" in doc:
         try:
             vertex = int(doc["vertex"])
         except (TypeError, ValueError):
@@ -246,11 +249,12 @@ def cmd_iso_search(args, dA):
 
 
 def cmd_iso_relabel(args, d):
-    d2 = relabel(d, specfmt.parse_bijection(args.bijection))
-    doc = specfmt.explicit_spec_of_window(d2, args.levels,
-                                          _window(args.window, d2, 6))
+    g = specfmt.parse_bijection(args.bijection)
+    d2 = relabel(d, g)
+    span = _window(args.window, d2, 6)
+    doc = specfmt.explicit_spec_of_window(d2, args.levels, span)
     payload = {"relabeled_window_spec": doc,
-               "recheck": "exported rows re-derived from the bijection"}
+               "recheck": recheck_relabel(d, g, args.levels, span, doc)}
     return payload, EXIT_YES
 
 
@@ -272,7 +276,7 @@ def cmd_construct_dense(args, d):
     g = dense_orbit_reenumeration(d, x)
     trace = [g.forward(n, x.vertex_at(n)) for n in range(30)]
     payload = {"pinned_trace_labels": trace,
-               "recheck": "labels follow the block-counting sequence"}
+               "recheck": recheck_dense(x, g, trace)}
     return payload, EXIT_YES
 
 

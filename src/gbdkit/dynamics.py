@@ -12,7 +12,6 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .diagram import (
     DiagramHandle,
     FullOutColumnFlag,
 )
-from .errors import GbdError, InvalidEdgeError
+from .errors import GbdError
 from .generators import EventualTrace, PathGenerator, cylinder_at
 from .paths import (
     Edge,
@@ -390,10 +389,3 @@ def trace_trisection(x: PathGenerator, levels: int, window) -> tuple:
         right[n] = [w for w in range(lo, hi + 1) if w > s]
     return on, left, right
 
-
-def classify_edge(d: DiagramHandle, edge: Edge) -> str:
-    """'vertical' when source and target share the same index, else 'slanted'."""
-    mult = d.entry(edge.level, edge.target, edge.source)
-    if edge.copy >= mult:
-        raise InvalidEdgeError(f"edge {edge} does not exist")
-    return "vertical" if edge.source == edge.target else "slanted"

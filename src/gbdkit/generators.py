@@ -27,8 +27,6 @@ from .errors import (
 )
 from .paths import Edge, FinitePath
 
-PathPrefix = FinitePath  # a prefix anchored at level 0 names a cylinder set
-
 
 def cylinder_at(d: DiagramHandle, vertex: int) -> FinitePath:
     """Zero-length cylinder: all paths starting at this level-0 vertex."""
@@ -263,10 +261,6 @@ class PushedGenerator(TraceGenerator):
         return None
 
 
-def pushed_generator(x, g, d2: DiagramHandle) -> PushedGenerator:
-    return PushedGenerator(x, g, d2)
-
-
 def make_generator(d: DiagramHandle, kind: str, **params) -> PathGenerator:
     return PathGenerator(d, kind, params)
 
@@ -293,17 +287,9 @@ def leftmost_slant_from(d, i):
     return make_generator(d, "leftmost_slant", vertex=i)
 
 
-def rightmost_slant_from(d, i):
-    return make_generator(d, "rightmost_slant", vertex=i)
-
-
 def alternating_from(d, i):
     return make_generator(d, "alternating", vertex=i)
 
 
 def climbing(d, i):
     return make_generator(d, "climbing", vertex=i)
-
-
-def eventually_vertical(d, prefix, i):
-    return make_generator(d, "eventually_vertical", prefix=list(prefix), vertex=i)

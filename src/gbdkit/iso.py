@@ -217,22 +217,3 @@ def verify_witness(dA: DiagramHandle, dB: DiagramHandle, witness: IsoWitness) ->
                 return False
     return True
 
-
-def row_col_sum(d: DiagramHandle, n: int, mode: str, index: int, win=None):
-    """Row sums are exact; column sums are windowed unless the column is
-    known (`DiagramHandle.column_support`) and lies inside the window."""
-    if mode == "row":
-        row = d.in_edges(n, index)
-        return sum(m for _, m in row), True
-    if mode != "col":
-        raise ValueError(f"mode must be 'row' or 'col', got {mode!r}")
-    if win is None:
-        raise ValueError("column sums need a finite window")
-    entries = d.out_edges_in_window(n, index, win)
-    total = sum(m for _, m in entries)
-    exact = False
-    sup = d.column_support(n, index)
-    if sup is not None and sup.is_finite:
-        lo, hi = win
-        exact = all(lo <= v <= hi for v, _ in sup.entries)
-    return total, exact

@@ -233,29 +233,7 @@ def cone_bound(d: DiagramHandle, v: int, n: int, m: int) -> tuple:
     return (v - total, v + total), sorted(layers[-1])
 
 
-def slanting_membership(d: DiagramHandle, prefix: FinitePath, w: int,
-                        side: str) -> bool:
-    """Necessary condition for extensions of the prefix to stay in the
-    one-sided slanting set anchored at w: every covered range vertex
-    clears w by the accumulated width bound, t(k + 1) after k + 1 edges."""
-    t = d.width
-    if t is None:
-        raise NoBoundedSizeFlagError(f"{d.name} carries no row-width bound")
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    prefix.validate(d)
-    if side == "+":
-        if prefix.start_vertex < w:
-            return False
-        return all(e.target >= w + t * (k + 1)
-                   for k, e in enumerate(prefix.edges))
-    if prefix.start_vertex > w:
-        return False
-    return all(e.target <= w - t * (k + 1)
-               for k, e in enumerate(prefix.edges))
-
-
-# --- compactness and full-out columns -----------------------------------------
+# --- compactness ---------------------------------------------------------------
 
 def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                            horizon: int = 64) -> Verdict:
@@ -304,35 +282,6 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
     return Verdict.unknown(depth=horizon)
 
 
-def full_out_row_check(d: DiagramHandle, levels: int = 4,
-                       window: LevelWindow | None = None) -> Verdict:
-    """Per level: is there a vertex whose edges cover the whole next level?"""
-    if window is None:
-        window = d.default_window(levels + 1)
-    focs = d.get_flags(FullOutColumnFlag)
-    if focs:
-        witness = {}
-        for n in range(levels + 1):
-            lo, hi = clamped_interval(
-                d.indexing, window.interval(min(n + 1, window.max_level)))
-            rows = d.window_rows(n, lo, hi)
-            # a target without a declared row is not covered
-            sources = [{w for w, _ in rows.get(v, ())} for v in range(lo, hi + 1)]
-            covered = next((f.vertex for f in focs
-                            if all(f.vertex in s for s in sources)), None)
-            if covered is None:
-                return Verdict.unknown(depth=levels, windows=window)
-            witness[n] = covered
-        return Verdict.yes(witness={"full_out_vertex_per_level": witness})
-    banded = d.get_flag(BandedFlag)
-    if banded is not None or d.width is not None:
-        return Verdict.no(certificate={
-            "reason": "bounded out-degree cannot cover an infinite level",
-            "out_degree_bound": (len(banded.offsets) if banded is not None
-                                 else 2 * d.width + 1)})
-    return Verdict.unknown(depth=levels, windows=window)
-
-
 # --- classification --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -343,10 +292,6 @@ class IrreducibilityClass:
     @property
     def is_completely(self):
         return self.kind == "completely_irreducible"
-
-    @property
-    def is_relatively(self):
-        return self.kind == "relatively_irreducible"
 
     def describe(self):
         from .verdicts import _plain

@@ -135,6 +135,15 @@ def dense_orbit_reenumeration(d: DiagramHandle, x: PathGenerator) -> VertexBijec
         params={"construction": "dense_orbit"})
 
 
+def recheck_dense(x: PathGenerator, g: VertexBijectionSeq, labels) -> str:
+    """Whether `labels` are x's trace pinned by `dense_orbit_reenumeration`:
+    label n is `triangular_sequence(n)`, and g_n^{-1} maps it back to s(x_n)."""
+    ok = all(label == triangular_sequence(n)
+             and g.inverse(n, label) == x.vertex_at(n)
+             for n, label in enumerate(labels))
+    return f"labels follow the block-counting sequence: {ok}"
+
+
 def cone_flatten(d: DiagramHandle, anchor: Optional[tuple] = None,
                  horizon: int = 64):
     """Straighten width-bounded forward cones into vertical ones.

@@ -18,8 +18,8 @@ from gbdkit import (
     leftmost_slant_from,
     level_shift,
     make_diagram,
+    make_generator,
     relabel,
-    rightmost_slant_from,
     toeplitz_reenumeration,
     verify_permutation_identity,
     vertical_from,
@@ -39,7 +39,7 @@ def generators(d):
     found = []
     for make in ([lambda: vertical_from(d, loops[0])] if loops else []) + [
             lambda: climbing(d, base), lambda: alternating_from(d, base),
-            lambda: rightmost_slant_from(d, base),
+            lambda: make_generator(d, "rightmost_slant", vertex=base),
             lambda: leftmost_slant_from(d, base)]:
         try:
             g = make()

@@ -449,6 +449,8 @@ def test_usage_errors(specs, capsys):
      "{kind: vertical, vertex: 2, bogus: 1}", "--cylinder", "{vertex: 2}"],
     ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
      "--cylinder", "{vertex: 2, bogus: 1}"],
+    ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
+     "--cylinder", "{vertex: 9, trace: [1, 2]}"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]

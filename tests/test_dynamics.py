@@ -3,19 +3,16 @@ from fractions import Fraction
 import pytest
 
 from gbdkit import (
-    Edge,
     GbdError,
     FinitePath,
     InvalidEdgeError,
     InvariantError,
     alternating_from,
-    classify_edge,
     climbing,
     cone_shift,
     count_paths,
     cylinder_at,
     cylinders_ending_in,
-    eventually_vertical,
     identity,
     leftmost_slant_from,
     level_shift,
@@ -26,7 +23,6 @@ from gbdkit import (
     minimality_certificate,
     orbit_visits_cylinder,
     prefix_from_trace,
-    pushed_generator,
     relabel,
     tail_equivalent,
     trace_trisection,
@@ -34,6 +30,7 @@ from gbdkit import (
     vertical_from,
 )
 from gbdkit.dynamics import _generator_battery
+from gbdkit.generators import PushedGenerator
 
 from conftest import NAMES
 from test_sweep_reuse import explicit_error_beyond
@@ -355,17 +352,6 @@ def test_trisection():
     assert all(set(left[n]) == set(range(-3, 2)) for n in range(4))
 
 
-def test_classify_edge():
-    o2 = make_diagram("odometer_two_sided")
-    assert classify_edge(o2, Edge(0, 4, 4, 0)) == "vertical"
-    assert classify_edge(o2, Edge(0, 5, 4, 0)) == "slanted"
-    with pytest.raises(InvalidEdgeError):
-        classify_edge(o2, Edge(0, 4, 6, 0))
-    alt = alternating_from(o2, 0)
-    kinds = [classify_edge(o2, alt.edge_at(m)) for m in range(6)]
-    assert kinds == ["vertical", "slanted"] * 3
-
-
 def test_relabel_equivariance_shift_family():
     cases = [
         ("odometer_two_sided", level_shift(1)),
@@ -382,7 +368,7 @@ def test_relabel_equivariance_shift_family():
         for x, cv in battery:
             c = cylinder_at(d, cv)
             v1 = orbit_visits_cylinder(d, x, c)
-            x2 = pushed_generator(x, g, d2)
+            x2 = PushedGenerator(x, g, d2)
             c2 = cylinder_at(d2, g.forward(0, cv))
             v2 = orbit_visits_cylinder(d2, x2, c2)
             assert v1.value == v2.value, (name, g.kind, x.kind, cv)

@@ -6,7 +6,6 @@ import pytest
 
 from gbdkit import (
     connected_probe,
-    full_out_row_check,
     identity,
     iso_search,
     make_diagram,
@@ -33,11 +32,6 @@ def rs():
 def test_transitivity_probe(rs):
     with pytest.raises(EmptyWindowError, match=r"empty interval \[-5,-1\]"):
         transitivity_probe(rs, vertical_from(rs, 1), 2, SPAN)
-
-
-def test_full_out_row_check(rs):
-    with pytest.raises(EmptyWindowError):
-        full_out_row_check(rs, 2, W)
 
 
 def test_verify_permutation_identity(rs):

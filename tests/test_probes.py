@@ -10,16 +10,13 @@ from gbdkit import (
     connected_probe,
     cylinder_at,
     enumerate_paths,
-    full_out_row_check,
     invariant_certificate,
     irreducible_probe,
     load_spec,
     make_diagram,
     minimality_certificate,
     period_of_index,
-    prefix_from_trace,
     render_dot,
-    slanting_membership,
 )
 from gbdkit.dynamics import _generator_battery
 from gbdkit.specfmt import explicit_spec_of_window
@@ -161,17 +158,6 @@ def test_cone_containment_all_bounded(handles):
                     assert reach == list(range(ilo, ihi + 1))
 
 
-def test_slanting_membership():
-    td = make_diagram("tridiag_B")
-    up = prefix_from_trace(td, [0, 1, 2])
-    assert slanting_membership(td, up, 0, "+")
-    vert = prefix_from_trace(td, [0, 0])
-    assert not slanting_membership(td, vert, 0, "+")
-    down = prefix_from_trace(td, [0, -1, -2])
-    assert slanting_membership(td, down, 0, "-")
-    assert not slanting_membership(td, down, 0, "+")
-
-
 def test_compactness():
     td = make_diagram("tridiag_B")
     assert compact_cylinder_check(td, cylinder_at(td, 0)).is_yes
@@ -196,32 +182,13 @@ def test_compactness():
     assert v.is_yes and v.witness["reason"].startswith("ids never increase")
 
 
-def test_full_out_row_check():
-    rs = make_diagram("renewal_shift")
-    v = full_out_row_check(rs)
-    assert v.is_yes
-    assert set(v.witness["full_out_vertex_per_level"].values()) == {1}
-    td = make_diagram("tridiag_B")
-    assert full_out_row_check(td).is_no
-    bi = make_diagram("b_infinity")
-    assert full_out_row_check(bi).is_yes
-
-
-def test_full_out_row_check_counts_rowless_targets_as_uncovered():
-    # rows only for 0, 1 and 2, each fed by vertex 0 alone
-    d = load_spec({"indexing": {"mode": "one_sided", "base": 0},
-                   "levels": [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}],
-                   "extension": "repeat_last",
-                   "flags": [{"kind": "full_out_column", "vertex": 0}]})
-    assert full_out_row_check(d).is_unknown
-
-
 def test_classification():
     assert classify_irreducibility_type(make_diagram("renewal_shift")).is_completely
     for name in ("tridiag_B", "b_infinity", "star_odometer", "parity_2",
                  "odometer_one_sided", "odometer_two_sided", "parity_1",
                  "interleaved_Bprime", "shifted_Bsecond", "growth_odometer"):
-        assert classify_irreducibility_type(make_diagram(name)).is_relatively, name
+        cls = classify_irreducibility_type(make_diagram(name))
+        assert cls.kind == "relatively_irreducible", name
 
 
 def test_classification_consistency(handles):

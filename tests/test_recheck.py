@@ -6,6 +6,7 @@ certificate and detail, so the library gives the same line the CLI
 prints, and a doctored verdict reads False or raises.
 """
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -18,18 +19,25 @@ from gbdkit import (
     compact_cylinder_check,
     connected_probe,
     cylinder_at,
+    dense_orbit_reenumeration,
+    explicit_spec_of_window,
+    interleave,
     irreducible_probe,
     leftmost_slant_from,
+    level_shift,
     load_spec,
     make_diagram,
     minimality_certificate,
     orbit_visits_cylinder,
     period_of_index,
+    relabel,
     transitivity_probe,
     vertical_from,
 )
 from gbdkit.cli import main
+from gbdkit.bijections import recheck_relabel
 from gbdkit.probes import recheck_period
+from gbdkit.reenumerate import recheck_dense
 from gbdkit.verdicts import recheck
 
 from conftest import NAMES
@@ -197,6 +205,44 @@ def test_probe_period(d):
     # each of these lists is divisible by its own gcd, yet the period is 2
     for doctored in ((4, [4, 8]), (2, [2, 4]), (None, [])):
         assert recheck_period(p1, 0, 8, *doctored) == line.format(False)
+
+
+def test_iso_relabel(d):
+    td = d["tridiag_B"]
+    line = "exported rows re-derived from the bijection: {}"
+    for g in (level_shift(1), interleave()):
+        doc = explicit_spec_of_window(relabel(td, g), 2, (-3, 3))
+        assert recheck_relabel(td, g, 2, (-3, 3), doc) == line.format(True)
+    # rows missing from a one-sided spec stay missing from the export
+    rows = load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                      "levels": [{0: {0: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}],
+                      "extension": "repeat_last"})
+    g = dense_orbit_reenumeration(rows, vertical_from(rows, 1))
+    doc = explicit_spec_of_window(relabel(rows, g), 2, (0, 5))
+    assert recheck_relabel(rows, g, 2, (0, 5), doc) == line.format(True)
+    g = level_shift(1)
+    doc = explicit_spec_of_window(relabel(td, g), 2, (-3, 3))
+    changed, dropped = copy.deepcopy(doc), copy.deepcopy(doc)
+    changed["levels"][1][0][0] += 1
+    del dropped["levels"][2][1][0]
+    for doctored in (changed, dropped):
+        assert recheck_relabel(td, g, 2, (-3, 3), doctored) == line.format(False)
+    # the export of another bijection, and too few levels
+    assert recheck_relabel(td, level_shift(2), 2, (-3, 3), doc) == line.format(False)
+    assert recheck_relabel(td, g, 3, (-3, 3), doc) == line.format(False)
+
+
+def test_construct_dense(d):
+    td = d["tridiag_B"]
+    x = vertical_from(td, 0)
+    g = dense_orbit_reenumeration(td, x)
+    labels = [g.forward(n, x.vertex_at(n)) for n in range(30)]
+    line = "labels follow the block-counting sequence: {}"
+    assert recheck_dense(x, g, labels) == line.format(True)
+    # a label off the sequence, and the trace of another generator
+    off = labels[:5] + [labels[5] + 1] + labels[6:]
+    assert recheck_dense(x, g, off) == line.format(False)
+    assert recheck_dense(vertical_from(td, 1), g, labels) == line.format(False)
 
 
 def test_a_verdict_without_a_question_is_not_rechecked(d):

@@ -24,7 +24,6 @@ from gbdkit import (
     parse_bijection,
     partial_sequence,
     relabel,
-    row_col_sum,
     two_sided,
     verify_permutation_identity,
     verify_witness,
@@ -278,21 +277,6 @@ def test_relabel_of_a_repeating_spec_by_a_level_dependent_map():
     assert d2.get_flag(ExplicitLevelsFlag) is None
     assert verify_permutation_identity(d, d2, g, 5)
     assert relabel(d, identity(d.indexing)).get_flag(ExplicitLevelsFlag) is not None
-
-
-def test_row_col_sums():
-    td = make_diagram("tridiag_B")
-    rs = make_diagram("renewal_shift")
-    bi = make_diagram("b_infinity")
-    assert row_col_sum(td, 0, "row", 3) == (4, True)
-    assert all(row_col_sum(td, 0, "row", v) == (4, True) for v in range(-8, 9))
-    assert row_col_sum(rs, 0, "row", 7) == (2, True)
-    assert row_col_sum(bi, 0, "row", 6) == (6, True)
-    # column sums: exact only when the support provably fits the window
-    assert row_col_sum(td, 0, "col", 0, (-2, 2)) == (4, True)
-    assert row_col_sum(td, 0, "col", 0, (0, 2)) == (3, False)
-    assert row_col_sum(rs, 0, "col", 1, (1, 10))[1] is False
-    assert row_col_sum(rs, 0, "col", 5, (1, 10)) == (1, True)
 
 
 def test_relabeled_handles_of_different_diagrams_have_different_fingerprints():
