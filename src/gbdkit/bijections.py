@@ -28,6 +28,7 @@ from .errors import (
     InvariantError,
     UnknownKindError,
     WindowTooSmallError,
+    int_keyed,
     reject_unknown_keys,
 )
 from .indexing import VertexIndexing
@@ -306,8 +307,9 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
     # table_fill
     src = ix._parse_indexing(params.get("source", {"mode": "two_sided"}))
     tgt = ix._parse_indexing(params.get("target", {"mode": "one_sided", "base": 0}))
-    tables = {int(n): {int(v): int(lab) for v, lab in t.items()}
-              for n, t in dict(params.get("tables", {})).items()}
+    tables = int_keyed(dict(params.get("tables", {})), "table_fill tables")
+    tables = {n: {v: int(lab) for v, lab in int_keyed(t, f"table_fill table {n}").items()}
+              for n, t in tables.items()}
     return fill_sequence(src, tgt, lambda n: tables.get(n, {}),
                          params={"tables": tables})
 

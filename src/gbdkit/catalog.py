@@ -22,7 +22,7 @@ from .diagram import (
     InfiniteOutDegreesFlag,
     TriangularFlag,
 )
-from .errors import InvariantError, SchemaError
+from .errors import InvariantError, SchemaError, int_keyed
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def build_banded(offsets=None, side: str = "two", base: int = 1):
     if side not in ("one", "two"):
         raise SchemaError(f"banded side must be 'one' or 'two', got {side!r}")
     try:
-        offsets = {int(o): int(m) for o, m in dict(offsets).items()}
+        offsets = {o: int(m) for o, m in
+                   int_keyed(dict(offsets), "banded offsets").items()}
         base = int(base)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed banded parameters: {exc}") from None

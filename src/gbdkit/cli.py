@@ -32,7 +32,13 @@ from .dynamics import (
 )
 from .errors import GbdError, OutputError, SchemaError, reject_unknown_keys
 from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from_trace
-from .iso import IsoWitness, iso_search, verify_permutation_identity, verify_witness
+from .iso import (
+    IsoWitness,
+    iso_search,
+    recheck_identity,
+    verify_permutation_identity,
+    verify_witness,
+)
 from .paths import FinitePath
 from .probes import (
     bounded_size_params,
@@ -229,7 +235,7 @@ def cmd_iso_check(args, dA):
     g = specfmt.parse_bijection(args.bijection)
     ok = verify_permutation_identity(dA, dB, g, args.levels)
     payload = {"identity_holds": ok, "levels": args.levels,
-               "recheck": "row-by-row exact comparison through the bijection"}
+               "recheck": recheck_identity(dA, dB, g, args.levels, ok)}
     return payload, ok
 
 

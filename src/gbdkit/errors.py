@@ -37,6 +37,19 @@ def reject_unknown_keys(doc: dict, known, what: str) -> None:
         raise SchemaError(f"unknown keys {unknown} in {what}")
 
 
+def int_keyed(doc: dict, what: str) -> dict:
+    """doc with int() applied to its keys; SchemaError naming a key whose
+    integer an earlier key already took, which a dict would overwrite.
+    A key that int() rejects raises what int() raises."""
+    out: dict = {}
+    for key, value in doc.items():
+        n = int(key)
+        if n in out:
+            raise SchemaError(f"key {key!r} repeats {n} in {what}")
+        out[n] = value
+    return out
+
+
 class InvariantError(GbdError):
     """A structural invariant fails (empty row, bad flag, bad rule output)."""
 

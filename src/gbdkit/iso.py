@@ -17,10 +17,18 @@ from .errors import WindowTooSmallError
 from .windows import LevelWindow, clamped_interval
 
 
+_RADIUS = 12  # verify_permutation_identity's default window radius
+
+
+def _window_vertices(d: DiagramHandle, windows: LevelWindow, n: int) -> range:
+    lo, hi = clamped_interval(d.indexing, windows.interval(n))
+    return range(lo, hi + 1)
+
+
 def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
                                 g: VertexBijectionSeq, levels: int,
                                 windows: LevelWindow | None = None,
-                                radius: int = 12) -> bool:
+                                radius: int = _RADIUS) -> bool:
     """Exact row-by-row equality of dB against the g-relabeled dA.
 
     For each level n <= levels and each target vertex v' in the window
@@ -34,25 +42,42 @@ def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
     if windows is None:
         windows = LevelWindow.uniform(dB.indexing, levels + 1, radius)
 
-    def vertices(n):
-        lo, hi = clamped_interval(dB.indexing, windows.interval(n))
-        return range(lo, hi + 1)
-
     for n in range(levels + 1):
         if (n + 1) not in windows.levels:
             continue
-        for v_new in vertices(n + 1):
+        for v_new in _window_vertices(dB, windows, n + 1):
             expected = pushed_row(dA, g, n, g.inverse(n + 1, v_new))
             if dB.in_edges(n, v_new) != expected:
                 return False
     # spot-check invertibility on the window (the permutation property)
     for n in windows.levels:
-        for v_new in vertices(n):
+        for v_new in _window_vertices(dB, windows, n):
             v = g.inverse(n, v_new)
             if g.forward(n, v) != v_new:
                 raise WindowTooSmallError(
                     f"bijection at level {n} is not invertible at {v_new}")
     return True
+
+
+def recheck_identity(dA: DiagramHandle, dB: DiagramHandle, g: VertexBijectionSeq,
+                     levels: int, holds: bool) -> str:
+    """Whether `holds` is `verify_permutation_identity(dA, dB, g, levels)`,
+    re-derived on its default window from single entries: each edge
+    w -> u of dA, u = g_{n+1}^{-1}(v'), must be dB's entry at
+    (n, v', g_n(w)), and dB's row at v' must sum to dA's row at u, so it
+    holds no other edge.  Stops at the first row that differs, as the
+    check does."""
+    windows = LevelWindow.uniform(dB.indexing, levels + 1, _RADIUS)
+
+    def row_matches(n, v_new):
+        row = dA.row(n, g.inverse(n + 1, v_new))
+        return (all(dB.entry(n, v_new, g.forward(n, w)) == m for w, m in row)
+                and sum(m for _, m in dB.row(n, v_new)) == sum(m for _, m in row))
+
+    ok = all(row_matches(n, v_new)
+             for n in range(levels + 1) if n + 1 in windows.levels
+             for v_new in _window_vertices(dB, windows, n + 1))
+    return f"entries and row sums re-read through the bijection: {ok == holds}"
 
 
 @dataclass

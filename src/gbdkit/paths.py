@@ -24,14 +24,16 @@ to level n could read is a translate of v's row, as on the catalog's
 bands, their level shifts and `odometer_one_sided` away from its base
 (`_band_offsets` checks those rows): the count is then one coefficient
 of the (m - n)-th power of the row polynomial, sum of mult * x^offset,
-taken by Kronecker substitution (`_band_count`).  Any other handle, or
-a row read that raises, is left to the sweep, so the answer and the
-error raised are the sweep's.
+which Miller's recurrence reaches in one pass over the lower
+coefficients, keeping only the last deg P of them (`_band_count`).  Any
+other handle, or a row read that raises, is left to the sweep, so the
+answer and the error raised are the sweep's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -202,28 +204,21 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
 
 
 def _band_count(offs, k: int, t: int) -> int:
-    """Coefficient t of P^k, P(x) = sum of mult * x^(o - o_min) over offs.
-
-    P is packed into one integer, one byte-aligned field per coefficient,
-    each wide enough for row_sum^ceil(k/2), which bounds every
-    coefficient of both half powers; the two are unpacked and convolved
-    at t alone."""
-    base, half = offs[0][0], k // 2
-    width = ((sum([mult for _, mult in offs]) ** (k - half)).bit_length() + 7) // 8
-    p = 0
-    for o, mult in offs:
-        p |= mult << 8 * width * (o - base)
-
-    def fields(x):  # the coefficients of a packed power, lowest first
-        buf = memoryview(x.to_bytes((x.bit_length() + 7) // 8, "little"))
-        return [int.from_bytes(buf[i:i + width], "little")
-                for i in range(0, len(buf), width)]
-
-    low = pow(p, half)
-    a = fields(low)
-    b = fields(low * p) if k % 2 else a
-    return sum([a[i] * b[t - i]
-                for i in range(max(0, t - len(b) + 1), min(t + 1, len(a)))])
+    """Coefficient t of P^k, P(x) = sum of p_i x^i with p_(o - o_min) the
+    mult of each (o, mult) in offs, by J.C.P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7): q_0 = p_0^k and s p_0 q_s = sum over i = 1..min(s,
+    deg P) of ((k + 1) i - s) p_i q_(s-i), an exact division.  Only the
+    last deg P coefficients are kept."""
+    base, p0 = offs[0]
+    terms = [(o - base, mult) for o, mult in offs[1:]]
+    deg = offs[-1][0] - base
+    if not 0 <= t <= k * deg:
+        return 0
+    q = deque([p0 ** k], maxlen=max(deg, 1))  # q[i - 1] is q_(s - i)
+    for s in range(1, t + 1):
+        q.appendleft(sum([((k + 1) * i - s) * mult * q[i - 1]
+                          for i, mult in terms if i <= s]) // (s * p0))
+    return q[0]
 
 
 def count_paths(d: DiagramHandle, w: int, n: int, v: int, m: int) -> int:

@@ -21,7 +21,13 @@ from .diagram import (
     InfiniteOutDegreesFlag,
     TriangularFlag,
 )
-from .errors import ParseError, SchemaError, UndeclaredRowError, reject_unknown_keys
+from .errors import (
+    ParseError,
+    SchemaError,
+    UndeclaredRowError,
+    int_keyed,
+    reject_unknown_keys,
+)
 from .windows import clamped_interval
 
 
@@ -137,11 +143,15 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
     for n, mat in enumerate(raw_levels):
         if not isinstance(mat, dict) or not mat:
             raise SchemaError(f"level {n} matrix must be a nonempty mapping")
+        try:
+            mat = int_keyed(mat, f"level {n}")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed vertex at level {n}: {exc}") from None
         rows = {}
         for v, row in mat.items():
             try:
-                entries = sorted((int(w), int(m)) for w, m in dict(row).items())
-                v = int(v)
+                entries = sorted((w, int(m)) for w, m in int_keyed(
+                    dict(row), f"row {v} at level {n}").items())
             except (TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"malformed row {v!r} at level {n}: {exc}") from None

@@ -451,6 +451,11 @@ def test_usage_errors(specs, capsys):
      "--cylinder", "{vertex: 2, bogus: 1}"],
     ["orbit", "visit", "--spec", "bi", "--generator", "{kind: vertical, vertex: 2}",
      "--cylinder", "{vertex: 9, trace: [1, 2]}"],
+    # a table_fill vertex, and level, that int() reads twice
+    ["iso", "relabel", "--spec", "td", "--bijection",
+     "{kind: table_fill, tables: {0: {1: 0, '1': 5}}}"],
+    ["iso", "relabel", "--spec", "td", "--bijection",
+     "{kind: table_fill, tables: {0: {1: 0}, '0': {2: 1}}}"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]
@@ -480,6 +485,9 @@ HOSTILE_SPECS = {
     "row as a list": "levels: [{0: [1, 2]}]\n",
     "a-rule slope x": "family: odometer_one_sided\na: {slope: x}\n",
     "explicit spec key bogus": "levels: [{0: {0: 1}}]\nbogus: 3\n",
+    # two keys that int() maps to one integer, of which a dict keeps the last
+    "vertex 1 twice": 'levels: [{1: {1: 2}, "1": {1: 5}}]\n',
+    "banded offset 1 twice": 'family: banded\noffsets: {0: 1, 1: 1, "1": 3}\n',
 }
 
 

@@ -121,12 +121,21 @@ def test_band_power_equals_the_sweep_on_every_vertex_of_a_deep_layer(name):
 
 @pytest.mark.parametrize("offset", [-2, 0, 1])
 @pytest.mark.parametrize("mult", [2, 3])
-def test_each_field_holds_the_higher_half_power(offset, mult):
-    # one offset: P^k is the single coefficient mult^k, which for odd k
-    # outgrows the field of mult^(k // 2) at some k <= 40
+def test_a_one_offset_band_counts_mult_to_the_k(offset, mult):
+    # one offset: deg P = 0, so P^k is the single coefficient q_0 = mult^k
+    # and the recurrence takes no step
     d = make_diagram("banded", offsets={offset: mult})
     assert [count_paths(d, 5 + k * offset, 0, 5, k) for k in range(1, 41)] == \
         [mult ** k for k in range(1, 41)]
+
+
+@pytest.mark.parametrize("delta", [0, 1, -7, 10_000])
+def test_a_count_over_ten_thousand_levels_is_a_binomial(delta):
+    # tridiag_B's row polynomial is (1 + x)^2, so the count is a
+    # coefficient of (1 + x)^20000; the recurrence keeps two coefficients
+    # at a time, so the cost stays bounded at this depth
+    d = make_diagram("tridiag_B")
+    assert count_paths(d, 0, 0, delta, 10_000) == math.comb(20_000, 10_000 + delta)
 
 
 # --- errors the guard leaves to the sweep ---------------------------------------------

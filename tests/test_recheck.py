@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from gbdkit import (
+    DiagramHandle,
     GbdError,
     InvalidEdgeError,
     LevelWindow,
@@ -21,6 +22,7 @@ from gbdkit import (
     cylinder_at,
     dense_orbit_reenumeration,
     explicit_spec_of_window,
+    identity,
     interleave,
     irreducible_probe,
     leftmost_slant_from,
@@ -32,10 +34,13 @@ from gbdkit import (
     period_of_index,
     relabel,
     transitivity_probe,
+    two_sided,
+    verify_permutation_identity,
     vertical_from,
 )
 from gbdkit.cli import main
 from gbdkit.bijections import recheck_relabel
+from gbdkit.iso import recheck_identity
 from gbdkit.probes import recheck_period
 from gbdkit.reenumerate import recheck_dense
 from gbdkit.verdicts import recheck
@@ -230,6 +235,23 @@ def test_iso_relabel(d):
     # the export of another bijection, and too few levels
     assert recheck_relabel(td, level_shift(2), 2, (-3, 3), doc) == line.format(False)
     assert recheck_relabel(td, g, 3, (-3, 3), doc) == line.format(False)
+
+
+def test_iso_check(d):
+    td, bp = d["tridiag_B"], make_diagram("interleaved_Bprime")
+    line = "entries and row sums re-read through the bijection: {}"
+    for g in (interleave(), identity(td.indexing)):
+        holds = verify_permutation_identity(td, bp, g, 4)
+        assert holds == (g.kind == "interleave")
+        assert recheck_identity(td, bp, g, 4, holds) == line.format(True)
+        assert recheck_identity(td, bp, g, 4, not holds) == line.format(False)
+    # every edge of tridiag_B is in this row, so only its sum shows the extra one
+    extra = DiagramHandle(two_sided(), lambda n, v: [(v - 1, 1), (v, 2), (v + 1, 1)]
+                          + ([(v + 5, 1)] if v == 3 else []), name="extra edge")
+    g = identity(td.indexing)
+    assert not verify_permutation_identity(td, extra, g, 4)
+    assert recheck_identity(td, extra, g, 4, False) == line.format(True)
+    assert recheck_identity(td, extra, g, 4, True) == line.format(False)
 
 
 def test_construct_dense(d):
