@@ -187,15 +187,6 @@ class VertexBijectionSeq:
         self.source_indexing.check(v)
         return v
 
-    @property
-    def is_shift_family(self) -> bool:
-        return self.kind in ("identity", "level_shift", "cone_shift", "affine")
-
-    def shift_at(self, n: int) -> int:
-        if not self.is_shift_family:
-            raise ValueError(f"{self.kind} is not a shift family")
-        return self.map_at(n).c
-
     def inverted(self) -> "VertexBijectionSeq":
         """The level-wise inverse, mapping the target ids back."""
         return VertexBijectionSeq(
@@ -322,10 +313,6 @@ def _check_compatible(d: DiagramHandle, g: VertexBijectionSeq):
             si.mode == ix.ONE_SIDED and si.base != d.indexing.base):
         raise IndexingMismatchError(
             f"bijection source indexing {si} does not match diagram {d.indexing}")
-    if g.is_shift_family and d.indexing.mode == ix.ONE_SIDED:
-        if any(g.shift_at(n) != 0 for n in range(6)):
-            raise IndexingMismatchError(
-                "nonzero level shifts would move a one-sided base per level")
 
 
 def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:

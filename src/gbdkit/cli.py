@@ -52,6 +52,7 @@ from .reenumerate import (
     cone_flatten,
     dense_orbit_reenumeration,
     recheck_dense,
+    recheck_toeplitz,
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
@@ -268,17 +269,21 @@ def cmd_iso_relabel(args, d):
 
 def cmd_construct_toeplitz(args, d):
     gens = [_generator(d, spec) for spec in args.generator]
+    for x in gens:  # every pinned level 0..depth lies on the path
+        x.validate_to(args.depth + 1)
     g, d2, log = toeplitz_reenumeration(d, gens, horizon=args.depth)
     payload = {"forced_assignments": [[r.generator, r.level, r.vertex, r.label]
                                       for r in log.records[:200]],
                "total_assignments": len(log.records),
                "identity_verified": verify_permutation_identity(d, d2, g, 3,
-                                                                radius=8)}
+                                                                radius=8),
+               "recheck": recheck_toeplitz(gens, g, log)}
     return payload, EXIT_YES, log.export_text()
 
 
 def cmd_construct_dense(args, d):
     x = _generator(d, args.generator)
+    x.validate_to(30)  # the 30 printed levels lie on the path
     g = dense_orbit_reenumeration(d, x)
     trace = [g.forward(n, x.vertex_at(n)) for n in range(30)]
     payload = {"pinned_trace_labels": trace,

@@ -20,38 +20,40 @@ from .windows import LevelWindow, clamped_interval
 _RADIUS = 12  # verify_permutation_identity's default window radius
 
 
-def _window_vertices(d: DiagramHandle, windows: LevelWindow, n: int) -> range:
-    lo, hi = clamped_interval(d.indexing, windows.interval(n))
+def _window_vertices(d: DiagramHandle, radius: int) -> range:
+    lo, hi = clamped_interval(d.indexing, d.indexing.default_interval(radius))
     return range(lo, hi + 1)
+
+
+def _rows_carried(dA: DiagramHandle, dB: DiagramHandle, g: VertexBijectionSeq,
+                  rows) -> bool:
+    """Whether, for each (n, v, v') of `rows`, dB's in-edge row at v' on
+    level n + 1 is dA's row at v with its sources pushed through g_n."""
+    return all(pushed_row(dA, g, n, v) == dB.in_edges(n, v_new)
+               for n, v, v_new in rows)
 
 
 def verify_permutation_identity(dA: DiagramHandle, dB: DiagramHandle,
                                 g: VertexBijectionSeq, levels: int,
-                                windows: LevelWindow | None = None,
                                 radius: int = _RADIUS) -> bool:
     """Exact row-by-row equality of dB against the g-relabeled dA.
 
-    For each level n <= levels and each target vertex v' in the window
-    at level n+1, the complete in-edge row of dB at v' must equal the
-    g-pushed row of dA at g_{n+1}^{-1}(v').  Raises WindowTooSmallError
+    For each level n <= levels and each target vertex v' in dB's default
+    interval of `radius`, the complete in-edge row of dB at v' must equal
+    the g-pushed row of dA at g_{n+1}^{-1}(v').  Raises WindowTooSmallError
     when g is table-restricted and a needed vertex is missing, so a
     too-small window can never masquerade as a negative.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if windows is None:
-        windows = LevelWindow.uniform(dB.indexing, levels + 1, radius)
-
-    for n in range(levels + 1):
-        if (n + 1) not in windows.levels:
-            continue
-        for v_new in _window_vertices(dB, windows, n + 1):
-            expected = pushed_row(dA, g, n, g.inverse(n + 1, v_new))
-            if dB.in_edges(n, v_new) != expected:
-                return False
+    window = _window_vertices(dB, radius)
+    if not _rows_carried(dA, dB, g, ((n, g.inverse(n + 1, v_new), v_new)
+                                     for n in range(levels + 1)
+                                     for v_new in window)):
+        return False
     # spot-check invertibility on the window (the permutation property)
-    for n in windows.levels:
-        for v_new in _window_vertices(dB, windows, n):
+    for n in range(levels + 2):
+        for v_new in window:
             v = g.inverse(n, v_new)
             if g.forward(n, v) != v_new:
                 raise WindowTooSmallError(
@@ -67,16 +69,14 @@ def recheck_identity(dA: DiagramHandle, dB: DiagramHandle, g: VertexBijectionSeq
     (n, v', g_n(w)), and dB's row at v' must sum to dA's row at u, so it
     holds no other edge.  Stops at the first row that differs, as the
     check does."""
-    windows = LevelWindow.uniform(dB.indexing, levels + 1, _RADIUS)
 
     def row_matches(n, v_new):
         row = dA.row(n, g.inverse(n + 1, v_new))
         return (all(dB.entry(n, v_new, g.forward(n, w)) == m for w, m in row)
                 and sum(m for _, m in dB.row(n, v_new)) == sum(m for _, m in row))
 
-    ok = all(row_matches(n, v_new)
-             for n in range(levels + 1) if n + 1 in windows.levels
-             for v_new in _window_vertices(dB, windows, n + 1))
+    ok = all(row_matches(n, v_new) for n in range(levels + 1)
+             for v_new in _window_vertices(dB, _RADIUS))
     return f"entries and row sums re-read through the bijection: {ok == holds}"
 
 
@@ -234,11 +234,7 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
 def verify_witness(dA: DiagramHandle, dB: DiagramHandle, witness: IsoWitness) -> bool:
     """Check a search witness row-by-row on its verified rows."""
     g = partial_sequence(dA.indexing, dB.indexing, witness.tables)
-    for n_plus in sorted(witness.verified_rows):
-        n = n_plus - 1
-        for v in witness.verified_rows[n_plus]:
-            expected = pushed_row(dA, g, n, v)
-            if dB.in_edges(n, g.forward(n_plus, v)) != expected:
-                return False
-    return True
+    rows = witness.verified_rows
+    return _rows_carried(dA, dB, g, ((n_plus - 1, v, g.forward(n_plus, v))
+                                     for n_plus in sorted(rows) for v in rows[n_plus]))
 

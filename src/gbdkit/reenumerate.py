@@ -120,6 +120,15 @@ def toeplitz_reenumeration(d: DiagramHandle, generators: list,
     return g, d2, log
 
 
+def recheck_toeplitz(generators: list, g: VertexBijectionSeq, log: AssignmentLog) -> str:
+    """Whether every record of `log` is a forced assignment of g: its vertex
+    is its generator's trace vertex at its level, and g maps that vertex
+    to its label there."""
+    ok = all(r.vertex == generators[r.generator].vertex_at(r.level)
+             and g.forward(r.level, r.vertex) == r.label for r in log.records)
+    return f"forced labels re-read from the generator traces: {ok}"
+
+
 def triangular_sequence(n: int) -> int:
     """n-th term of 0, 0,1, 0,1,2, 0,1,2,3, ..."""
     t = (math.isqrt(8 * n + 1) - 1) // 2

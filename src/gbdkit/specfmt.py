@@ -104,10 +104,8 @@ def _parse_flags(descs) -> tuple:
         raise SchemaError("flags must be a list")
     flags = []
     for desc in descs:
-        if isinstance(desc, str):
-            desc = {"kind": desc}
         if not isinstance(desc, dict):
-            raise SchemaError(f"a flag is a kind or a mapping, got {desc!r}")
+            raise SchemaError(f"a flag is a mapping, got {desc!r}")
         kind = desc.get("kind")
         if not isinstance(kind, str) or kind not in _FLAG_PARSERS:
             raise SchemaError(f"unknown flag kind {kind!r}")
@@ -123,19 +121,12 @@ def _parse_flags(descs) -> tuple:
 
 
 def _explicit_handle(doc: dict) -> DiagramHandle:
-    body = doc.get("explicit", doc)
-    if not isinstance(body, dict):
-        raise SchemaError("an explicit spec body must be a mapping")
-    if body is doc:
-        reject_unknown_keys(doc, ("indexing", "flags", "levels", "extension"),
-                            "an explicit spec")
-    else:
-        reject_unknown_keys(doc, ("indexing", "flags", "explicit"), "an explicit spec")
-        reject_unknown_keys(body, ("levels", "extension"), "an explicit spec body")
-    raw_levels = body.get("levels")
+    reject_unknown_keys(doc, ("indexing", "flags", "levels", "extension"),
+                        "an explicit spec")
+    raw_levels = doc["levels"]
     if not isinstance(raw_levels, list) or not raw_levels:
         raise SchemaError("explicit spec needs a nonempty 'levels' list")
-    extension = body.get("extension", "error_beyond")
+    extension = doc.get("extension", "error_beyond")
     if extension not in ("error_beyond", "repeat_last"):
         raise SchemaError(f"unknown extension policy {extension!r}")
     indexing = ix._parse_indexing(doc.get("indexing", {"mode": "two_sided"}))
@@ -187,18 +178,9 @@ def load_spec(src) -> DiagramHandle:
     fam = doc.get("family")
     if fam is not None:
         # a family spec holds the family and that family's parameters only
-        params = {k: v for k, v in doc.items() if k != "family"}
-        if isinstance(fam, dict):
-            extra = sorted(params) + sorted(set(fam) - {"name", "params"})
-            if extra:
-                raise SchemaError(f"unknown keys {extra} in a nested family spec")
-            name, params = fam.get("name"), fam.get("params", {})
-            if not isinstance(params, dict):
-                raise SchemaError("nested family params must be a mapping")
-        else:
-            name = fam
-        return make_diagram(name, **params)
-    if "levels" in doc or "explicit" in doc:
+        params = {str(k): v for k, v in doc.items() if k != "family"}
+        return make_diagram(fam, **params)
+    if "levels" in doc:
         return _explicit_handle(doc)
     raise SchemaError("spec needs either a 'family' or explicit 'levels'")
 

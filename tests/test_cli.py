@@ -37,6 +37,7 @@ def specs(tmp_path):
         ("hole", 'indexing: {mode: one_sided, base: 0}\n'
                  'levels: [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}]\n'
                  'extension: repeat_last\n'),
+        ("two", 'levels: [{0: {0: 1}}, {0: {0: 1}}]\n'),  # error_beyond
     ]:
         p = tmp_path / f"{name}.yaml"
         p.write_text(text)
@@ -456,6 +457,13 @@ def test_usage_errors(specs, capsys):
      "{kind: table_fill, tables: {0: {1: 0, '1': 5}}}"],
     ["iso", "relabel", "--spec", "td", "--bijection",
      "{kind: table_fill, tables: {0: {1: 0}, '0': {2: 1}}}"],
+    # a generator whose trace leaves the diagram at a level the
+    # construction pins: renewal_shift has no edge 5 -> 5, and "two"
+    # declares levels 0 and 1 only
+    ["construct", "dense", "--spec", "rs", "--generator", "{kind: vertical, vertex: 5}"],
+    ["construct", "toeplitz", "--spec", "rs", "--generator",
+     "{kind: vertical, vertex: 5}"],
+    ["construct", "dense", "--spec", "two", "--generator", "{kind: vertical, vertex: 0}"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]
@@ -488,6 +496,14 @@ HOSTILE_SPECS = {
     # two keys that int() maps to one integer, of which a dict keeps the last
     "vertex 1 twice": 'levels: [{1: {1: 2}, "1": {1: 5}}]\n',
     "banded offset 1 twice": 'family: banded\noffsets: {0: 1, 1: 1, "1": 3}\n',
+    "family parameter 1": "family: tridiag_B\n1: 2\n",
+    # second spellings of a family, an explicit body and a flag; the rows
+    # v: {1..v} pass the infinite_out_degrees check
+    "nested family": "family: {name: tridiag_B}\n",
+    "nested explicit body": "explicit: {levels: [{0: {0: 1}}]}\n",
+    "bare flag": "indexing: {mode: one_sided, base: 1}\nlevels: [%s]\n"
+                 "flags: [infinite_out_degrees]\n"
+                 % {v: {w: 1 for w in range(1, v + 1)} for v in range(1, 21)},
 }
 
 

@@ -205,15 +205,8 @@ def test_unknown_family():
      r"unknown tridiag_B params \['flags'\]"),
     ({"family": "tridiag_B", "indexing": {"mode": "two_sided"}},
      r"unknown tridiag_B params \['indexing'\]"),
-    ({"family": {"name": "odometer_two_sided", "params": {"A": 3}}},
-     r"unknown odometer_two_sided params \['A'\]"),
-    ({"family": {"name": "tridiag_B"}, "flags": []},
-     r"unknown keys \['flags'\] in a nested family spec"),
-    ({"family": {"name": "tridiag_B", "params": 5}},
-     "nested family params must be a mapping"),
     ({"family": ["tridiag_B"]}, r"unknown catalog family \['tridiag_B'\]"),
-], ids=["typo", "flags", "indexing", "nested typo", "beside nested",
-        "nested params", "list"])
+], ids=["typo", "flags", "indexing", "list"])
 def test_family_spec_holds_only_the_family_parameters(doc, message):
     with pytest.raises(SchemaError, match=message):
         load_spec(doc)
@@ -222,9 +215,6 @@ def test_family_spec_holds_only_the_family_parameters(doc, message):
 def test_family_parameters_still_load():
     assert load_spec({"family": "odometer_one_sided", "a": 3}).row(0, 3) == \
         ((3, 3), (4, 1))
-    nested = load_spec({"family": {"name": "odometer_one_sided",
-                                   "params": {"a": 3}}})
-    assert nested.params == {"a": 3}
     with pytest.raises(SchemaError, match=r"unknown banded params \['sides'\]"):
         make_diagram("banded", offsets={0: 1}, sides="two")
 
@@ -250,16 +240,11 @@ def test_family_parameters_still_load():
      r"unknown keys \['step'\] in the table_then_rule tail"),
     (lambda: load_spec("levels: [{0: {0: 1}}]\nbogus: 3\n"),
      r"unknown keys \['bogus'\] in an explicit spec"),
-    (lambda: load_spec("explicit: {levels: [{0: {0: 1}}]}\nextension: repeat_last\n"),
-     r"unknown keys \['extension'\] in an explicit spec"),
-    (lambda: load_spec("explicit: {levels: [{0: {0: 1}}], bogus: 1}\n"),
-     r"unknown keys \['bogus'\] in an explicit spec body"),
     (lambda: load_spec("levels: [{0: {0: 1}}]\n"
                        "indexing: {mode: two_sided, bogus: 1}\n"),
      r"unknown keys \['bogus'\] in an indexing"),
 ], ids=["bijection", "cone_shift tail", "interleave", "flag", "generator",
-        "generator tail", "explicit spec", "beside explicit", "explicit body",
-        "indexing"])
+        "generator tail", "explicit spec", "indexing"])
 def test_spec_readers_reject_keys_their_kind_does_not_read(read, message):
     with pytest.raises(SchemaError, match=message):
         read()
@@ -273,7 +258,7 @@ def test_every_key_a_kind_reads_still_loads():
     g = parse_bijection("{kind: table_fill, source: {mode: two_sided}, "
                         "target: {mode: one_sided, base: 0}, tables: {0: {0: 5}}}")
     assert g.forward(0, 0) == 5
-    d = load_spec("explicit: {levels: [{0: {0: 1}}], extension: repeat_last}\n"
+    d = load_spec("levels: [{0: {0: 1}}]\nextension: repeat_last\n"
                   "indexing: {mode: one_sided, base: 0}\n"
                   "flags: [{kind: bounded_size, t: 0, L: 1}, "
                   "{kind: triangular, direction: lower, slack: 0}]\n")
@@ -282,6 +267,13 @@ def test_every_key_a_kind_reads_still_loads():
         "kind": "table_then_rule", "table": [3, 2, 1],
         "tail": {"kind": "vertical", "vertex": 1}})
     assert x.vertex_at(5) == 1
+
+
+@pytest.mark.parametrize("flag", ["infinite_out_degrees", "5"])
+def test_a_flag_is_a_mapping(flag):
+    # a bare kind name is not a second spelling of {kind: ...}
+    with pytest.raises(SchemaError, match="a flag is a mapping, got"):
+        load_spec(f"levels: [{{0: {{0: 1}}}}]\nflags: [{flag}]\n")
 
 
 def test_an_empty_banded_flag_is_rejected_at_construction():
@@ -325,7 +317,7 @@ FLAG_VIOLATIONS = {
                                         "{kind: full_out_column, vertex: 2}"),
                         r"FullOutColumn\(2\) misses target 1 at level 0"),
     "infinite_out_degrees": (_rows_one_sided("{1: {1: 1}, 2: {1: 1}, 3: {1: 1}}",
-                                             "infinite_out_degrees"),
+                                             "{kind: infinite_out_degrees}"),
                              "InfiniteOutDegrees flag implausible at vertex 1, level 0"),
 }
 

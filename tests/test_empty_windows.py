@@ -6,12 +6,10 @@ import pytest
 
 from gbdkit import (
     connected_probe,
-    identity,
     iso_search,
     make_diagram,
     render_dot,
     transitivity_probe,
-    verify_permutation_identity,
     vertical_from,
 )
 from gbdkit.cli import main
@@ -32,12 +30,6 @@ def rs():
 def test_transitivity_probe(rs):
     with pytest.raises(EmptyWindowError, match=r"empty interval \[-5,-1\]"):
         transitivity_probe(rs, vertical_from(rs, 1), 2, SPAN)
-
-
-def test_verify_permutation_identity(rs):
-    so = make_diagram("star_odometer")
-    with pytest.raises(EmptyWindowError):
-        verify_permutation_identity(rs, so, identity(rs.indexing), 2, windows=W)
 
 
 def test_iso_search(rs):

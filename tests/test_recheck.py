@@ -33,6 +33,7 @@ from gbdkit import (
     orbit_visits_cylinder,
     period_of_index,
     relabel,
+    toeplitz_reenumeration,
     transitivity_probe,
     two_sided,
     verify_permutation_identity,
@@ -42,7 +43,7 @@ from gbdkit.cli import main
 from gbdkit.bijections import recheck_relabel
 from gbdkit.iso import recheck_identity
 from gbdkit.probes import recheck_period
-from gbdkit.reenumerate import recheck_dense
+from gbdkit.reenumerate import recheck_dense, recheck_toeplitz
 from gbdkit.verdicts import recheck
 
 from conftest import NAMES
@@ -265,6 +266,21 @@ def test_construct_dense(d):
     off = labels[:5] + [labels[5] + 1] + labels[6:]
     assert recheck_dense(x, g, off) == line.format(False)
     assert recheck_dense(vertical_from(td, 1), g, labels) == line.format(False)
+
+
+def test_construct_toeplitz(d):
+    td = d["tridiag_B"]
+    gens = [vertical_from(td, 0), vertical_from(td, 1)]
+    g, _, log = toeplitz_reenumeration(td, gens, 400)
+    line = "forced labels re-read from the generator traces: {}"
+    assert recheck_toeplitz(gens, g, log) == line.format(True)
+    # a record past the 200 the CLI prints, with a doctored label, vertex
+    # or generator
+    r = log.records[250]
+    for doctored in (replace(r, label=r.label + 1), replace(r, vertex=r.vertex + 1),
+                     replace(r, generator=1 - r.generator)):
+        log.records[250] = doctored
+        assert recheck_toeplitz(gens, g, log) == line.format(False)
 
 
 def test_a_verdict_without_a_question_is_not_rechecked(d):

@@ -5,6 +5,7 @@ import pytest
 from gbdkit import (
     ExplicitLevelsFlag,
     IndexingMismatchError,
+    InvalidVertexError,
     IsoWitness,
     LevelWindow,
     NoneWithinBudget,
@@ -28,7 +29,7 @@ from gbdkit import (
     verify_permutation_identity,
     verify_witness,
 )
-from gbdkit.bijections import AffineMap
+from gbdkit.bijections import AffineMap, affine_levels
 
 
 def two_sided_pairs():
@@ -121,6 +122,19 @@ def test_relabel_indexing_mismatch():
         relabel(rs, level_shift(1))
 
 
+@pytest.mark.parametrize("name", ["b_infinity", "growth_odometer", "interleaved_Bprime",
+                                  "odometer_one_sided", "renewal_shift", "star_odometer"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_a_hand_built_one_sided_shift_fails_in_relabel(name, step, handles):
+    # every named shift is two-sided, so the check above rejects it; a
+    # one-sided one built by hand moves a vertex below the base, which
+    # relabel's first row reads reject
+    d = handles[name]
+    g = affine_levels(lambda n: step * n, d.indexing, d.indexing)
+    with pytest.raises(InvalidVertexError, match="below one-sided base"):
+        relabel(d, g)
+
+
 def test_round_trip_windows():
     for d, g in two_sided_pairs():
         back = relabel(relabel(d, g), g.inverted())
@@ -210,8 +224,7 @@ def test_swapped_labels_fail_identity():
             t[0], t[1] = 1, 0
         tables[n] = t
     g = partial_sequence(td.indexing, td.indexing, tables)
-    assert not verify_permutation_identity(
-        td, td, g, 2, LevelWindow.uniform(td.indexing, 3, 6))
+    assert not verify_permutation_identity(td, td, g, 2, radius=6)
 
 
 def test_iso_search_finds_fold_witness():
