@@ -22,7 +22,7 @@ from .diagram import (
     InfiniteOutDegreesFlag,
     TriangularFlag,
 )
-from .errors import InvariantError, SchemaError, int_keyed
+from .errors import InvariantError, SchemaError, int_keyed, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,18 @@ class CatalogEntry:
     summary: str
 
 
-def _diag_rule(params) -> Callable[[int], int]:
-    """Diagonal multiplicity a_v for odometer families: constant or affine in v."""
+def _diag_rule(params) -> tuple:
+    """Diagonal multiplicity a_v for odometer families, constant or affine
+    in v, and the `a` parameter as parsed."""
     a = params.get("a", 2)
     if isinstance(a, bool):
         raise SchemaError("a-rule must be an integer or {slope, offset}")
     if isinstance(a, int):
         if a < 2:
             raise SchemaError("odometer diagonal multiplicity must be >= 2")
-        return lambda v: a
+        return (lambda v: a), a
     if isinstance(a, dict):
+        reject_unknown_keys(a, ("slope", "offset"), "the a-rule")
         try:
             slope = int(a.get("slope", 0))
             offset = int(a.get("offset", 2))
@@ -53,7 +55,7 @@ def _diag_rule(params) -> Callable[[int], int]:
             if val < 2:
                 raise SchemaError(f"a-rule gives {val} < 2 at vertex {v}")
             return val
-        return rule
+        return rule, {"slope": slope, "offset": offset}
     raise SchemaError(f"bad a-rule {a!r}")
 
 
@@ -180,22 +182,22 @@ def build_star_odometer(**_):
 
 
 def _odometer_handle(side: str, params: dict, name: str):
-    a = _diag_rule(params)
+    a, a_param = _diag_rule(params)
     idx = ix.two_sided() if side == "two" else ix.one_sided(1)
 
     def rows(n, v):
         row = [(v, a(v)), (v + 1, 1)]
         return [(w, m) for w, m in row if idx.contains(w)]
 
-    a_param = params.get("a", 2)
     flags = [TriangularFlag("upper", 0)]
     if isinstance(a_param, int):
         flags.append(BoundedSizeFlag(1, a_param + 1))
         flags.append(BandedFlag(((0, a_param), (1, 1))))
     else:
         flags.append(BoundedSizeFlag(1))
+    # the parameters as parsed, so a report echoes no raw spec text
     return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
-                         name=name, params=dict(params))
+                         name=name, params={"a": a_param} if "a" in params else {})
 
 
 def build_odometer_one_sided(**params):

@@ -36,8 +36,8 @@ from .iso import (
     IsoWitness,
     iso_search,
     recheck_identity,
+    recheck_search,
     verify_permutation_identity,
-    verify_witness,
 )
 from .paths import FinitePath
 from .probes import (
@@ -138,7 +138,8 @@ def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
             or not all(isinstance(v, int) for v in trace):
         raise SchemaError('cylinder needs {"vertex": v} or a nonempty integer '
                           '{"trace": [v0, v1, ...]}')
-    return prefix_from_trace(d, trace)
+    # a true passes the check above; print it as the 1 it stands for
+    return prefix_from_trace(d, [int(v) for v in trace])
 
 
 def _exit_code(outcome) -> int:
@@ -247,11 +248,11 @@ def cmd_iso_search(args, dA):
     if isinstance(res, IsoWitness):
         payload = {"witness": res.describe(),
                    "nodes_explored": res.nodes_explored,
-                   "recheck": f"witness verified: {verify_witness(dA, dB, res)}"}
+                   "recheck": recheck_search(dA, dB, res)}
         return payload, EXIT_YES, specfmt.witness_text(res.tables)
     payload = {"result": "none_within_budget",
                "nodes_explored": res.nodes_explored, "budget": res.budget,
-               "recheck": "bounded search only; not a non-isomorphism proof"}
+               "recheck": recheck_search(dA, dB, res)}
     return payload, EXIT_UNKNOWN
 
 

@@ -111,8 +111,7 @@ class PathGenerator(TraceGenerator):
     def __init__(self, d: DiagramHandle, kind: str, params: dict):
         self.d = d
         self.kind = kind
-        self.params = dict(params)
-        table, self._rule = self._table_and_rule()
+        table, self._rule, self.params = self._table_and_rule(dict(params))
         # the rule's phase (the parity of `alternating`) counts from the
         # table's last level
         self._phase = len(table) - 1
@@ -124,18 +123,27 @@ class PathGenerator(TraceGenerator):
         self.d.indexing.check(v)
         return v
 
-    def _table_and_rule(self) -> tuple:
-        p = self.params
+    def _vertices(self, p: dict, key: str) -> list:
+        vs = p[key]
+        if not isinstance(vs, (list, tuple)):
+            raise SchemaError(f"{self.kind} {key} must be a list, got {vs!r}")
+        return [int(v) for v in vs]
+
+    def _table_and_rule(self, p: dict) -> tuple:
+        """The vertex table, the step rule and the parameters as parsed:
+        `describe` echoes these, not the document they were read from."""
         if not isinstance(self.kind, str) or self.kind not in _GENERATOR_KEYS:
             raise UnknownKindError(f"unknown generator kind {self.kind!r}")
         reject_unknown_keys(p, _GENERATOR_KEYS[self.kind], f"the {self.kind} generator")
         if self.kind in _RULES:
-            return [self._vertex(p["vertex"])], self.kind
-        if self.kind == "eventually_vertical":
-            prefix = [int(v) for v in p.get("prefix", [])]
             v = self._vertex(p["vertex"])
-            return (prefix if prefix[-1:] == [v] else prefix + [v]), "vertical"
-        table = [int(v) for v in p["table"]]  # table_then_rule
+            return [v], self.kind, {"vertex": v}
+        if self.kind == "eventually_vertical":
+            prefix = self._vertices(p, "prefix") if "prefix" in p else []
+            v = self._vertex(p["vertex"])
+            return ((prefix if prefix[-1:] == [v] else prefix + [v]), "vertical",
+                    {"prefix": list(prefix), "vertex": v})
+        table = self._vertices(p, "table")  # table_then_rule
         if not table:
             raise InvariantError("table_then_rule needs a nonempty table")
         tail = dict(p["tail"])
@@ -149,7 +157,8 @@ class PathGenerator(TraceGenerator):
             raise InvariantError(
                 f"table_then_rule tail vertex {start} differs from the "
                 f"table's last vertex {table[-1]}")
-        return table, rule
+        return table, rule, {"table": list(table),
+                             "tail": {"kind": rule, "vertex": start}}
 
     # -- trace ----------------------------------------------------------
 

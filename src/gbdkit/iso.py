@@ -238,3 +238,11 @@ def verify_witness(dA: DiagramHandle, dB: DiagramHandle, witness: IsoWitness) ->
     return _rows_carried(dA, dB, g, ((n_plus - 1, v, g.forward(n_plus, v))
                                      for n_plus in sorted(rows) for v in rows[n_plus]))
 
+
+def recheck_search(dA: DiagramHandle, dB: DiagramHandle, res) -> str:
+    """The recheck line of an `iso_search` result: a witness re-verified
+    row by row on its verified rows, or, for a bounded search that found
+    none, the fixed note that it proves nothing."""
+    if isinstance(res, IsoWitness):
+        return f"witness verified: {verify_witness(dA, dB, res)}"
+    return "bounded search only; not a non-isomorphism proof"

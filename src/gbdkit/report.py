@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 
-from .acceptance import CRITERIA, QUICK, run_suite
 from .errors import SchemaError
 from .specfmt import load_yaml, read_input, to_text
 from .verdicts import _plain
@@ -21,7 +20,14 @@ def probe_report(command: str, diagram, payload: dict, seconds: float) -> str:
     return text + f"# wall_time_s: {seconds:.3f}\n"
 
 
+# gbdkit.acceptance is imported by the functions that run a suite, not
+# here: no probe command reads it, so a cold probe command need not
+# compile and import it.
+
+
 def suite_names(suite: str):
+    from .acceptance import CRITERIA, QUICK
+
     if suite == "acceptance":
         return [n for n, _ in CRITERIA]
     if suite == "quick":
@@ -30,6 +36,8 @@ def suite_names(suite: str):
 
 
 def custom_suite_names(path: str):
+    from .acceptance import CRITERIA
+
     doc = load_yaml(read_input(path))
     if not isinstance(doc, list) or not all(isinstance(x, str) for x in doc):
         raise SchemaError("custom suite file must be a list of criterion names")
@@ -42,6 +50,8 @@ def custom_suite_names(path: str):
 
 def run_report(suite: str, custom_file: str | None = None):
     """Execute a criteria suite; returns (exit_code, text)."""
+    from .acceptance import run_suite
+
     if suite == "custom":
         if custom_file is None:
             raise SchemaError("custom suite needs a file of criterion names")

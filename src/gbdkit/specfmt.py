@@ -30,6 +30,15 @@ from .errors import (
 )
 from .windows import clamped_interval
 
+# Reports go through libyaml's emitter, the faster one, when PyYAML was
+# built with it, and through the pure-Python one otherwise.  Both write
+# the same bytes for a report payload: a mapping whose keys are ints or
+# short identifiers and whose strings are printable ASCII
+# (tests/test_report_emitters.py names where the two differ).  Specs
+# still load through the pure-Python SafeLoader, which turns deep
+# nesting into a ParseError.
+_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
 
 def read_input(path) -> str:
     """The text of an input file; a file that cannot be read as UTF-8
@@ -202,7 +211,8 @@ def parse_bijection(src) -> VertexBijectionSeq:
 
 def to_text(obj) -> str:
     """Deterministic structured-text rendering of a plain payload."""
-    return yaml.safe_dump(obj, sort_keys=True, default_flow_style=False)
+    return yaml.dump(obj, Dumper=_DUMPER, sort_keys=True,
+                     default_flow_style=False)
 
 
 def witness_text(tables: dict) -> str:

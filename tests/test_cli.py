@@ -38,6 +38,9 @@ def specs(tmp_path):
                  'levels: [{0: {0: 1}, 1: {0: 1}, 2: {0: 1}}]\n'
                  'extension: repeat_last\n'),
         ("two", 'levels: [{0: {0: 1}}, {0: {0: 1}}]\n'),  # error_beyond
+        ("so", 'family: star_odometer\n'),
+        ("od", 'family: odometer_one_sided\na: {slope: 3, offset: 2}\n'),
+        ("od padded", 'family: odometer_one_sided\na: {slope: "  ３ ", offset: 2}\n'),
     ]:
         p = tmp_path / f"{name}.yaml"
         p.write_text(text)
@@ -241,6 +244,32 @@ def test_orbit_visit_tampered_certificate_reads_false(specs, capsys, monkeypatch
                       "--generator", '{"kind":"vertical","vertex":2}',
                       "--cylinder", '{"vertex": 5}'], capsys)
     assert "recheck: 'certificate re-verified: False'" in out
+
+
+@pytest.mark.parametrize("raw,parsed", [
+    (["orbit", "visit", "--spec", "so", '--generator={kind: vertical, vertex: "  ３ "}',
+      "--cylinder={vertex: 5}", "--depth=4"],
+     ["orbit", "visit", "--spec", "so", "--generator={kind: vertical, vertex: 3}",
+      "--cylinder={vertex: 5}", "--depth=4"]),
+    (["orbit", "visit", "--spec", "so", "--generator={kind: eventually_vertical, "
+      "prefix: ['1'], vertex: ' 3'}", "--cylinder={vertex: 5}"],
+     ["orbit", "visit", "--spec", "so", "--generator={kind: eventually_vertical, "
+      "prefix: [1], vertex: 3}", "--cylinder={vertex: 5}"]),
+    (["probe", "connected", "--spec", "od padded", "--levels", "1"],
+     ["probe", "connected", "--spec", "od", "--levels", "1"]),
+    (["orbit", "visit", "--spec", "so", "--generator={kind: vertical, vertex: 2}",
+      "--cylinder={trace: [true, 2]}"],
+     ["orbit", "visit", "--spec", "so", "--generator={kind: vertical, vertex: 2}",
+      "--cylinder={trace: [1, 2]}"]),
+], ids=["vertical vertex", "eventually_vertical", "odometer a-rule", "cylinder trace"])
+def test_a_report_echoes_the_parameters_as_parsed(raw, parsed, specs, capsys):
+    # a value that int() reads is printed as the integer the probe ran on,
+    # not as the spelling in the document
+    reports = []
+    for argv in (raw, parsed):
+        code, out = run_cli([specs.get(a, a) for a in argv], capsys)
+        reports.append((code, strip_wall_time(out)))
+    assert reports[0] == reports[1]
 
 
 def test_orbit_minimal(specs, capsys):
@@ -464,6 +493,12 @@ def test_usage_errors(specs, capsys):
     ["construct", "toeplitz", "--spec", "rs", "--generator",
      "{kind: vertical, vertex: 5}"],
     ["construct", "dense", "--spec", "two", "--generator", "{kind: vertical, vertex: 0}"],
+    # a string is no vertex list, though int() reads each of its characters
+    ["orbit", "visit", "--spec", "bi", "--generator",
+     "{kind: eventually_vertical, prefix: '12', vertex: 2}", "--cylinder", "{vertex: 2}"],
+    ["orbit", "visit", "--spec", "rs", "--generator",
+     "{kind: table_then_rule, table: '321', tail: {kind: vertical}}",
+     "--cylinder", "{vertex: 3}"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[4:]))
 def test_malformed_arguments_exit_2(argv, specs, capsys):
     argv = [specs.get(a, a) for a in argv]
@@ -492,6 +527,7 @@ HOSTILE_SPECS = {
     "multiplicity x": "levels: [{0: {0: x}}]\n",
     "row as a list": "levels: [{0: [1, 2]}]\n",
     "a-rule slope x": "family: odometer_one_sided\na: {slope: x}\n",
+    "a-rule key bogus": "family: odometer_one_sided\na: {slope: 1, bogus: 2}\n",
     "explicit spec key bogus": "levels: [{0: {0: 1}}]\nbogus: 3\n",
     # two keys that int() maps to one integer, of which a dict keeps the last
     "vertex 1 twice": 'levels: [{1: {1: 2}, "1": {1: 5}}]\n',

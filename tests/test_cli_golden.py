@@ -7,6 +7,10 @@ then stdout without its wall-time footer (the one line that varies from
 run to run), then stderr.  A change that alters a report on purpose
 rewrites the golden files with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
+
+Every case runs through both of PyYAML's emitters, the pure-Python one
+and libyaml's, since `specfmt.to_text` uses whichever PyYAML has; the
+libyaml run is skipped where PyYAML was built without it.
 """
 
 import contextlib
@@ -17,7 +21,9 @@ import sys
 import tempfile
 
 import pytest
+import yaml
 
+from gbdkit import specfmt
 from gbdkit.cli import COMMANDS, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli"
@@ -126,7 +132,15 @@ def test_cases_cover_every_command():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_equals_golden(case, specs):
+def test_report_equals_golden(case, specs, monkeypatch):
+    monkeypatch.setattr(specfmt, "_DUMPER", yaml.SafeDumper)
+    assert report(case, specs) == (GOLDEN / f"{case}.txt").read_text()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_libyaml_report_equals_golden(case, specs, monkeypatch):
+    monkeypatch.setattr(specfmt, "_DUMPER", yaml.CSafeDumper)
     assert report(case, specs) == (GOLDEN / f"{case}.txt").read_text()
 
 

@@ -25,6 +25,7 @@ from gbdkit import (
     identity,
     interleave,
     irreducible_probe,
+    iso_search,
     leftmost_slant_from,
     level_shift,
     load_spec,
@@ -41,7 +42,7 @@ from gbdkit import (
 )
 from gbdkit.cli import main
 from gbdkit.bijections import recheck_relabel
-from gbdkit.iso import recheck_identity
+from gbdkit.iso import recheck_identity, recheck_search
 from gbdkit.probes import recheck_period
 from gbdkit.reenumerate import recheck_dense, recheck_toeplitz
 from gbdkit.verdicts import recheck
@@ -253,6 +254,22 @@ def test_iso_check(d):
     assert not verify_permutation_identity(td, extra, g, 4)
     assert recheck_identity(td, extra, g, 4, False) == line.format(True)
     assert recheck_identity(td, extra, g, 4, True) == line.format(False)
+
+
+def test_iso_search(d):
+    td, bp = d["tridiag_B"], make_diagram("interleaved_Bprime")
+    res = iso_search(td, bp, 3, LevelWindow.uniform(td.indexing, 3, 8),
+                     LevelWindow.uniform(bp.indexing, 3, 8))
+    assert recheck_search(td, bp, res) == "witness verified: True"
+    # two images swapped at level 1: still a bijection, no longer carrying rows
+    table = res.tables[1]
+    table[1], table[2] = table[2], table[1]
+    assert recheck_search(td, bp, res) == "witness verified: False"
+    rs, bi = make_diagram("renewal_shift"), d["b_infinity"]
+    window = LevelWindow({n: (1, 9) for n in range(3)})
+    bounded = iso_search(rs, bi, 2, window, window)
+    assert recheck_search(rs, bi, bounded) == \
+        "bounded search only; not a non-isomorphism proof"
 
 
 def test_construct_dense(d):
