@@ -19,8 +19,8 @@ print("catalog families:", ", ".join(catalog_names()))
 
 rs = make_diagram("renewal_shift")
 show("renewal shift: rows are exact and finite", [
-    f"in_edges(level 0, vertex 1) = {rs.in_edges(0, 1)}",
-    f"in_edges(level 0, vertex 5) = {rs.in_edges(0, 5)}",
+    f"in_edges(level 0, vertex 1) = {list(rs.in_edges(0, 1))}",
+    f"in_edges(level 0, vertex 5) = {list(rs.in_edges(0, 5))}",
     "columns may be infinite, so out-edges are windowed:",
     f"out of vertex 1 within [1,6]: {rs.out_edges_in_window(0, 1, (1, 6))}",
 ])
@@ -32,7 +32,7 @@ show("two-sided 1/2/1 band, window [-2,2]^2",
 
 bi = make_diagram("b_infinity")
 show("lower-triangular all-ones", [
-    f"row of vertex 4: {bi.in_edges(0, 4)}",
+    f"row of vertex 4: {list(bi.in_edges(0, 4))}",
     f"flags: {[type(f).__name__ for f in bi.flags]}",
 ])
 

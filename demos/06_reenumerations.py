@@ -38,7 +38,7 @@ print(" ", [gd.forward(n, gens[0].vertex_at(n)) for n in range(15)])
 
 print("\ncone flattening of the 1/2/1 band:")
 gf, flat, cert = cone_flatten(td)
-print("  row of vertex 0 after flattening:", flat.in_edges(0, 0))
+print("  row of vertex 0 after flattening:", list(flat.in_edges(0, 0)))
 print("  certificate:", cert.kind, cert.params,
       "| globally backed:", cert.is_global)
 print("  0 -> 1 in the flattened diagram:",

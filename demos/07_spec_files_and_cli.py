@@ -27,7 +27,7 @@ levels:
 extension: repeat_last
 """
 e = load_spec(explicit)
-print("explicit diagram row of 2 at level 9:", e.in_edges(9, 2))
+print("explicit diagram row of 2 at level 9:", list(e.in_edges(9, 2)))
 
 # windowed export round-trips through the same format
 doc = explicit_spec_of_window(make_diagram("renewal_shift"), 1, (1, 4))

@@ -356,10 +356,10 @@ def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:
         g.step is not None and d.get_flag(BandedFlag) is not None))
 
 
-def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> list:
+def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> tuple:
     """Row of d at level n, target v, with its sources pushed through g_n,
     sorted by pushed source: the row the g-relabeled diagram has at g_{n+1}(v)."""
-    return sorted((g.forward(n, w), m) for w, m in d.in_edges(n, v))
+    return tuple(sorted((g.forward(n, w), m) for w, m in d.in_edges(n, v)))
 
 
 def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:

@@ -28,9 +28,8 @@ from .errors import InvariantError, SchemaError, int_keyed, reject_unknown_keys
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    param_schema: dict
+    param_names: tuple
     builder: Callable[..., DiagramHandle]
-    summary: str
 
 
 def _diag_rule(params) -> tuple:
@@ -98,12 +97,12 @@ def build_banded(offsets=None, side: str = "two", base: int = 1):
                           {"offsets": offsets, "side": side, "base": base})
 
 
-def build_tridiag_B(**_):
+def build_tridiag_B():
     """Two-sided band: 2 on the diagonal, 1 on both adjacent diagonals."""
     return _banded_handle({-1: 1, 0: 2, 1: 1}, "two", 0, "tridiag_B", {})
 
 
-def build_interleaved_Bprime(**_):
+def build_interleaved_Bprime():
     """One-sided folding of tridiag_B onto the nonnegative integers."""
     idx = ix.one_sided(0)
     special_rows = {0: ((0, 2), (1, 1), (2, 1)),
@@ -119,12 +118,12 @@ def build_interleaved_Bprime(**_):
                          name="interleaved_Bprime", params={})
 
 
-def build_shifted_Bsecond(**_):
+def build_shifted_Bsecond():
     """Two-sided band: 1 on the diagonal, 2 and 1 on the first two subdiagonals."""
     return _banded_handle({0: 1, -1: 2, -2: 1}, "two", 0, "shifted_Bsecond", {})
 
 
-def build_renewal_shift(**_):
+def build_renewal_shift():
     """Vertex 1 feeds every vertex below; vertex n > 1 feeds only n - 1."""
     idx = ix.one_sided(1)
 
@@ -143,7 +142,7 @@ def build_renewal_shift(**_):
                          col_rule=cols, name="renewal_shift", params={})
 
 
-def build_b_infinity(**_):
+def build_b_infinity():
     """Lower-triangular all-ones: vertex w feeds every vertex >= w."""
     idx = ix.one_sided(1)
 
@@ -161,7 +160,7 @@ def build_b_infinity(**_):
                          col_rule=cols, name="b_infinity", params={})
 
 
-def build_star_odometer(**_):
+def build_star_odometer():
     """Vertex 1 feeds every vertex; each vertex v > 1 also loops on itself
     with multiplicity 3; vertex 1 loops with multiplicity 2."""
     idx = ix.one_sided(1)
@@ -208,48 +207,35 @@ def build_odometer_two_sided(**params):
     return _odometer_handle("two", params, "odometer_two_sided")
 
 
-def build_growth_odometer(**_):
+def build_growth_odometer():
     """One-sided odometer whose diagonal multiplicity grows as v + 1."""
     return _odometer_handle("one", {"a": {"slope": 1, "offset": 1}}, "growth_odometer")
 
 
-def build_parity_1(**_):
+def build_parity_1():
     """Two-sided 0-1 band on offsets -1 and +1 only."""
     return _banded_handle({-1: 1, 1: 1}, "two", 0, "parity_1", {})
 
 
-def build_parity_2(**_):
+def build_parity_2():
     """Two-sided 0-1 band on offsets -2 and +2 only."""
     return _banded_handle({-2: 1, 2: 1}, "two", 0, "parity_2", {})
 
 
 CATALOG = {
     e.name: e for e in [
-        CatalogEntry("tridiag_B", {}, build_tridiag_B,
-                     "two-sided band 1,2,1 around the diagonal"),
-        CatalogEntry("interleaved_Bprime", {}, build_interleaved_Bprime,
-                     "fold of tridiag_B onto nonnegative vertex ids"),
-        CatalogEntry("shifted_Bsecond", {}, build_shifted_Bsecond,
-                     "level-shift image of tridiag_B: lower-triangular 1,2,1"),
-        CatalogEntry("renewal_shift", {}, build_renewal_shift,
-                     "vertex 1 feeds all, vertex n feeds n-1"),
-        CatalogEntry("banded", {"offsets": "map offset->mult",
-                                "side": "one|two", "base": "int"},
-                     build_banded, "custom band matrix"),
-        CatalogEntry("parity_1", {}, build_parity_1, "0-1 band on offsets +-1"),
-        CatalogEntry("parity_2", {}, build_parity_2, "0-1 band on offsets +-2"),
-        CatalogEntry("odometer_one_sided", {"a": "int>=2 or {slope,offset}"},
-                     build_odometer_one_sided,
-                     "diagonal multiplicities a_v with a single superdiagonal 1"),
-        CatalogEntry("odometer_two_sided", {"a": "int>=2 or {slope,offset}"},
-                     build_odometer_two_sided,
-                     "two-sided odometer band"),
-        CatalogEntry("b_infinity", {}, build_b_infinity,
-                     "lower-triangular all-ones"),
-        CatalogEntry("star_odometer", {}, build_star_odometer,
-                     "self-loops of multiplicity 3 plus a full column at vertex 1"),
-        CatalogEntry("growth_odometer", {}, build_growth_odometer,
-                     "one-sided odometer with a_v = v + 1"),
+        CatalogEntry("tridiag_B", (), build_tridiag_B),
+        CatalogEntry("interleaved_Bprime", (), build_interleaved_Bprime),
+        CatalogEntry("shifted_Bsecond", (), build_shifted_Bsecond),
+        CatalogEntry("renewal_shift", (), build_renewal_shift),
+        CatalogEntry("banded", ("offsets", "side", "base"), build_banded),
+        CatalogEntry("parity_1", (), build_parity_1),
+        CatalogEntry("parity_2", (), build_parity_2),
+        CatalogEntry("odometer_one_sided", ("a",), build_odometer_one_sided),
+        CatalogEntry("odometer_two_sided", ("a",), build_odometer_two_sided),
+        CatalogEntry("b_infinity", (), build_b_infinity),
+        CatalogEntry("star_odometer", (), build_star_odometer),
+        CatalogEntry("growth_odometer", (), build_growth_odometer),
     ]
 }
 
@@ -258,7 +244,7 @@ def make_diagram(name: str, **params) -> DiagramHandle:
     entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
         raise SchemaError(f"unknown catalog family {name!r}")
-    unknown = sorted(set(params) - set(entry.param_schema))
+    unknown = sorted(set(params) - set(entry.param_names))
     if unknown:
         raise SchemaError(f"unknown {name} params {unknown}")
     return entry.builder(**params)

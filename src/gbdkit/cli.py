@@ -203,13 +203,12 @@ def cmd_probe_period(args, d):
 
 
 def cmd_probe_bounded_size(args, d):
-    t, L, exact = bounded_size_params(d, args.level, _window(args.window, d, 8))
+    t, L, exact = bounded_size_params(d, args.level, args.window)
     return {"t_lower": t, "L_lower": L, "exact": exact}, EXIT_YES
 
 
 def cmd_probe_classify(args, d):
-    cls = classify_irreducibility_type(d, horizon=args.depth,
-                                       window=_window(args.window, d, 16))
+    cls = classify_irreducibility_type(d, horizon=args.depth, window=args.window)
     return cls.describe(), EXIT_UNKNOWN if cls.kind == "unknown" else EXIT_YES
 
 
@@ -226,8 +225,7 @@ def cmd_orbit_transitive(args, d):
 
 
 def cmd_orbit_minimal(args, d):
-    return minimality_certificate(d, horizon=args.depth,
-                                  window=_window(args.window, d, 16))
+    return minimality_certificate(d, horizon=args.depth, window=args.window)
 
 
 # --- iso ------------------------------------------------------------------------

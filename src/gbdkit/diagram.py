@@ -243,12 +243,9 @@ class DiagramHandle:
             return n >= 0
         return 0 <= n < exp.declared_levels
 
-    def in_edges(self, n: int, v: int) -> list:
-        """Complete row of F_n at target v: [(source, mult), ...], sources ascending."""
-        return list(self.row(n, v))
-
-    def row(self, n: int, v: int) -> tuple:
-        """The row of in_edges as the cached tuple itself, without a copy."""
+    def in_edges(self, n: int, v: int) -> tuple:
+        """Complete row of F_n at target v: ((source, mult), ...), sources
+        ascending; the cached tuple itself, without a copy."""
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
         key = (self._stored_level(n), v)
@@ -260,7 +257,7 @@ class DiagramHandle:
         return row
 
     def _stored_level(self, n: int) -> int:
-        """The level whose rules serve level n, and under which `row` and
+        """The level whose rules serve level n, and under which `in_edges` and
         `column_support` cache it: an explicit spec's declared level
         (`ExplicitLevelsFlag.level_of`), then level 0 on a stationary
         handle, whose levels all have the same rows."""
@@ -289,7 +286,7 @@ class DiagramHandle:
     def window_rows(self, n: int, lo: int, hi: int) -> dict:
         """{v: row} for the vertices of [lo, hi] that have a row at level n.
 
-        Rows are the cached tuples of `row`.  Vertices outside the vertex
+        Rows are the cached tuples of `in_edges`.  Vertices outside the vertex
         range, or without a declared row (explicit specs), are skipped;
         every other failure of a row read propagates.
         """
@@ -297,14 +294,14 @@ class DiagramHandle:
         rows = {}
         for v in range(lo, hi + 1):
             try:
-                rows[v] = self.row(n, v)
+                rows[v] = self.in_edges(n, v)
             except UndeclaredRowError:
                 pass
         return rows
 
     def entry(self, n: int, v: int, w: int) -> int:
         """Single matrix entry f^(n)_{vw}."""
-        for src, m in self.row(n, v):
+        for src, m in self.in_edges(n, v):
             if src == w:
                 return m
         return 0
@@ -336,7 +333,7 @@ class DiagramHandle:
         it gives one, else, under a row-width bound t (`width`), the
         targets within t of w whose rows hold w.  The width flag puts every
         target of w there, so the derived column is exact; a row read that
-        fails raises.  Cached under the key of `row`."""
+        fails raises.  Cached under the key of `in_edges`."""
         self.indexing.check(w)
         t = self.width
         if self._col_rule is None and t is None:
@@ -349,7 +346,7 @@ class DiagramHandle:
                 lo, hi = self.indexing.clamp(w - t, w + t)
                 sup = ColumnSupport.finite(
                     (v, m) for v in range(lo, hi + 1)
-                    for src, m in self.row(n, v) if src == w)
+                    for src, m in self.in_edges(n, v) if src == w)
             self._col_cache[key] = sup
         return self._col_cache[key]
 

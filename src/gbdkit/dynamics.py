@@ -165,7 +165,7 @@ def _cylinders_at(d: DiagramHandle, length: int, v: int):
         if lvl == 0:
             yield FinitePath(0, at, acc)
             continue
-        for w, mult in d.row(lvl - 1, at):
+        for w, mult in d.in_edges(lvl - 1, at):
             for copy in range(mult):
                 stack.append((lvl - 1, w,
                               (Edge(lvl - 1, w, at, copy),) + acc))
@@ -182,7 +182,7 @@ def _count_cylinders(d: DiagramHandle, length: int, v: int) -> int:
     while stack:
         lvl, at = node = stack.pop()
         if lvl > 0 and node not in rows:
-            rows[node] = d.row(lvl - 1, at)
+            rows[node] = d.in_edges(lvl - 1, at)
             stack.extend((lvl - 1, w) for w, _ in rows[node])
     count = {}
     for lvl, at in sorted(rows):
@@ -195,7 +195,7 @@ def cylinders_ending_in(d: DiagramHandle, length: int, window) -> list:
     """All cylinder prefixes of the given length whose end vertex lies in
     the window, by end vertex ascending; enumeration is backward from the
     end, hence exhaustive."""
-    lo, hi = d.indexing.clamp(*window)
+    lo, hi = clamped_interval(d.indexing, window)
     return [c for v in range(lo, hi + 1) for c in _cylinders_at(d, length, v)]
 
 
@@ -381,7 +381,7 @@ def _recheck_minimal(d: DiagramHandle, v: Verdict, lo: int, hi: int,
 def trace_trisection(x: PathGenerator, levels: int, window) -> tuple:
     """Per-level split of window vertices into on-trace, left, right."""
     on, left, right = {}, {}, {}
-    lo, hi = x.d.indexing.clamp(*window)
+    lo, hi = clamped_interval(x.d.indexing, window)
     for n in range(levels + 1):
         s = x.vertex_at(n)
         on[n] = [s] if lo <= s <= hi else []

@@ -71,9 +71,9 @@ def recheck_identity(dA: DiagramHandle, dB: DiagramHandle, g: VertexBijectionSeq
     check does."""
 
     def row_matches(n, v_new):
-        row = dA.row(n, g.inverse(n + 1, v_new))
+        row = dA.in_edges(n, g.inverse(n + 1, v_new))
         return (all(dB.entry(n, v_new, g.forward(n, w)) == m for w, m in row)
-                and sum(m for _, m in dB.row(n, v_new)) == sum(m for _, m in row))
+                and sum(m for _, m in dB.in_edges(n, v_new)) == sum(m for _, m in row))
 
     ok = all(row_matches(n, v_new) for n in range(levels + 1)
              for v_new in _window_vertices(dB, _RADIUS))
@@ -104,7 +104,7 @@ class NoneWithinBudget:
 
 
 def _row_multiset(d: DiagramHandle, n: int, v: int) -> tuple:
-    return tuple(sorted(m for _, m in d.row(n, v)))
+    return tuple(sorted(m for _, m in d.in_edges(n, v)))
 
 
 def _assignment_order(variables: list, nbrs: dict) -> list:
@@ -165,7 +165,7 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     nbrs = {x: {} for x in variables}
     for n, v in variables:
         if n > 0:
-            for w, m in dA.row(n - 1, v):
+            for w, m in dA.in_edges(n - 1, v):
                 if (n - 1, w) in nbrs:
                     nbrs[(n, v)][(n - 1, w)] = m
                     nbrs[(n - 1, w)][(n, v)] = m
@@ -227,7 +227,7 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     for n in range(depth):
         witness.verified_rows[n + 1] = sorted(
             v for v in tables[n + 1]
-            if all(w in tables[n] for w, _ in dA.row(n, v)))
+            if all(w in tables[n] for w, _ in dA.in_edges(n, v)))
     return witness
 
 

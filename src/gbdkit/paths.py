@@ -118,10 +118,10 @@ def _step(d: DiagramHandle, level: int, layer, counting: bool):
     if counting:
         nxt: dict = {}
         for u, paths in layer.items():
-            for src, mult in d.row(level, u):
+            for src, mult in d.in_edges(level, u):
                 nxt[src] = nxt.get(src, 0) + mult * paths
         return nxt
-    return {src for u in layer for src, _ in d.row(level, u)}
+    return {src for u in layer for src, _ in d.in_edges(level, u)}
 
 
 def _sweep(d: DiagramHandle, v: int, m: int, n: int, counting: bool):
@@ -192,11 +192,11 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     if not (d.stationary and m > n and d.level_known(m - 1)):
         return None
     try:
-        offs = tuple([(src - v, mult) for src, mult in d.row(n, v)])
+        offs = tuple([(src - v, mult) for src, mult in d.in_edges(n, v)])
         lo, hi = offs[0][0] * (m - n - 1), offs[-1][0] * (m - n - 1)
         step = math.gcd(*[o for o, _ in offs]) or 1
         for u in range(v + min(0, lo), v + max(0, hi) + 1, step):
-            if d.row(n, u) != tuple([(u + o, mult) for o, mult in offs]):
+            if d.in_edges(n, u) != tuple([(u + o, mult) for o, mult in offs]):
                 return None
     except GbdError:
         return None

@@ -61,12 +61,17 @@ def load_yaml(text: str):
         raise ParseError("unparseable spec: nested too deeply") from None
 
 
-def parse_document(text: str) -> dict:
-    doc = load_yaml(text)
-    if doc is None:
-        raise ParseError("empty spec document")
-    if not isinstance(doc, dict):
-        raise SchemaError("spec must be a mapping")
+def parse_document(src) -> dict:
+    """The mapping of a spec document given as text or already parsed; a
+    float anywhere in it is a SchemaError."""
+    if isinstance(src, str):
+        doc = load_yaml(src)
+        if doc is None:
+            raise ParseError("empty spec document")
+        if not isinstance(doc, dict):
+            raise SchemaError("spec must be a mapping")
+    else:
+        doc = dict(src)
     _reject_floats(doc, "top level")
     return doc
 
@@ -182,8 +187,7 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
 
 def load_spec(src) -> DiagramHandle:
     """Handle from a spec document (text or already-parsed mapping)."""
-    doc = parse_document(src) if isinstance(src, str) else dict(src)
-    _reject_floats(doc, "top level")
+    doc = parse_document(src)
     fam = doc.get("family")
     if fam is not None:
         # a family spec holds the family and that family's parameters only
@@ -199,7 +203,7 @@ def load_spec_file(path) -> DiagramHandle:
 
 
 def parse_bijection(src) -> VertexBijectionSeq:
-    doc = parse_document(src) if isinstance(src, str) else dict(src)
+    doc = parse_document(src)
     kind = doc.get("kind")
     params = {k: v for k, v in doc.items() if k != "kind"}
     try:

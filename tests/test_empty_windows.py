@@ -6,9 +6,11 @@ import pytest
 
 from gbdkit import (
     connected_probe,
+    cylinders_ending_in,
     iso_search,
     make_diagram,
     render_dot,
+    trace_trisection,
     transitivity_probe,
     vertical_from,
 )
@@ -30,6 +32,17 @@ def rs():
 def test_transitivity_probe(rs):
     with pytest.raises(EmptyWindowError, match=r"empty interval \[-5,-1\]"):
         transitivity_probe(rs, vertical_from(rs, 1), 2, SPAN)
+
+
+@pytest.mark.parametrize("window", [SPAN, (5, 1)], ids=["below base", "inverted"])
+def test_cylinders_ending_in(rs, window):
+    with pytest.raises(EmptyWindowError, match="empty interval"):
+        cylinders_ending_in(rs, 1, window)
+
+
+def test_trace_trisection(rs):
+    with pytest.raises(EmptyWindowError, match=r"empty interval \[-5,-1\]"):
+        trace_trisection(vertical_from(rs, 1), 3, SPAN)
 
 
 def test_iso_search(rs):

@@ -62,7 +62,7 @@ def width_rows_only():
 
 def without_columns(d):
     """The same rows and flags as d, without d's column rule."""
-    return DiagramHandle(d.indexing, d.row, stationary=d.stationary,
+    return DiagramHandle(d.indexing, d.in_edges, stationary=d.stationary,
                          flags=d.flags, name=d.name)
 
 

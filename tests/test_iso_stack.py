@@ -29,7 +29,7 @@ def recursive_search(dA, dB, depth, windows_a, windows_b, budget=100_000):
         return sorted(range(lo, hi + 1), key=lambda x: (abs(x), x))
 
     def row_multiset(d, n, v):
-        return tuple(sorted(m for _, m in d.row(n, v)))
+        return tuple(sorted(m for _, m in d.in_edges(n, v)))
 
     levels = range(depth + 1)
     variables = [(n, v) for n in levels for v in by_size(dA, windows_a, n)]
@@ -37,7 +37,7 @@ def recursive_search(dA, dB, depth, windows_a, windows_b, budget=100_000):
     nbrs = {x: {} for x in variables}
     for n, v in variables:
         if n > 0:
-            for w, m in dA.row(n - 1, v):
+            for w, m in dA.in_edges(n - 1, v):
                 if (n - 1, w) in nbrs:
                     nbrs[(n, v)][(n - 1, w)] = m
                     nbrs[(n - 1, w)][(n, v)] = m
@@ -97,7 +97,7 @@ def recursive_search(dA, dB, depth, windows_a, windows_b, budget=100_000):
     for n in range(depth):
         witness.verified_rows[n + 1] = sorted(
             v for v in tables[n + 1]
-            if all(w in tables[n] for w, _ in dA.row(n, v)))
+            if all(w in tables[n] for w, _ in dA.in_edges(n, v)))
     return witness
 
 

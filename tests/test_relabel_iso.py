@@ -304,5 +304,5 @@ def test_relabeled_handles_of_different_diagrams_have_different_fingerprints():
          relabel(td, builtin_bijection("cone_shift", {"t": [0, 1], "tail": 2}))),
     ]
     for d1, d2 in pairs:
-        assert any(d1.row(n, 0) != d2.row(n, 0) for n in range(4))
+        assert any(d1.in_edges(n, 0) != d2.in_edges(n, 0) for n in range(4))
         assert d1.fingerprint() != d2.fingerprint(), d1.params

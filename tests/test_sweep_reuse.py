@@ -4,7 +4,6 @@ exactly as a fresh sweep per level does, and read far fewer rows."""
 import pytest
 
 from gbdkit import (
-    DiagramHandle,
     backward_reach_set,
     classify_irreducibility_type,
     climbing,
@@ -116,19 +115,6 @@ def battery(d):
     return out
 
 
-@pytest.fixture()
-def row_reads(monkeypatch):
-    count = [0]
-    row = DiagramHandle.row
-
-    def counted(self, n, v):
-        count[0] += 1
-        return row(self, n, v)
-
-    monkeypatch.setattr(DiagramHandle, "row", counted)
-    return count
-
-
 def restarted(monkeypatch, fn):
     with monkeypatch.context() as mp:
         for module in (probes, dynamics):
@@ -145,6 +131,7 @@ def test_same_outputs_as_a_restart_per_level(name, monkeypatch, row_reads):
     reference_reads = row_reads[0] - start
     start = row_reads[0]
     assert battery(d) == reference
+    assert row_reads[0] - start > 0
     if not d.stationary:
         assert row_reads[0] - start <= reference_reads
 
@@ -172,16 +159,12 @@ def test_deep_no_probe_reads_few_rows(row_reads):
     v = irreducible_probe(d, 0, -1, 0, 96)
     assert v.is_no
     # a restart per level reads about 300,000 rows here
-    assert row_reads[0] - start < 20_000
+    assert 0 < row_reads[0] - start < 20_000
 
 
-def test_in_edges_copies_leave_the_cached_row_intact():
+def test_in_edges_hands_out_the_cached_row():
     d = make_diagram("tridiag_B")
-    cached = d.row(3, 0)
-    edges = d.in_edges(3, 0)
-    assert edges == list(cached)
-    edges.append((99, 1))
-    edges[0] = (-99, 7)
-    assert d.row(3, 0) is cached
-    assert d.in_edges(3, 0) == list(cached)
-    assert (99, 1) not in cached and (-99, 7) not in cached
+    cached = d.in_edges(3, 0)
+    assert d.in_edges(3, 0) is cached
+    with pytest.raises(TypeError):
+        cached[0] = (-99, 7)
