@@ -15,10 +15,12 @@ copy_index ranging over 0..multiplicity-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
+    GbdError,
     InvalidVertexError,
     InvariantError,
     UndeclaredRowError,
@@ -196,13 +198,69 @@ class ColumnSupport:
         return self.kind == "finite"
 
 
+# --- band knowledge ---------------------------------------------------------
+
+class Translates:
+    """The vertices u = v (mod step) around v whose rows at one stored
+    level are v's row translated, ((u + offset, mult), ...) for each
+    (offset, mult) in offs, step the gcd of the offsets.
+
+    Every such u in [lo, hi] has been read and holds; below and above,
+    once known, are such vertices outside that interval whose row does
+    not hold or whose read raises a `GbdError`.  Both only grow outward
+    from v, and each bound is written after the rows it claims were read,
+    so concurrent readers may lose an extension but never claim an
+    unread row.
+    """
+
+    __slots__ = ("offs", "step", "lo", "hi", "below", "above")
+
+    def __init__(self, offs: tuple, v: int):
+        self.offs = offs
+        self.step = math.gcd(*[o for o, _ in offs]) or 1
+        self.lo = self.hi = v
+        self.below = self.above = None
+
+    def covers(self, d: "DiagramHandle", n: int, lo: int, hi: int) -> bool:
+        """Whether every u = v (mod step) in [lo, hi], an interval around
+        v, holds: rows not checked before are read outward from [lo, hi]
+        of the record, a vertex a side in turn, up to the first that does
+        not hold."""
+        while lo < self.lo or self.hi < hi:
+            if lo < self.lo:
+                if self.below is not None and lo <= self.below:
+                    return False
+                u = self.lo - self.step
+                if not self._holds(d, n, u):
+                    self.below = u
+                    return False
+                self.lo = min(self.lo, u)
+            if self.hi < hi:
+                if self.above is not None and self.above <= hi:
+                    return False
+                u = self.hi + self.step
+                if not self._holds(d, n, u):
+                    self.above = u
+                    return False
+                self.hi = max(self.hi, u)
+        return True
+
+    def _holds(self, d: "DiagramHandle", n: int, u: int) -> bool:
+        try:
+            row = d.in_edges(n, u)
+        except GbdError:
+            return False
+        return row == tuple([(u + o, mult) for o, mult in self.offs])
+
+
 # --- the handle -------------------------------------------------------------
 
 class DiagramHandle:
     """Immutable evaluable incidence rule for a generalized Bratteli diagram.
 
     All queries are pure; the only internal state is a transparent row
-    cache and column cache, safe under concurrent reads.
+    cache, column cache and band cache (`translates`), safe under
+    concurrent reads.
     """
 
     def __init__(
@@ -232,6 +290,9 @@ class DiagramHandle:
         self._col_rule = col_rule
         self._row_cache: dict = {}
         self._col_cache: dict = {}
+        # (stored level, v) -> the Translates of v's row, or False when v
+        # holds no cone beyond itself
+        self._band_cache: dict = {}
         self._verify_flags()
 
     # -- basic queries --------------------------------------------------
@@ -282,6 +343,27 @@ class DiagramHandle:
                     f"source {w} below one-sided base {self.indexing.base} "
                     f"in row ({n}, {v})")
         return tuple(row)
+
+    def translates(self, n: int, v: int) -> Optional[Translates]:
+        """The kept `Translates` of v's row at level n, or None when a
+        vertex next to v that the sweep from v reads over any two or
+        more levels does not hold: v - step when an offset is negative,
+        v + step when one is positive.  A failing read of v's row raises.
+
+        Each vertex keeps its own record, so the rows a query reads do
+        not depend on which other vertices were asked before, and a
+        vertex known not to hold costs a lookup."""
+        key = (self._stored_level(n), v)
+        band = self._band_cache.get(key)
+        if band is None:
+            band = Translates(
+                tuple([(src - v, mult) for src, mult in self.in_edges(n, v)]), v)
+            offs = band.offs
+            if not band.covers(self, n, v + min(0, offs[0][0]),
+                               v + max(0, offs[-1][0])):
+                band = False
+            self._band_cache[key] = band
+        return band or None
 
     def window_rows(self, n: int, lo: int, hi: int) -> dict:
         """{v: row} for the vertices of [lo, hi] that have a row at level n.

@@ -9,25 +9,29 @@ Forward cones go through `forward_layers`, whose docstring states when
 a forward step is exact.
 
 Probes that ask for the first level m at which w@n reaches a target
-t(m)@m go through `first_reach`, which tests each m on the reach set
-`reach_frontiers` yields and enumerates the witness path once, at the
-hit.  `reach_frontiers` alone chooses how a reach set is found: on a
-stationary handle the rows are the same at every level, so the k-step
-backward reach set of a vertex is too, and one frontier per distinct
-target is kept for the whole query and extended a step at a time as m
-grows; on any other handle the rows may change with the level, so every
-m restarts the sweep.
+t(m)@m go through `first_reach`, which enumerates the witness path once,
+at the hit.  A band answers by arithmetic: when the handle is stationary
+and every row the sweep from t@m to level n could read is a translate
+of t's row, as on the catalog's bands, their level shifts and
+`odometer_one_sided` (`_band_offsets` checks those rows, and the handle
+keeps what it has checked, `DiagramHandle.translates`), w@n reaches
+t@m exactly when w - t is a sum of m - n offsets, which `_sumset`
+answers from a small table without a sweep; `enumerate_paths(...,
+cap=1)` walks the first path greedily by the same test.  Every other
+level is tested on the reach set `reach_frontiers` yields, which alone
+chooses how a reach set is found: on a stationary handle the rows are
+the same at every level, so the k-step backward reach set of a vertex
+is too, and one frontier per distinct target is kept for the whole
+query and extended a step at a time as m grows; on any other handle the
+rows may change with the level, so every m restarts the sweep.
 
-`count_paths` answers from the band's polynomial power instead of
-sweeping when the handle is stationary and every row the sweep from v@m
-to level n could read is a translate of v's row, as on the catalog's
-bands, their level shifts and `odometer_one_sided` away from its base
-(`_band_offsets` checks those rows): the count is then one coefficient
-of the (m - n)-th power of the row polynomial, sum of mult * x^offset,
-which Miller's recurrence reaches in one pass over the lower
-coefficients, keeping only the last deg P of them (`_band_count`).  Any
-other handle, or a row read that raises, is left to the sweep, so the
-answer and the error raised are the sweep's.
+`count_paths` answers on the same bands from the polynomial power
+instead of sweeping: the count is one coefficient of the (m - n)-th
+power of the row polynomial, sum of mult * x^offset, which Miller's
+recurrence reaches in one pass over the lower coefficients, keeping
+only the last deg P of them (`_band_count`).  Any other handle, or a
+row read that raises, is left to the sweep, so the answer and the error
+raised are the sweep's.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .diagram import DiagramHandle
@@ -180,27 +185,88 @@ def forward_layers(d: DiagramHandle, w: int, n: int, steps: int):
 
 def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     """v's row at level n as ascending (offset, mult) pairs, when the
-    handle is stationary, m > n, level m - 1 is known and every row the
-    sweep from v@m to level n could read is a translate of it; else None.
+    handle is stationary, 0 <= n < m, level m - 1 is known and every row
+    the sweep from v@m to level n could read is a translate of it; else
+    None.
 
     The sweep's layer j holds v plus sums of j offsets, so it reads rows
     only at the vertices u = v (mod g) in [v + min(0, (k-1) o_min),
-    v + max(0, (k-1) o_max)], k = m - n and g the gcd of the offsets;
-    each is checked, and a read that raises (a vertex out of range, an
-    undeclared row) leaves the question to the sweep.
+    v + max(0, (k-1) o_max)], k = m - n and g the gcd of the offsets:
+    v's row alone when k = 1.  Beyond that the handle keeps what it has
+    checked (`DiagramHandle.translates`), so each row is read for this
+    once per handle, and a vertex known not to hold costs a lookup.  A
+    read that raises (a vertex out of range, an undeclared row) leaves
+    the question to the sweep.
     """
-    if not (d.stationary and m > n and d.level_known(m - 1)):
+    if not (d.stationary and 0 <= n < m and d.level_known(m - 1)):
         return None
     try:
-        offs = tuple([(src - v, mult) for src, mult in d.in_edges(n, v)])
-        lo, hi = offs[0][0] * (m - n - 1), offs[-1][0] * (m - n - 1)
-        step = math.gcd(*[o for o, _ in offs]) or 1
-        for u in range(v + min(0, lo), v + max(0, hi) + 1, step):
-            if d.in_edges(n, u) != tuple([(u + o, mult) for o, mult in offs]):
-                return None
+        if m - n == 1:  # the sweep reads v's row alone
+            return tuple([(src - v, mult) for src, mult in d.in_edges(n, v)])
+        band = d.translates(n, v)
     except GbdError:
         return None
-    return offs
+    if band is None:
+        return None
+    offs, k = band.offs, m - n - 1
+    if band.covers(d, n, v + min(0, k * offs[0][0]), v + max(0, k * offs[-1][0])):
+        return offs
+    return None
+
+
+# the most entries a `_sumset` table may have; wider offsets leave reach on
+# the band to the kept frontier, whose layers are sparse in the cone
+# interval the band check reads (offsets {0, 999, 1000}: a table of 10^6
+# entries, built in 1 s, and 1,000 rows checked per level)
+SUMSET_TABLE_MAX = 4096
+
+
+@lru_cache(maxsize=64)
+def _sumset(offs):
+    """holds(x, h): whether x is a sum of h offsets of offs, which on a
+    band (`_band_offsets`) is whether w@l reaches v@(l + h), x = w - v;
+    None when the table below would exceed SUMSET_TABLE_MAX entries.
+
+    Shift the offsets to start at 0 and divide them by the gcd g of their
+    gaps: y = (x - h o_min) / g must be a sum of h elements of the
+    shifted set T, that is of at most h of its nonzero elements, the
+    coins.  So holds compares fewest(y), the least number of coins that
+    sum to y, with h.  Fewer than a coins of an optimal sum are below the
+    largest coin a: a of them hold a block summing to a multiple of a,
+    which fewer coins a replace.  So for y >= Y = (a - 1) b, b the
+    largest coin below a, an optimal sum of y + a holds a coin a and
+    fewest(y + a) = fewest(y) + 1, and one table of fewest over
+    [0, Y + a) answers every y and h.  For large h this gives hT the
+    shape M. B. Nathanson found (Sums of finite sets of integers, Amer.
+    Math. Monthly 79, 1972): a fixed finite set, an interval, and a fixed
+    finite set below hT's top.
+    """
+    base = offs[0][0]
+    if len(offs) == 1:
+        return lambda x, h: x == h * base
+    gaps = [o - base for o, _ in offs[1:]]
+    g = math.gcd(*gaps)
+    coins = [gap // g for gap in gaps]
+    a = coins[-1]
+    start = (a - 1) * (coins[-2] if len(coins) > 1 else 0)
+    if start + a > SUMSET_TABLE_MAX:
+        return None
+    fewest = [0]
+    for y in range(1, start + a):
+        fewest.append(1 + min([fewest[y - c] for c in coins if c <= y],
+                              default=math.inf))
+
+    def holds(x: int, h: int) -> bool:
+        y, r = divmod(x - h * base, g)
+        if r or y < 0:
+            return False
+        q = 0
+        if y >= start:
+            q, y = divmod(y - start, a)
+            y += start
+        return fewest[y] + q <= h
+
+    return holds
 
 
 def _band_count(offs, k: int, t: int) -> int:
@@ -246,10 +312,15 @@ def enumerate_paths(d: DiagramHandle, w: int, n: int, v: int, m: int,
     """Distinct paths w@n -> v@m in lexicographic edge order.
 
     Returns (paths, truncated); truncated is True when more than cap
-    paths exist.  cap=None enumerates everything.
+    paths exist.  cap=None enumerates everything.  With cap=1 on a band
+    (`_band_offsets`) whose offsets `_sumset` takes, the first path is
+    walked without a sweep (`_first_band_path`).
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
+    offs = _band_offsets(d, n, v, m) if cap == 1 and m - n > 1 else None
+    if offs is not None and _sumset(offs) is not None:
+        return _first_band_path(d, w, n, v, m, offs)
     # reach[k]: vertices at level n + k that reach v@m, as sorted lists,
     # which take an eighth of the memory of sets on deep profiles
     reach = [sorted(s) for s in _sweep(d, v, m, n, counting=False)][::-1]
@@ -285,6 +356,50 @@ def enumerate_paths(d: DiagramHandle, w: int, n: int, v: int, m: int,
     return out, False
 
 
+def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
+    """enumerate_paths(d, w, n, v, m, cap=1) on a band (`_band_offsets`
+    holds offs for v@m and level n), with no sweep.
+
+    Every vertex of a reach layer reaches v@m, so the depth-first search
+    never backtracks: from each vertex it takes the smallest target
+    at - o whose remaining sumset holds it (`_sumset`), copy 0.  More
+    than one path exists exactly when some step has a second (target,
+    copy) choice inside the reach set.
+    """
+    d.indexing.check(w)
+    holds = _sumset(offs)
+    if not holds(w - v, m - n):
+        return [], False
+    edges, more, at = [], False, w
+    for level in range(n, m):
+        u, left = None, m - level - 1
+        for o, mult in reversed(offs):  # targets at - o ascending
+            if holds(at - o - v, left):
+                if u is not None:
+                    more = True
+                    break
+                u, more = at - o, more or mult > 1
+                if more:
+                    break
+        edges.append(Edge(level, at, u, 0))
+        at = u
+    return [FinitePath(n, w, tuple(edges))], more
+
+
+def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict) -> set:
+    """The vertices at level n with a path to t@m, from the frontier of t
+    kept in fronts on a stationary handle (`reach_frontiers`), else from
+    a fresh sweep."""
+    if d.stationary and 0 <= n < m and d.level_known(m - 1):
+        d.indexing.check(t)
+        k, reach = fronts.get(t, (0, {t}))
+        for _ in range(m - n - k):
+            reach = _step(d, n, reach, counting=False)
+        fronts[t] = (m - n, reach)
+        return reach
+    return backward_reach_set(d, t, m, n)
+
+
 def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
     and reach the set of vertices at level n with a path to t@m.
@@ -300,26 +415,38 @@ def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     fronts: dict = {}
     for m in levels:
         t = target(m)
-        if d.stationary and 0 <= n < m and d.level_known(m - 1):
-            d.indexing.check(t)
-            k, reach = fronts.get(t, (0, {t}))
-            for _ in range(m - n - k):
-                reach = _step(d, n, reach, counting=False)
-            fronts[t] = (m - n, reach)
-        else:
-            reach = backward_reach_set(d, t, m, n)
-        yield m, t, reach
+        yield m, t, _reach(d, n, m, t, fronts)
 
 
 def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     """First m in levels (ascending) with a path w@n -> target(m)@m, as
     (m, path) where path is the first one enumerate_paths yields; None when
-    no level has one.  Each m is tested on the reach set of
-    `reach_frontiers`, and enumerate_paths sweeps once, at the hit, for
-    the witness."""
+    no level has one.
+
+    A level m >= n + 2 whose target's cone is a band (`_band_offsets`) is
+    tested by the sumset of the offsets (`_sumset`, unless they are too
+    wide for its table) and sweeps nothing; any other level, the first
+    one above n included, is tested on the reach set of the kept frontier
+    (`reach_frontiers`).  A cone only grows with m, so a target whose
+    cone left the band once keeps the frontier.  enumerate_paths finds
+    the witness once, at the hit.
+    """
     d.indexing.check(w)
-    for m, t, reach in reach_frontiers(d, n, levels, target):
-        if w in reach:
+    fronts: dict = {}
+    swept: set = set()
+    for m in levels:
+        t = target(m)
+        holds = None
+        if m - n > 1 and t not in swept:
+            offs = _band_offsets(d, n, t, m)
+            holds = None if offs is None else _sumset(offs)
+            if holds is None:
+                swept.add(t)
+        if holds is not None:
+            hit = holds(w - t, m - n)
+        else:
+            hit = w in _reach(d, n, m, t, fronts)
+        if hit:
             paths, _ = enumerate_paths(d, w, n, t, m, cap=1)
             return m, paths[0]
     return None

@@ -1,6 +1,9 @@
 import pytest
 
-from gbdkit import DiagramHandle, catalog_names, make_diagram
+from gbdkit import DiagramHandle, FinitePath, catalog_names, make_diagram
+from gbdkit import paths
+from gbdkit.indexing import two_sided
+from gbdkit.paths import Edge
 
 NAMES = [n for n in catalog_names() if n != "banded"]
 
@@ -28,3 +31,63 @@ def row_reads(monkeypatch):
 
     monkeypatch.setattr(DiagramHandle, "in_edges", counted)
     return count
+
+
+def sweep_enumerate_paths(d, w, n, v, m, cap=None):
+    """`enumerate_paths` by its backward sweep alone, the reference for the
+    greedy walk on bands: the reach layers as sorted lists, then a
+    depth-first search over them in lexicographic edge order."""
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
+    reach = [sorted(s) for s in paths._sweep(d, v, m, n, counting=False)][::-1]
+    d.indexing.check(w)
+    if w not in reach[0]:
+        return [], False
+
+    def steps(level, at):
+        for u in reach[level + 1 - n]:
+            for copy in range(d.entry(level, u, at)):
+                yield Edge(level, at, u, copy)
+
+    out, edges, stack = [], [], [steps(n, w)]
+    while stack:
+        if len(edges) == m - n:
+            if len(out) == cap:
+                return out, True
+            out.append(FinitePath(n, w, tuple(edges)))
+            e = None
+        else:
+            e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if edges:
+                edges.pop()
+        else:
+            edges.append(e)
+            stack.append(steps(e.level + 1, e.target))
+    return out, False
+
+
+def restart_first_reach(d, w, n, levels, target):
+    """The per-level loop: a fresh sweep (inside the reference enumerator)
+    at every m, after first_reach's check of w."""
+    d.indexing.check(w)
+    for m in levels:
+        found, _ = sweep_enumerate_paths(d, w, n, target(m), m, cap=1)
+        if found:
+            return m, found[0]
+    return None
+
+
+def defective_band(offs, at):
+    """A stationary two-sided band whose row at vertex `at` alone has its
+    lowest source's multiplicity raised by one."""
+    items = sorted(offs.items())
+
+    def rows(n, u):
+        row = [(u + o, mult) for o, mult in items]
+        if u == at:
+            row[0] = (row[0][0], row[0][1] + 1)
+        return row
+
+    return DiagramHandle(two_sided(), rows, stationary=True, name="defective band")

@@ -21,8 +21,10 @@ from gbdkit import (
     make_diagram,
     relabel,
 )
-from gbdkit import paths
+from gbdkit import enumerate_paths, paths
 from gbdkit.indexing import two_sided
+
+from conftest import defective_band, restart_first_reach, sweep_enumerate_paths
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -61,20 +63,6 @@ def test_count_paths_equals_the_sweep_on_random_bands(offs, side, base, v, w, n,
     d = make_diagram("banded", offsets=offs, side=side, base=base)
     want = outcome(sweep_count, d, w, n, v, n + k)
     assert outcome(count_paths, d, w, n, v, n + k) == want
-
-
-def defective_band(offs, at):
-    """A stationary two-sided band whose row at vertex `at` alone has its
-    lowest source's multiplicity raised by one."""
-    items = sorted(offs.items())
-
-    def rows(n, u):
-        row = [(u + o, mult) for o, mult in items]
-        if u == at:
-            row[0] = (row[0][0], row[0][1] + 1)
-        return row
-
-    return DiagramHandle(two_sided(), rows, stationary=True, name="defective band")
 
 
 @PROPERTY
@@ -156,7 +144,7 @@ def windowed_band():
                                  "offsets": {-1: 1, 0: 2, 1: 1}}]})
 
 
-@pytest.mark.parametrize("d, args, error, message", [
+GUARD_CASES = pytest.mark.parametrize("d, args, error, message", [
     (windowed_band(), (0, 0, 3, 3), UndeclaredRowError,
      "vertex 5 has no declared row at level 0"),
     (band_with_two_levels(), (0, 0, 0, 5), UnsupportedLevelError,
@@ -169,11 +157,26 @@ def windowed_band():
      "vertex 0 below one-sided base 1"),
 ], ids=["a band's rows stop at a window", "a band's levels end", "m < n",
         "invalid v before invalid w", "invalid w"])
+
+
+@GUARD_CASES
 def test_the_guard_raises_what_the_sweep_raises(d, args, error, message):
     with pytest.raises(error) as caught:
         count_paths(d, *args)
     assert str(caught.value) == message
     assert outcome(sweep_count, d, *args) == (error, message)
+
+
+@GUARD_CASES
+def test_the_guard_leaves_reach_and_witness_to_the_sweep(d, args, error, message):
+    # the first path raises what the count raises; first_reach, asking
+    # each level up to m, raises it or answers first, as the restart does
+    assert outcome(lambda: enumerate_paths(d, *args, cap=1)) == (error, message)
+    assert outcome(lambda: sweep_enumerate_paths(d, *args, cap=1)) == (error, message)
+    w, n, v, m = args
+    levels = range(n + 1, m + 1)
+    assert outcome(paths.first_reach, d, w, n, levels, lambda _: v) == \
+        outcome(restart_first_reach, d, w, n, levels, lambda _: v)
 
 
 def test_a_bad_row_the_sweep_never_reads_leaves_the_count_to_the_sweep():

@@ -10,7 +10,6 @@ from gbdkit import (
     cone_shift,
     cylinder_at,
     dense_orbit_reenumeration,
-    enumerate_paths,
     interleave,
     irreducible_probe,
     level_shift,
@@ -25,16 +24,7 @@ from gbdkit import (
 from gbdkit import dynamics, probes
 from gbdkit.specfmt import load_spec
 
-from conftest import NAMES
-
-
-def restart_first_reach(d, w, n, levels, target):
-    """The per-level loop: a fresh sweep (inside enumerate_paths) at every m."""
-    for m in levels:
-        paths, _ = enumerate_paths(d, w, n, target(m), m, cap=1)
-        if paths:
-            return m, paths[0]
-    return None
+from conftest import NAMES, restart_first_reach
 
 
 def restart_frontiers(d, n, levels, target):
