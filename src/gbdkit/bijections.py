@@ -43,6 +43,21 @@ class _LevelMap:
     def inverted(self) -> "_LevelMap":
         return _Swapped(self)
 
+    def push(self, pairs, tgt: VertexIndexing) -> list:
+        """[(forward(w), m) for (w, m) of `pairs`], sorted, for a nonempty
+        row or column with ascending sources.  Each entry is mapped in
+        row order and its image checked against `tgt` before the next is
+        mapped, as `VertexBijectionSeq.forward` does one vertex at a time."""
+        forward, contains = self.forward, tgt.contains
+        out = []
+        for w, m in pairs:
+            x = forward(w)
+            if not contains(x):
+                tgt.check(x, "image vertex")
+            out.append((x, m))
+        out.sort()
+        return out
+
 
 class _Swapped(_LevelMap):
     """The inverse of any level map: forward and inverse trade places."""
@@ -70,6 +85,12 @@ class AffineMap(_LevelMap):
     def inverted(self) -> "AffineMap":
         # a shift stays a shift, so shift families relabel without a wrapper
         return AffineMap(-self.c)
+
+    def push(self, pairs, tgt: VertexIndexing) -> list:
+        # a shift keeps the row order, and the first image is the least
+        c = self.c
+        tgt.check(pairs[0][0] + c, "image vertex")
+        return [(w + c, m) for w, m in pairs]
 
 
 class InterleaveMap(_LevelMap):
@@ -180,6 +201,16 @@ class VertexBijectionSeq:
         x = self.map_at(n).forward(v)
         self.target_indexing.check(x, "image vertex")
         return x
+
+    def push(self, n: int, pairs) -> tuple:
+        """`tuple(sorted((self.forward(n, w), m) for w, m in pairs))` for
+        pairs with ascending sources, as rows and columns are, raising
+        what that raises for the first failing entry in row order.  The
+        least source comes first, so it alone is range-checked."""
+        if not pairs:
+            return ()
+        self.source_indexing.check(pairs[0][0])
+        return tuple(self.map_at(n).push(pairs, self.target_indexing))
 
     def inverse(self, n: int, x: int) -> int:
         self.target_indexing.check(x, "image vertex")
@@ -359,7 +390,7 @@ def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:
 def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> tuple:
     """Row of d at level n, target v, with its sources pushed through g_n,
     sorted by pushed source: the row the g-relabeled diagram has at g_{n+1}(v)."""
-    return tuple(sorted((g.forward(n, w), m) for w, m in d.in_edges(n, v)))
+    return g.push(n, d.in_edges(n, v))
 
 
 def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
@@ -376,8 +407,7 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
         if sup is None:
             return None
         if sup.is_finite:
-            return ColumnSupport.finite(
-                (g.forward(n + 1, v), m) for v, m in sup.entries)
+            return ColumnSupport.finite(g.push(n + 1, sup.entries))
         return sup
 
     return DiagramHandle(

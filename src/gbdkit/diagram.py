@@ -331,17 +331,20 @@ class DiagramHandle:
         row = sorted((int(w), int(m)) for w, m in raw)
         if not row:
             raise InvariantError(f"empty incidence row at level {n}, vertex {v}")
-        seen = set()
+        # the first faulty entry raises, a fault of its multiplicity first;
+        # sources ascend, so a duplicate follows its twin and only the
+        # least source can lie below the base
+        prev = None
         for w, m in row:
             if m < 1:
                 raise InvariantError(f"nonpositive multiplicity {m} at ({n}, {v}, {w})")
-            if w in seen:
+            if w == prev:
                 raise InvariantError(f"duplicate source {w} in row ({n}, {v})")
-            seen.add(w)
-            if not self.indexing.contains(w):
+            if prev is None and not self.indexing.contains(w):
                 raise InvariantError(
                     f"source {w} below one-sided base {self.indexing.base} "
                     f"in row ({n}, {v})")
+            prev = w
         return tuple(row)
 
     def translates(self, n: int, v: int) -> Optional[Translates]:
@@ -406,8 +409,11 @@ class DiagramHandle:
             self.indexing.check(w, "column vertex")
         mat = []
         for v in range(rlo, rhi + 1):
-            rowmap = dict(self.in_edges(n, v))
-            mat.append([rowmap.get(w, 0) for w in range(clo, chi + 1)])
+            line = [0] * (chi - clo + 1)
+            for w, m in self.in_edges(n, v):
+                if clo <= w <= chi:
+                    line[w - clo] = m
+            mat.append(line)
         return mat
 
     def column_support(self, n: int, w: int) -> Optional[ColumnSupport]:

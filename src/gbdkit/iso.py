@@ -143,10 +143,13 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     window center and spreads along edges, so row constraints bind as
     early as possible (`_assignment_order`).  Candidates must have the
     same full-row multiplicity multiset (exact rows, an isomorphism
-    invariant) and are tried in ascending |vertex| order.  The search
-    walks an explicit stack, one frame per assigned variable, so deep
-    windows never meet the recursion limit.  Exhausting the node budget
-    is a result, not an error.
+    invariant) and are tried in ascending |vertex| order.  A candidate
+    must agree with every assigned vertex one level down and one level
+    up; the check reads dB's row at the candidate and an incidence index
+    of the assigned images' rows, O(row + degree) per candidate.  The
+    search walks an explicit stack, one frame per assigned variable, so
+    deep windows never meet the recursion limit.  Exhausting the node
+    budget is a result, not an error.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -172,18 +175,64 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
     order = _assignment_order(variables, nbrs)
     # v@n's in-edges are the row of level n - 1, read above
     sigs = [_row_multiset(dA, n - 1, v) if n > 0 else None for n, v in order]
+    # order[k]'s neighbours among order[:k], the variables assigned
+    # whenever order[k] is tried: {w: mult} one level down, {u: mult} up
+    position = {x: k for k, x in enumerate(order)}
+    downs, ups = [], []
+    for k, (n, v) in enumerate(order):
+        near = {x: m for x, m in nbrs[(n, v)].items() if position[x] < k}
+        downs.append({w: m for (l, w), m in near.items() if l < n})
+        ups.append({u: m for (l, u), m in near.items() if l > n})
 
     tables = {n: {} for n in levels}  # the assignment, level -> {v: image}
-    used = {n: set() for n in levels}
+    owner = {n: {} for n in levels}  # its inverse, level -> {image: v}
+    # the incidence index, level n -> {x: {image: mult}}: the assigned
+    # images at level n + 1 whose dB rows hold x, with x's multiplicity
+    holders = {n: {} for n in levels}
+    sig_memo = {}  # (n, v_img) -> dB's row multiset at v_img on level n
     nodes = 0
 
-    def consistent(n, v, v_img):
-        # every assigned vertex one level down and one level up must agree
-        nb = nbrs[(n, v)]
-        return (all(nb.get((n - 1, w), 0) == dB.entry(n - 1, v_img, got)
-                    for w, got in tables.get(n - 1, {}).items())
-                and all(nb.get((n + 1, u), 0) == dB.entry(n, got, v_img)
-                        for u, got in tables.get(n + 1, {}).items()))
+    def sig_b(n, v_img):
+        sig = sig_memo.get((n, v_img))
+        if sig is None:
+            sig = sig_memo[(n, v_img)] = _row_multiset(dB, n, v_img)
+        return sig
+
+    def consistent(k, n, v_img):
+        # every assigned vertex one level down and one level up must agree:
+        # the assigned images in dB's row at v_img are exactly those of v's
+        # assigned neighbours below, with their multiplicities, and the
+        # assigned images whose rows hold v_img are those of v's above
+        down, up = downs[k], ups[k]
+        if n > 0:
+            below, hits = owner[n - 1], 0
+            for src, m in dB.in_edges(n - 1, v_img):
+                w = below.get(src)
+                if w is not None:
+                    if down.get(w) != m:
+                        return False
+                    hits += 1
+            if hits != len(down):
+                return False
+        if n < depth:
+            above = owner[n + 1]
+            held = holders[n].get(v_img, {})
+            if len(held) != len(up):
+                return False
+            for got, m in held.items():
+                if up.get(above[got]) != m:
+                    return False
+        return True
+
+    def index(n, v_img, add):
+        # v_img@n's dB row enters (add) or leaves the index of level n - 1
+        if n > 0:
+            at = holders[n - 1]
+            for src, m in dB.in_edges(n - 1, v_img):
+                if add:
+                    at.setdefault(src, {})[v_img] = m
+                else:
+                    del at[src][v_img]
 
     def search() -> bool:
         # tried[k] is how many candidates of order[k] have been taken up
@@ -196,17 +245,18 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
             while tried[k] < len(pool):
                 v_img = pool[tried[k]]
                 tried[k] += 1
-                if v_img in used[n]:
+                if v_img in owner[n]:
                     continue
                 nodes += 1
                 if nodes > budget:
                     return False
-                if n > 0 and _row_multiset(dB, n - 1, v_img) != sigs[k]:
+                if n > 0 and sig_b(n - 1, v_img) != sigs[k]:
                     continue
-                if not consistent(n, v, v_img):
+                if not consistent(k, n, v_img):
                     continue
                 tables[n][v] = v_img
-                used[n].add(v_img)
+                owner[n][v_img] = v
+                index(n, v_img, True)
                 k += 1
                 break
             else:
@@ -216,7 +266,9 @@ def iso_search(dA: DiagramHandle, dB: DiagramHandle, depth: int,
                 tried[k] = 0
                 k -= 1
                 n, v = order[k]
-                used[n].discard(tables[n].pop(v))
+                v_img = tables[n].pop(v)
+                del owner[n][v_img]
+                index(n, v_img, False)
         return True
 
     if not search():

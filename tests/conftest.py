@@ -2,6 +2,7 @@ import pytest
 
 from gbdkit import DiagramHandle, FinitePath, catalog_names, make_diagram
 from gbdkit import paths
+from gbdkit.bijections import VertexBijectionSeq
 from gbdkit.indexing import two_sided
 from gbdkit.paths import Edge
 
@@ -31,6 +32,39 @@ def row_reads(monkeypatch):
 
     monkeypatch.setattr(DiagramHandle, "in_edges", counted)
     return count
+
+
+@pytest.fixture()
+def level_map_calls(monkeypatch):
+    """{"forward": count, "push": count}: the calls of the per-vertex
+    `VertexBijectionSeq.forward` and the per-row `push` made while the
+    test runs."""
+    count = {"forward": 0, "push": 0}
+    for name in count:
+        method = getattr(VertexBijectionSeq, name)
+
+        def counted(self, *args, name=name, method=method):
+            count[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(VertexBijectionSeq, name, counted)
+    return count
+
+
+def dict_incidence_window(d, n, row_win, col_win):
+    """`DiagramHandle.incidence_window` by one dict lookup per cell, the
+    reference for the fill from rows."""
+    rlo, rhi = row_win
+    clo, chi = col_win
+    for v in (rlo, rhi):
+        d.indexing.check(v, "row vertex")
+    for w in (clo, chi):
+        d.indexing.check(w, "column vertex")
+    mat = []
+    for v in range(rlo, rhi + 1):
+        rowmap = dict(d.in_edges(n, v))
+        mat.append([rowmap.get(w, 0) for w in range(clo, chi + 1)])
+    return mat
 
 
 def sweep_enumerate_paths(d, w, n, v, m, cap=None):

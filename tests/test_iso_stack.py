@@ -5,6 +5,7 @@ and deep windows no longer meet the recursion limit."""
 import pytest
 
 from gbdkit import (
+    GbdError,
     IsoWitness,
     LevelWindow,
     NoneWithinBudget,
@@ -120,22 +121,48 @@ def pairs():
     rows = {v: {v - 1: 1, v: v % 3 + 1} for v in range(-6, 7)}
     d = load_spec({"levels": [rows], "extension": "repeat_last"})
     out.append((d, relabel(d, level_shift(1))))
+    out.append((make_diagram("interleaved_Bprime"), td))  # one-sided vs two-sided
     return out
+
+
+def late_budgets(search):
+    """Budgets that cut `search()` half way and at its last node, where an
+    exhausted search is deep in backtracking; none when it raises."""
+    try:
+        nodes = search().nodes_explored
+    except GbdError:
+        return ()
+    return (nodes // 2, nodes - 1) if nodes > 2 else ()
 
 
 @pytest.mark.parametrize("k", range(len(pairs())))
 def test_stack_search_matches_the_recursive_search(k):
     dA, dB = pairs()[k]
-    for depth in range(4):
+    for depth in (0, 1, 2, 3, 5):
         for radius in (2, 3):
             wa = LevelWindow.uniform(dA.indexing, depth, radius)
             wb = LevelWindow.uniform(dB.indexing, depth, radius + 1)
-            for budget in (1, 7, 60, 400, 100_000):
+            late = late_budgets(lambda: recursive_search(dA, dB, depth, wa, wb))
+            for budget in (1, 7, 60, 400, 100_000, *late):
                 new = outcome(lambda: summary(iso_search(dA, dB, depth, wa, wb,
                                                          budget=budget)))
                 ref = outcome(lambda: summary(recursive_search(
                     dA, dB, depth, wa, wb, budget=budget)))
                 assert new == ref, (depth, radius, budget)
+
+
+@pytest.mark.parametrize("radius", (2, 3))
+def test_late_budgets_cut_after_a_backtrack(radius):
+    """Until its first backtrack a search tries each variable's pool at most
+    once, so a search cut past the sum of the pool sizes has backtracked:
+    both late budgets of the depth-5 tridiag_B vs shifted_Bsecond search
+    lie past it."""
+    dA, dB = make_diagram("tridiag_B"), make_diagram("shifted_Bsecond")
+    wa = LevelWindow.uniform(dA.indexing, 5, radius)
+    wb = LevelWindow.uniform(dB.indexing, 5, radius + 1)
+    assert isinstance(recursive_search(dA, dB, 5, wa, wb), NoneWithinBudget)
+    pools = 6 * (2 * radius + 1) * (2 * radius + 3)  # variables times pool size
+    assert pools < min(late_budgets(lambda: recursive_search(dA, dB, 5, wa, wb)))
 
 
 def test_seventy_levels_from_the_command_line(tmp_path, capsys):

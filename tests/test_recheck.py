@@ -41,7 +41,7 @@ from gbdkit import (
     vertical_from,
 )
 from gbdkit.cli import main
-from gbdkit.bijections import recheck_relabel
+from gbdkit.bijections import VertexBijectionSeq, recheck_relabel
 from gbdkit.iso import recheck_identity, recheck_search
 from gbdkit.probes import recheck_period
 from gbdkit.reenumerate import recheck_dense, recheck_toeplitz
@@ -254,6 +254,33 @@ def test_iso_check(d):
     assert not verify_permutation_identity(td, extra, g, 4)
     assert recheck_identity(td, extra, g, 4, False) == line.format(True)
     assert recheck_identity(td, extra, g, 4, True) == line.format(False)
+
+
+def test_rechecks_read_past_a_wrong_push(monkeypatch):
+    """The relabel and identity rechecks read per vertex, through forward,
+    inverse and entry, so a `push` that alters a multiplicity reads False
+    in both, while the identity check, which pushes on both sides, still
+    holds."""
+    push = VertexBijectionSeq.push
+
+    def altered(self, n, pairs):
+        (w, m), *rest = push(self, n, pairs)
+        return ((w, m + 1), *rest)
+
+    monkeypatch.setattr(VertexBijectionSeq, "push", altered)
+    # no flags, so nothing rejects the altered rows at build time
+    d = DiagramHandle(two_sided(), lambda n, v: [(v - 1, 1), (v, 2), (v + 1, 1)],
+                      stationary=True, name="plain tridiagonal")
+    g = level_shift(1)
+    d2 = relabel(d, g)
+    # level 1's vertex 1 is level 0's vertex 0, with source -1's edge doubled
+    assert d2.in_edges(0, 1) == ((-1, 2), (0, 2), (1, 1))
+    assert verify_permutation_identity(d, d2, g, 2)
+    assert recheck_identity(d, d2, g, 2, True) \
+        == "entries and row sums re-read through the bijection: False"
+    doc = explicit_spec_of_window(d2, 2, (-3, 3))
+    assert recheck_relabel(d, g, 2, (-3, 3), doc) \
+        == "exported rows re-derived from the bijection: False"
 
 
 def test_iso_search(d):
