@@ -111,7 +111,7 @@ from .specfmt import (
     to_text,
     witness_text,
 )
-from .verdicts import NonReachInvariant, Verdict, find_invariants, recheck
+from .verdicts import NonReachInvariant, Verdict, find_invariants
 from .windows import LevelWindow
 
 __version__ = "0.1.0"

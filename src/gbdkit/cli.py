@@ -6,12 +6,11 @@ parse errors, so scripts can branch on verdicts.
 Every command is one row of COMMANDS, which lists the flags the command
 reads besides the common --spec and --out; any other flag exits 2.  A
 command function takes the parsed arguments and the loaded diagram and
-returns a probe's Verdict, whose payload is its description plus the
-line of `verdicts.recheck`, or else (payload, outcome) or (payload,
-outcome, artifact); `_run` loads --spec, times the call, prints the
-probe report and maps the outcome (a Verdict, a bool or an exit code)
-to the exit code.  With --out, the artifact (when there is one) or else
-the printed text goes to that file.
+returns (payload, exit code) or (payload, exit code, artifact), where a
+verdict's payload holds the line of the recheck beside its probe, called
+with the probe's own arguments; `_run` loads --spec, times the call,
+prints the probe report and returns the exit code.  With --out, the
+artifact (when there is one) or else the printed text goes to that file.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ from .dot import render_dot
 from .dynamics import (
     minimality_certificate,
     orbit_visits_cylinder,
+    recheck_minimal,
+    recheck_transitive,
+    recheck_visit,
     transitivity_probe,
 )
 from .errors import GbdError, OutputError, SchemaError, reject_unknown_keys
@@ -46,6 +48,8 @@ from .probes import (
     connected_probe,
     irreducible_probe,
     period_of_index,
+    recheck_connected,
+    recheck_irreducible,
     recheck_period,
 )
 from .reenumerate import (
@@ -56,7 +60,6 @@ from .reenumerate import (
     toeplitz_reenumeration,
 )
 from .report import probe_report, run_report
-from .verdicts import Verdict, recheck
 from .windows import LevelWindow
 
 EXIT_YES = 0
@@ -142,16 +145,6 @@ def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
     return prefix_from_trace(d, [int(v) for v in trace])
 
 
-def _exit_code(outcome) -> int:
-    """Exit code of a Verdict, a bool (True is Yes) or an exit code."""
-    if isinstance(outcome, Verdict):
-        return EXIT_YES if outcome.is_yes else EXIT_NO if outcome.is_no \
-            else EXIT_UNKNOWN
-    if isinstance(outcome, bool):
-        return EXIT_YES if outcome else EXIT_NO
-    return outcome
-
-
 def _write(args, text: str, artifact: str | None = None) -> None:
     """Print text; --out gets the artifact when there is one, else the text."""
     if args.out:
@@ -167,14 +160,11 @@ def _run(args) -> int:
     """Load --spec, run the command, print its probe report; the exit code."""
     started = time.perf_counter()
     d = specfmt.load_spec_file(args.spec)
-    result = args.fn(args, d)
-    if isinstance(result, Verdict):
-        result = {**result.describe(), "recheck": recheck(d, result)}, result
-    payload, outcome, *artifact = result
+    payload, code, *artifact = args.fn(args, d)
     text = probe_report(f"{args.group} {args.cmd}", d, payload,
                         time.perf_counter() - started)
     _write(args, text, *artifact)
-    return _exit_code(outcome)
+    return code
 
 
 def _run_text(args) -> int:
@@ -185,14 +175,23 @@ def _run_text(args) -> int:
     return code
 
 
+def _verdict(d: DiagramHandle, probe, check, *asked) -> tuple:
+    """(payload, exit code) of v = probe(d, *asked), with check's line."""
+    v = probe(d, *asked)
+    code = EXIT_YES if v.is_yes else EXIT_NO if v.is_no else EXIT_UNKNOWN
+    return {**v.describe(), "recheck": check(d, v, *asked)}, code
+
+
 # --- probe ----------------------------------------------------------------------
 
 def cmd_probe_irreducible(args, d):
-    return irreducible_probe(d, args.src, args.dst, args.level, args.depth)
+    return _verdict(d, irreducible_probe, recheck_irreducible,
+                    args.src, args.dst, args.level, args.depth)
 
 
 def cmd_probe_connected(args, d):
-    return connected_probe(d, args.levels, _level_window(args, d, 8))
+    return _verdict(d, connected_probe, recheck_connected,
+                    args.levels, _level_window(args, d, 8))
 
 
 def cmd_probe_period(args, d):
@@ -215,17 +214,20 @@ def cmd_probe_classify(args, d):
 # --- orbit ----------------------------------------------------------------------
 
 def cmd_orbit_visit(args, d):
-    return orbit_visits_cylinder(d, _generator(d, args.generator),
-                                 _cylinder(d, args.cylinder), args.depth)
+    return _verdict(d, orbit_visits_cylinder, recheck_visit,
+                    _generator(d, args.generator), _cylinder(d, args.cylinder),
+                    args.depth)
 
 
 def cmd_orbit_transitive(args, d):
-    return transitivity_probe(d, _generator(d, args.generator), args.cyl_depth,
-                              _window(args.window, d, 6), args.depth)
+    return _verdict(d, transitivity_probe, recheck_transitive,
+                    _generator(d, args.generator), args.cyl_depth,
+                    _window(args.window, d, 6), args.depth)
 
 
 def cmd_orbit_minimal(args, d):
-    return minimality_certificate(d, horizon=args.depth, window=args.window)
+    return _verdict(d, minimality_certificate, recheck_minimal,
+                    args.depth, args.window)
 
 
 # --- iso ------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def cmd_iso_check(args, dA):
     ok = verify_permutation_identity(dA, dB, g, args.levels)
     payload = {"identity_holds": ok, "levels": args.levels,
                "recheck": recheck_identity(dA, dB, g, args.levels, ok)}
-    return payload, ok
+    return payload, EXIT_YES if ok else EXIT_NO
 
 
 def cmd_iso_search(args, dA):

@@ -11,13 +11,10 @@ def _node_id(n: int, v: int) -> str:
     return f"L{n}_{tag}"
 
 
-def render_dot(d: DiagramHandle, levels: int, window=None, radius: int = 4) -> str:
-    """One node per (level, vertex) in the window, one edge per
-    multiplicity unit; byte-identical across runs.  EmptyWindowError
-    when a level's interval holds no vertex."""
-    if window is None:
-        window = LevelWindow.uniform(d.indexing, levels, radius) \
-            if levels >= 0 else LevelWindow({})
+def render_dot(d: DiagramHandle, levels: int, window: LevelWindow) -> str:
+    """One node per (level, vertex) of the window on levels <= levels, one
+    edge per multiplicity unit; byte-identical across runs.
+    EmptyWindowError when a level's interval holds no vertex."""
     lines = ["digraph diagram {", "  rankdir=TB;", "  node [shape=circle];"]
     lvls = [n for n in window.levels if n <= levels]
     for n in lvls:

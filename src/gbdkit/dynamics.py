@@ -97,7 +97,6 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
     """Does the tail-equivalence orbit of x meet the cylinder of prefix c?"""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
-    q = (_recheck_visit, x, c)
 
     def first_visit(levels) -> Optional[Verdict]:
         hit = first_reach(d, j, ell, levels, x.vertex_at)
@@ -106,7 +105,7 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
         m, connecting = hit
         x.validate_to(m + 1)
         return Verdict.yes(witness={"level": m, "connecting_path": connecting,
-                                    "cylinder": c}, question=q)
+                                    "cylinder": c})
 
     found = first_visit(range(ell + 1, ell + depth + 1))
     if found is not None:
@@ -127,15 +126,16 @@ def orbit_visits_cylinder(d: DiagramHandle, x: PathGenerator, c: FinitePath,
                 return found
             # the No speaks of x as a path through every level it rests on
             x.validate_to(max(ell + depth, M) + 1)
-            return Verdict.no(certificate=inv, question=q,
-                              separated_from_level=M,
+            return Verdict.no(certificate=inv, separated_from_level=M,
                               generator=x.describe(),
                               cylinder=c.describe())
-    return Verdict.unknown(depth=depth, question=q)
+    return Verdict.unknown(depth=depth)
 
 
-def _recheck_visit(d: DiagramHandle, v: Verdict, x: PathGenerator,
-                   c: FinitePath):
+def recheck_visit(d: DiagramHandle, v: Verdict, x: PathGenerator,
+                  c: FinitePath, depth: int = DEFAULT_DEPTH) -> str:
+    """The recheck line of v = orbit_visits_cylinder(d, x, c, depth); a Yes
+    chain that does not end on x's trace raises InvalidEdgeError."""
     if v.is_yes:
         m = v.witness["level"]
         full = list(c.edges) + list(v.witness["connecting_path"].edges)
@@ -147,6 +147,7 @@ def _recheck_visit(d: DiagramHandle, v: Verdict, x: PathGenerator,
         M = _separation(d, v.certificate, c.end_vertex, c.end_level, x)
         ok = M is not None and M == v.detail["separated_from_level"]
         return f"certificate re-verified: {ok}"
+    return "unknown depth exhausted"
 
 
 def _separation(d: DiagramHandle, inv, j: int, ell: int,
@@ -220,7 +221,6 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
         window = d.indexing.default_interval(8)
     lo, hi = clamped_interval(d.indexing, window)
     ends = range(lo, hi + 1)
-    q = (_recheck_transitive, x)
     unknowns = 0
     checked = 0
     for length in range(cyl_depth + 1):
@@ -231,31 +231,36 @@ def transitivity_probe(d: DiagramHandle, x: PathGenerator, cyl_depth: int = 3,
             c = next(_cylinders_at(d, length, j))
             v = orbit_visits_cylinder(d, x, c, depth)
             if v.is_no:
-                return Verdict.no(certificate=v.certificate, question=q,
+                return Verdict.no(certificate=v.certificate,
                                   witness_cylinder=c.describe(),
                                   cylinders_checked=checked + 1)
             checked += n
             if v.is_unknown:
                 unknowns += n
     if unknowns:
-        return Verdict.unknown(depth=depth, windows=window, question=q,
+        return Verdict.unknown(depth=depth, windows=window,
                                unknown_cylinders=unknowns)
     return Verdict.yes(witness={"cylinders_checked": checked,
-                                "cyl_depth": cyl_depth, "window": list(window)},
-                       question=q)
+                                "cyl_depth": cyl_depth, "window": list(window)})
 
 
-def _recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator):
+def recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator,
+                       cyl_depth: int = 3, window=None,
+                       depth: int = DEFAULT_DEPTH) -> str:
+    """The recheck line of v = transitivity_probe(d, x, cyl_depth, window,
+    depth): a Yes's cylinders re-counted, or a No's cylinder separated."""
     if v.is_yes:
         # each cylinder ending at j@length is one path into j@length from
         # level 0, so the count is re-derived from the forward path counts
-        w = v.witness
-        lo, hi = clamped_interval(d.indexing, w["window"])
+        if window is None:
+            window = d.indexing.default_interval(8)
+        lo, hi = clamped_interval(d.indexing, window)
         total = sum(count_paths(d, s, 0, j, length)
-                    for length in range(w["cyl_depth"] + 1)
+                    for length in range(cyl_depth + 1)
                     for j in range(lo, hi + 1)
                     for s in backward_reach_set(d, j, length, 0))
-        ok = total == w["cylinders_checked"]
+        ok = v.witness == {"cylinders_checked": total, "cyl_depth": cyl_depth,
+                           "window": list(window)}
         return f"cylinders re-counted from path counts: {ok}"
     if v.is_no:
         c = FinitePath.from_description(v.detail["witness_cylinder"])
@@ -263,20 +268,21 @@ def _recheck_transitive(d: DiagramHandle, v: Verdict, x: PathGenerator):
         ok = _separation(d, v.certificate, c.end_vertex, c.end_level, x) is not None
         # short enough that the report keeps it on one line
         return f"witness cylinder re-validated; certificate re-verified: {ok}"
+    return "unknown depth exhausted"
 
 
 # --- minimality -----------------------------------------------------------------
 
-def _forced_hit_bound(d: DiagramHandle, w: int, u: int, n0: int,
+def _forced_hit_bound(d: DiagramHandle, w: int, u: int,
                       horizon: int) -> Optional[int]:
-    """Least b such that every path from w@n0 visits u within b steps,
+    """Least b such that every path from w@0 visits u within b steps,
     by exact forward stepping; None when not forced within the horizon
     or when some needed column is not exactly known."""
     if w == u:
         return 0
     frontier = {w}
     for k in range(1, horizon + 1):
-        frontier = forward_step(d, n0 + k - 1, frontier)
+        frontier = forward_step(d, k - 1, frontier)
         if frontier is None:
             return None
         frontier.discard(u)
@@ -325,7 +331,6 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
     lo, hi = clamped_interval(d.indexing, window)
     if horizon is None:
         horizon = max(64, 2 * (window[1] - window[0]) + 2)
-    q = (_recheck_minimal, lo, hi)
     foc = d.get_flag(FullOutColumnFlag)
     if foc is not None:
         u = foc.vertex
@@ -333,13 +338,13 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
             bounds = {}
             ok = True
             for w in range(lo, hi + 1):
-                b = _forced_hit_bound(d, w, u, 0, horizon)
+                b = _forced_hit_bound(d, w, u, horizon)
                 if b is None:
                     ok = False
                     break
                 bounds[w] = b
             if ok:
-                return Verdict.yes(question=q, witness={
+                return Verdict.yes(witness={
                     "distinguished_vertex": u,
                     "forced_bounds": bounds,
                     "step_bound": max(bounds.values(), default=0),
@@ -355,25 +360,34 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
                 v = orbit_visits_cylinder(d, g, cylinder_at(d, j0))
             except GbdError:  # past a spec's declared levels, or off its edges
                 continue
-            if v.is_no:  # the question gains the generator asked about
-                return Verdict.no(certificate=v.certificate, question=q + (g,),
+            if v.is_no:
+                return Verdict.no(certificate=v.certificate,
                                   witness={"generator": g.describe(),
                                            "missed_cylinder_vertex": j0})
-    return Verdict.unknown(depth=horizon, windows=window, question=q)
+    return Verdict.unknown(depth=horizon, windows=window)
 
 
-def _recheck_minimal(d: DiagramHandle, v: Verdict, lo: int, hi: int,
-                     g: Optional[PathGenerator] = None):
+def recheck_minimal(d: DiagramHandle, v: Verdict, horizon: int | None = None,
+                    window=None) -> str:
+    """The recheck line of v = minimality_certificate(d, horizon, window);
+    a No's generator is rebuilt from its printed description."""
+    if window is None:
+        window = d.indexing.default_interval(DEFAULT_RADIUS)
+    lo, hi = clamped_interval(d.indexing, window)
     if v.is_yes:
         # a bound b is the least one exactly when a walk of b steps finds it
         u, bounds = v.witness["distinguished_vertex"], v.witness["forced_bounds"]
         ok = sorted(bounds) == list(range(lo, hi + 1)) and \
-            all(_forced_hit_bound(d, w, u, 0, b) == b for w, b in bounds.items())
+            all(_forced_hit_bound(d, w, u, b) == b for w, b in bounds.items())
         return f"forced bounds re-walked: {ok}"
     if v.is_no:
-        j0 = v.detail["witness"]["missed_cylinder_vertex"]
-        ok = _separation(d, v.certificate, j0, 0, g) is not None
+        missed = v.detail["witness"]
+        g = PathGenerator(d, **missed["generator"])
+        g.validate_to(DEFAULT_DEPTH + 1)
+        ok = _separation(d, v.certificate, missed["missed_cylinder_vertex"],
+                         0, g) is not None
         return f"certificate re-verified: {ok}"
+    return "unknown depth exhausted"
 
 
 # --- trace structure ---------------------------------------------------------

@@ -194,9 +194,10 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     v + max(0, (k-1) o_max)], k = m - n and g the gcd of the offsets:
     v's row alone when k = 1.  Beyond that the handle keeps what it has
     checked (`DiagramHandle.translates`), so each row is read for this
-    once per handle, and a vertex known not to hold costs a lookup.  A
-    read that raises (a vertex out of range, an undeclared row) leaves
-    the question to the sweep.
+    once per handle, and a vertex known not to hold costs a lookup.  The
+    sweep also takes offsets too wide for a `_sumset` table, whose sparse
+    layers read fewer rows than the cone.  A read that raises (a vertex
+    out of range, an undeclared row) leaves the question to the sweep.
     """
     if not (d.stationary and 0 <= n < m and d.level_known(m - 1)):
         return None
@@ -206,7 +207,7 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
         band = d.translates(n, v)
     except GbdError:
         return None
-    if band is None:
+    if band is None or _sumset(band.offs) is None:
         return None
     offs, k = band.offs, m - n - 1
     if band.covers(d, n, v + min(0, k * offs[0][0]), v + max(0, k * offs[-1][0])):
@@ -214,10 +215,10 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     return None
 
 
-# the most entries a `_sumset` table may have; wider offsets leave reach on
-# the band to the kept frontier, whose layers are sparse in the cone
-# interval the band check reads (offsets {0, 999, 1000}: a table of 10^6
-# entries, built in 1 s, and 1,000 rows checked per level)
+# the most entries a `_sumset` table may have; wider offsets leave the band
+# to the sweep, whose layers are sparse in the cone interval the band
+# check reads (offsets {0, 999, 1000}: a table of 10^6 entries, built in
+# 1 s, and 1,000 rows checked per level)
 SUMSET_TABLE_MAX = 4096
 
 
@@ -313,13 +314,13 @@ def enumerate_paths(d: DiagramHandle, w: int, n: int, v: int, m: int,
 
     Returns (paths, truncated); truncated is True when more than cap
     paths exist.  cap=None enumerates everything.  With cap=1 on a band
-    (`_band_offsets`) whose offsets `_sumset` takes, the first path is
-    walked without a sweep (`_first_band_path`).
+    (`_band_offsets`) the first path is walked without a sweep
+    (`_first_band_path`).
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
     offs = _band_offsets(d, n, v, m) if cap == 1 and m - n > 1 else None
-    if offs is not None and _sumset(offs) is not None:
+    if offs is not None:
         return _first_band_path(d, w, n, v, m, offs)
     # reach[k]: vertices at level n + k that reach v@m, as sorted lists,
     # which take an eighth of the memory of sets on deep profiles
@@ -424,24 +425,23 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     no level has one.
 
     A level m >= n + 2 whose target's cone is a band (`_band_offsets`) is
-    tested by the sumset of the offsets (`_sumset`, unless they are too
-    wide for its table) and sweeps nothing; any other level, the first
-    one above n included, is tested on the reach set of the kept frontier
+    tested by the sumset of the offsets (`_sumset`, taken once per
+    target) and sweeps nothing; any other level, the first one above n
+    included, is tested on the reach set of the kept frontier
     (`reach_frontiers`).  A cone only grows with m, so a target whose
     cone left the band once keeps the frontier.  enumerate_paths finds
     the witness once, at the hit.
     """
     d.indexing.check(w)
     fronts: dict = {}
-    swept: set = set()
+    sums: dict = {}  # target -> its sumset test, None once it left the band
     for m in levels:
         t = target(m)
         holds = None
-        if m - n > 1 and t not in swept:
+        if m - n > 1 and sums.get(t, True) is not None:
             offs = _band_offsets(d, n, t, m)
-            holds = None if offs is None else _sumset(offs)
-            if holds is None:
-                swept.add(t)
+            holds = None if offs is None else sums.get(t) or _sumset(offs)
+            sums[t] = holds
         if holds is not None:
             hit = holds(w - t, m - n)
         else:

@@ -46,18 +46,20 @@ def irreducible_probe(d: DiagramHandle, i: int, j: int, n0: int = 0,
         raise ValueError("depth must be >= 1")
     d.indexing.check(i)
     d.indexing.check(j)
-    q = (_recheck_irreducible, i, j, n0)
     hit = first_reach(d, i, n0, range(n0 + 1, n0 + depth + 1), lambda m: j)
     if hit is not None:
         m, witness = hit
-        return Verdict.yes(witness=witness, question=q, level=m)
+        return Verdict.yes(witness=witness, level=m)
     for inv in find_invariants(d, d.default_window()):
         if inv.excludes_pair(i, j):
-            return Verdict.no(certificate=inv, question=q, source=i, target=j)
-    return Verdict.unknown(depth=depth, question=q)
+            return Verdict.no(certificate=inv, source=i, target=j)
+    return Verdict.unknown(depth=depth)
 
 
-def _recheck_irreducible(d: DiagramHandle, v: Verdict, i, j, n0):
+def recheck_irreducible(d: DiagramHandle, v: Verdict, i: int, j: int,
+                        n0: int = 0, depth: int = DEFAULT_DEPTH) -> str:
+    """The recheck line of v = irreducible_probe(d, i, j, n0, depth); a Yes
+    path that does not run from i@n0 to j raises InvalidEdgeError."""
     if v.is_yes:
         v.witness.check_ends((i, n0), (j, v.detail["level"]))
         v.witness.validate(d)
@@ -65,6 +67,7 @@ def _recheck_irreducible(d: DiagramHandle, v: Verdict, i, j, n0):
     if v.is_no:
         ok = reverify(d, v.certificate) and v.certificate.excludes_pair(i, j)
         return f"certificate re-verified: {ok}"
+    return "unknown depth exhausted"
 
 
 def invariant_certificate(d: DiagramHandle, window: LevelWindow | None = None) -> list:
@@ -131,16 +134,14 @@ def connected_probe(d: DiagramHandle, levels: int = 4,
         window = d.default_window(levels)
     nodes, edges = _window_graph(d, window, levels)
     components = _component_count(nodes, edges)
-    q = (_recheck_connected, window, levels)
     if components == 1:
         return Verdict.yes(witness={"vertices": len(nodes),
-                                    "levels": min(levels, window.max_level)},
-                           question=q)
+                                    "levels": min(levels, window.max_level)})
     for inv in find_invariants(d, window):
         if inv.kind == CLOPEN and inv.is_global \
                 and len(classes := _class_counts(inv, nodes)) > 1:
-            return Verdict.no(certificate=inv, question=q, classes=classes)
-    return Verdict.unknown(windows=window, question=q, components=components)
+            return Verdict.no(certificate=inv, classes=classes)
+    return Verdict.unknown(windows=window, components=components)
 
 
 def _class_counts(inv, nodes: list) -> Counter:
@@ -149,8 +150,12 @@ def _class_counts(inv, nodes: list) -> Counter:
     return Counter(str(inv.residue_class(v, n)) for n, v in nodes)
 
 
-def _recheck_connected(d: DiagramHandle, v: Verdict, window: LevelWindow,
-                       levels: int):
+def recheck_connected(d: DiagramHandle, v: Verdict, levels: int = 4,
+                      window: LevelWindow | None = None) -> str:
+    """The recheck line of v = connected_probe(d, levels, window), read off
+    the window graph built again from the rows."""
+    if window is None:
+        window = d.default_window(levels)
     nodes, edges = _window_graph(d, window, levels)
     if v.is_unknown:
         ok = _component_count(nodes, edges) == v.detail["components"]

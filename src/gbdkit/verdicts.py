@@ -158,9 +158,6 @@ class Verdict:
     depth: Optional[int] = None
     windows: object = None
     detail: dict = field(default_factory=dict)
-    # (check, *asked): what the probe was asked, led by the check beside it
-    # that `recheck` calls; describe() leaves it out
-    question: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_yes(self) -> bool:
@@ -175,18 +172,16 @@ class Verdict:
         return self.value == "unknown"
 
     @classmethod
-    def yes(cls, witness=None, question=(), **detail):
-        return cls("yes", witness=witness, detail=detail, question=question)
+    def yes(cls, witness=None, **detail):
+        return cls("yes", witness=witness, detail=detail)
 
     @classmethod
-    def no(cls, certificate=None, question=(), **detail):
-        return cls("no", certificate=certificate, detail=detail,
-                   question=question)
+    def no(cls, certificate=None, **detail):
+        return cls("no", certificate=certificate, detail=detail)
 
     @classmethod
-    def unknown(cls, depth=None, windows=None, question=(), **detail):
-        return cls("unknown", depth=depth, windows=windows, detail=detail,
-                   question=question)
+    def unknown(cls, depth=None, windows=None, **detail):
+        return cls("unknown", depth=depth, windows=windows, detail=detail)
 
     def describe(self) -> dict:
         out = {"verdict": self.value}
@@ -326,17 +321,3 @@ def reverify(d: DiagramHandle, inv: NonReachInvariant) -> bool:
     window = LevelWindow({n: (lo, hi) for n, lo, hi in inv.window})
     return inv in _search(d, window)
 
-
-def recheck(d: DiagramHandle, v: Verdict) -> str:
-    """The line that re-derives v's evidence from d's rows.
-
-    The check is the one the probe recorded in `v.question`, beside the
-    probe; it reads the evidence from v's own witness, certificate and
-    detail, so a doctored No reads False, and a Yes witness that is no
-    path, or a path that answers another question, raises
-    InvalidEdgeError.  A check that says nothing of an Unknown leaves
-    the depth line.  ValueError when no probe recorded a question."""
-    if not v.question:
-        raise ValueError("the verdict records no question to recheck")
-    check, *asked = v.question
-    return check(d, v, *asked) or "unknown depth exhausted"

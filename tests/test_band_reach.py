@@ -200,6 +200,17 @@ def test_offsets_too_wide_for_the_table_keep_the_sweep():
     assert sweep.called and found[0].vertex_trace() == [199, 99, 0, 0]
 
 
+def test_a_count_on_offsets_too_wide_for_the_table_reads_the_sweep(row_reads):
+    """The band check gives up on such offsets before it reads the cone:
+    the counting sweep reads 3,634 rows here, where the cone check alone
+    read every vertex of [0, 23,000].  A path takes offset 1000 at 12 of
+    its 24 steps and 0 at the others."""
+    d = make_diagram("banded", offsets={0: 1, 999: 1, 1000: 1})
+    row_reads[0] = 0
+    assert paths.count_paths(d, 12000, 0, 0, 24) == math.comb(24, 12)
+    assert row_reads[0] <= 4000
+
+
 @pytest.mark.parametrize("name", sorted(REACH_CASES))
 def test_reach_and_witness_raise_what_the_sweep_raises(name):
     d, (w, n, v, m) = REACH_CASES[name]

@@ -604,9 +604,9 @@ def test_unknown_suite_is_usage_error():
 
 
 def test_render_dot_empty_window():
-    from gbdkit import make_diagram, render_dot
+    from gbdkit import LevelWindow, make_diagram, render_dot
     rs = make_diagram("renewal_shift")
-    text = render_dot(rs, -1)
+    text = render_dot(rs, 0, LevelWindow({}))
     assert text.startswith("digraph") and "->" not in text
 
 

@@ -244,7 +244,7 @@ def test_windowed_readers_skip_undeclared_vertices():
         {"kind": "vertical", "params": {"vertex": 0}},
         {"kind": "vertical", "params": {"vertex": 1}}]
     assert minimality_certificate(d).is_unknown
-    dot = render_dot(d, 1, radius=2)
+    dot = render_dot(d, 1, d.default_window(1, 2))
     assert '"L1_4" [label="4"]' in dot and dot.count("->") == 4
     assert explicit_spec_of_window(d, 1, (0, 4))["levels"] == [rows, rows]
     assert d.out_edges_in_window(0, 2, (0, 8)) == [(1, 1), (2, 1)]

@@ -1,9 +1,9 @@
-"""`verdicts.recheck(d, v)` re-derives a probe's evidence from the rows.
+"""Each recheck re-derives a probe's evidence from the rows.
 
-Each verdict probe records the question it answered on its Verdict;
-the recheck reads the evidence from the verdict's own witness,
-certificate and detail, so the library gives the same line the CLI
-prints, and a doctored verdict reads False or raises.
+A verdict's recheck takes the verdict and the probe's own arguments,
+and reads the evidence from the verdict's witness, certificate and
+detail, so the library gives the same line the CLI prints, and a
+doctored verdict reads False or raises.
 """
 
 import copy
@@ -17,7 +17,7 @@ from gbdkit import (
     GbdError,
     InvalidEdgeError,
     LevelWindow,
-    compact_cylinder_check,
+    PathGenerator,
     connected_probe,
     cylinder_at,
     dense_orbit_reenumeration,
@@ -42,10 +42,10 @@ from gbdkit import (
 )
 from gbdkit.cli import main
 from gbdkit.bijections import VertexBijectionSeq, recheck_relabel
+from gbdkit.dynamics import recheck_minimal, recheck_transitive, recheck_visit
 from gbdkit.iso import recheck_identity, recheck_search
-from gbdkit.probes import recheck_period
+from gbdkit.probes import recheck_connected, recheck_irreducible, recheck_period
 from gbdkit.reenumerate import recheck_dense, recheck_toeplitz
-from gbdkit.verdicts import recheck
 
 from conftest import NAMES
 
@@ -56,26 +56,29 @@ def _cli_recheck(capsys, argv):
 
 
 def _library_and_cli_calls(d, spec):
-    """(probe name, library call, CLI argv) of the same question, each CLI
-    default spelled out in the library call."""
+    """(name, probe, recheck, asked, CLI argv) of the same question, where
+    asked() builds the probe's arguments after d; a CLI default is spelled
+    out where the library's differs."""
     lo, hi = d.indexing.default_interval(1)
-    calls = [("irreducible", lambda i=i, j=j: irreducible_probe(d, i, j),
+    calls = [("irreducible", irreducible_probe, recheck_irreducible,
+              lambda i=i, j=j: (i, j),
               ["probe", "irreducible", "--spec", spec, f"--src={i}", f"--dst={j}"])
              for i in range(lo, hi + 1) for j in range(lo, hi + 1)]
     calls += [
-        ("connected",
-         lambda: connected_probe(d, 4, LevelWindow.uniform(d.indexing, 4, 8)),
+        ("connected", connected_probe, recheck_connected,
+         lambda: (4, LevelWindow.uniform(d.indexing, 4, 8)),
          ["probe", "connected", "--spec", spec]),
-        ("minimal", lambda: minimality_certificate(d),
+        ("minimal", minimality_certificate, recheck_minimal, lambda: (),
          ["orbit", "minimal", "--spec", spec])]
     for g in range(lo, hi + 1):
         gen = f"--generator={{kind: vertical, vertex: {g}}}"
-        calls += [("visit", lambda g=g, c=c: orbit_visits_cylinder(
-                       d, vertical_from(d, g), cylinder_at(d, c)),
+        calls += [("visit", orbit_visits_cylinder, recheck_visit,
+                   lambda g=g, c=c: (vertical_from(d, g), cylinder_at(d, c)),
                    ["orbit", "visit", "--spec", spec, gen, f"--cylinder={{vertex: {c}}}"])
                   for c in range(lo, hi + 1)]
-        calls.append(("transitive", lambda g=g: transitivity_probe(
-                          d, vertical_from(d, g), 3, d.indexing.default_interval(6)),
+        calls.append(("transitive", transitivity_probe, recheck_transitive,
+                      lambda g=g: (vertical_from(d, g), 3,
+                                   d.indexing.default_interval(6)),
                       ["orbit", "transitive", "--spec", spec, gen]))
     return calls
 
@@ -86,15 +89,16 @@ def test_library_recheck_is_the_line_the_cli_prints(tmp_path, capsys):
         spec = tmp_path / f"{name}.yaml"
         spec.write_text(f"family: {name}\n")
         d = make_diagram(name)
-        for probe, call, argv in _library_and_cli_calls(d, str(spec)):
+        for probe_name, probe, check, asked, argv in _library_and_cli_calls(d, str(spec)):
             try:
-                v = call()
+                args = asked()
+                v = probe(d, *args)
             except GbdError:  # a generator that is no path: the CLI exits 2
                 assert main(argv) == 2
                 capsys.readouterr()
                 continue
-            assert recheck(d, v) == _cli_recheck(capsys, argv), (name, argv)
-            answered.add((probe, v.value))
+            assert check(d, v, *args) == _cli_recheck(capsys, argv), (name, argv)
+            answered.add((probe_name, v.value))
     # every probe is rechecked on a Yes and on a No
     assert answered >= {(p, value) for value in ("yes", "no")
                         for p in ("irreducible", "connected", "minimal", "visit",
@@ -115,38 +119,48 @@ def d():
 def test_irreducible(d):
     bi, rs = d["b_infinity"], d["renewal_shift"]
     no = irreducible_probe(bi, 2, 1)
-    assert recheck(bi, no) == "certificate re-verified: True"
+    assert recheck_irreducible(bi, no, 2, 1) == "certificate re-verified: True"
     for changes in ({"params": ("lower", -1)}, {"global_via": ("BandedFlag",)}):
-        assert recheck(bi, _certificate(no, **changes)) == \
+        assert recheck_irreducible(bi, _certificate(no, **changes), 2, 1) == \
             "certificate re-verified: False"
     yes = irreducible_probe(rs, 3, 7)
-    assert recheck(rs, yes) == "witness path re-validated edge-by-edge"
+    assert recheck_irreducible(rs, yes, 3, 7) == "witness path re-validated edge-by-edge"
     # a real path that answers 3 -> 8, or ends at another level
     other = irreducible_probe(rs, 3, 8)
     for doctored in (replace(yes, witness=other.witness),
-                     replace(yes, detail={"level": yes.detail["level"] + 1}),
-                     replace(yes, question=(yes.question[0], 3, 7, 1))):
+                     replace(yes, detail={"level": yes.detail["level"] + 1})):
         with pytest.raises(InvalidEdgeError, match="path runs from"):
-            recheck(rs, doctored)
+            recheck_irreducible(rs, doctored, 3, 7)
+    # the same verdict, asked of another pair or from another level
+    for asked in ((3, 8), (3, 7, 1)):
+        with pytest.raises(InvalidEdgeError, match="path runs from"):
+            recheck_irreducible(rs, yes, *asked)
+    unknown = irreducible_probe(rs, 3, 9, 0, 1)
+    assert unknown.is_unknown
+    assert recheck_irreducible(rs, unknown, 3, 9, 0, 1) == "unknown depth exhausted"
 
 
 def test_connected(d):
     rs, p1 = d["renewal_shift"], d["parity_1"]
     yes = connected_probe(rs)
-    assert recheck(rs, yes) == "window re-walked breadth first from one vertex: True"
+    line = "window re-walked breadth first from one vertex: {}"
+    assert recheck_connected(rs, yes) == line.format(True)
     vertices = yes.witness["vertices"]
-    assert recheck(rs, replace(yes, witness={**yes.witness, "vertices": vertices + 1})) \
-        == "window re-walked breadth first from one vertex: False"
+    assert recheck_connected(rs, replace(yes, witness={**yes.witness,
+                                                       "vertices": vertices + 1})) \
+        == line.format(False)
+    # the same verdict, asked of a smaller window
+    assert recheck_connected(rs, yes, 3) == line.format(False)
     no = connected_probe(p1)
-    assert recheck(p1, no) == "certificate re-verified: True"
+    assert recheck_connected(p1, no) == "certificate re-verified: True"
     classes = dict(no.detail["classes"])
     classes["0"] += 1
     for doctored in (_certificate(no, params=(3, 1)), replace(no, detail={"classes": classes})):
-        assert recheck(p1, doctored) == "certificate re-verified: False"
+        assert recheck_connected(p1, doctored) == "certificate re-verified: False"
     # the window is disconnected, so a Yes cannot walk all of it
     nodes = sum(no.detail["classes"].values())
     turned = replace(no, value="yes", witness={"vertices": nodes, "levels": 4})
-    assert recheck(p1, turned) == "window re-walked breadth first from one vertex: False"
+    assert recheck_connected(p1, turned) == line.format(False)
     # vertices 3 and up have no declared row, so the window falls apart
     # into components that no global coloring separates
     holes = load_spec({"indexing": {"mode": "one_sided", "base": 0},
@@ -154,52 +168,65 @@ def test_connected(d):
                        "extension": "repeat_last"})
     unknown = connected_probe(holes)
     assert unknown.is_unknown
-    assert recheck(holes, unknown) == "components re-counted breadth first: True"
+    assert recheck_connected(holes, unknown) == "components re-counted breadth first: True"
     for off in (-1, 1):
         doctored = replace(unknown, detail={
             **unknown.detail, "components": unknown.detail["components"] + off})
-        assert recheck(holes, doctored) == "components re-counted breadth first: False"
+        assert recheck_connected(holes, doctored) == \
+            "components re-counted breadth first: False"
 
 
 def test_orbit_visit(d):
     so, bi = d["star_odometer"], d["b_infinity"]
-    yes = orbit_visits_cylinder(so, vertical_from(so, 5), cylinder_at(so, 1))
-    assert recheck(so, yes) == "prefix + connecting path re-validated as one chain"
-    # a connecting path to the orbit of vertex 2, not of vertex 5
-    other = orbit_visits_cylinder(so, vertical_from(so, 2), cylinder_at(so, 1))
+    x, c = vertical_from(so, 5), cylinder_at(so, 1)
+    yes = orbit_visits_cylinder(so, x, c)
+    assert recheck_visit(so, yes, x, c) == \
+        "prefix + connecting path re-validated as one chain"
+    # a connecting path to the orbit of vertex 2, not of vertex 5, and the
+    # same verdict asked of the orbit of vertex 2
+    other = orbit_visits_cylinder(so, vertical_from(so, 2), c)
     with pytest.raises(InvalidEdgeError, match="path runs from"):
-        recheck(so, replace(yes, witness=other.witness))
-    no = orbit_visits_cylinder(bi, vertical_from(bi, 2), cylinder_at(bi, 5))
-    assert recheck(bi, no) == "certificate re-verified: True"
+        recheck_visit(so, replace(yes, witness=other.witness), x, c)
+    with pytest.raises(InvalidEdgeError, match="path runs from"):
+        recheck_visit(so, yes, vertical_from(so, 2), c)
+    x, c = vertical_from(bi, 2), cylinder_at(bi, 5)
+    no = orbit_visits_cylinder(bi, x, c)
+    assert recheck_visit(bi, no, x, c) == "certificate re-verified: True"
     for doctored in (_certificate(no, params=("lower", -1)),
                      replace(no, detail={**no.detail, "separated_from_level": 2})):
-        assert recheck(bi, doctored) == "certificate re-verified: False"
+        assert recheck_visit(bi, doctored, x, c) == "certificate re-verified: False"
 
 
 def test_orbit_transitive(d):
     o2 = d["odometer_two_sided"]
     # the slant falls one vertex a level: it misses the cylinder ending at -3@3
-    no = transitivity_probe(o2, leftmost_slant_from(o2, -1), 3, (-3, -3))
+    x = leftmost_slant_from(o2, -1)
+    no = transitivity_probe(o2, x, 3, (-3, -3))
     line = "witness cylinder re-validated; certificate re-verified: {}"
-    assert recheck(o2, no) == line.format(True)
+    assert recheck_transitive(o2, no, x, 3, (-3, -3)) == line.format(True)
     for changes in ({"params": ("lower", -2)}, {"global_via": ("BandedFlag",)}):
-        assert recheck(o2, _certificate(no, **changes)) == line.format(False)
+        assert recheck_transitive(o2, _certificate(no, **changes), x, 3, (-3, -3)) \
+            == line.format(False)
 
 
 def test_orbit_minimal(d):
     rs, td = d["renewal_shift"], d["tridiag_B"]
     yes = minimality_certificate(rs)
-    assert recheck(rs, yes) == "forced bounds re-walked: True"
+    assert recheck_minimal(rs, yes) == "forced bounds re-walked: True"
     bounds = yes.witness["forced_bounds"]
     loosened = {w: b + 1 for w, b in bounds.items()}
     shorter = {w: b for w, b in bounds.items() if w != max(bounds)}
     for doctored in (loosened, shorter):
-        assert recheck(rs, replace(yes, witness={**yes.witness,
-                                                 "forced_bounds": doctored})) \
+        assert recheck_minimal(rs, replace(yes, witness={**yes.witness,
+                                                         "forced_bounds": doctored})) \
             == "forced bounds re-walked: False"
+    # the same verdict, asked of a wider window
+    lo, hi = min(bounds), max(bounds)
+    assert recheck_minimal(rs, yes, None, (lo, hi + 1)) == \
+        "forced bounds re-walked: False"
     no = minimality_certificate(td)
-    assert recheck(td, no) == "certificate re-verified: True"
-    assert recheck(td, _certificate(no, params=(0,))) == \
+    assert recheck_minimal(td, no) == "certificate re-verified: True"
+    assert recheck_minimal(td, _certificate(no, params=(0,))) == \
         "certificate re-verified: False"
 
 
@@ -327,7 +354,17 @@ def test_construct_toeplitz(d):
         assert recheck_toeplitz(gens, g, log) == line.format(False)
 
 
-def test_a_verdict_without_a_question_is_not_rechecked(d):
+def test_a_minimality_no_is_rechecked_on_its_printed_generator(d):
     td = d["tridiag_B"]
-    with pytest.raises(ValueError, match="records no question"):
-        recheck(td, compact_cylinder_check(td, cylinder_at(td, 0)))
+    no = minimality_certificate(td)
+    # the slant climbs away from the missed cylinder; the vertical orbit of
+    # its start visits it, since -1 feeds 0
+    missed = no.detail["witness"]
+    assert missed == {"generator": {"kind": "rightmost_slant",
+                                    "params": {"vertex": 0}},
+                      "missed_cylinder_vertex": -1}
+    assert orbit_visits_cylinder(td, PathGenerator(td, "vertical", {"vertex": 0}),
+                                 cylinder_at(td, -1)).is_yes
+    doctored = replace(no, detail={"witness": {
+        **missed, "generator": {"kind": "vertical", "params": {"vertex": 0}}}})
+    assert recheck_minimal(td, doctored) == "certificate re-verified: False"

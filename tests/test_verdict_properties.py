@@ -18,8 +18,9 @@ from gbdkit import (
     make_diagram,
     make_generator,
     orbit_visits_cylinder,
-    recheck,
 )
+from gbdkit.dynamics import recheck_visit
+from gbdkit.probes import recheck_connected, recheck_irreducible
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
@@ -78,16 +79,17 @@ def test_count_paths_counts_the_listed_paths(spec, w, v, n, k):
 def test_irreducible_verdicts_recheck(d, i, j, n0, depth):
     v = verdict(irreducible_probe, d, i, j, n0, depth)
     if v is not None:
-        assert "False" not in recheck(d, v)
+        assert "False" not in recheck_irreducible(d, v, i, j, n0, depth)
 
 
 @PROPERTY
 @given(d=diagrams, levels=st.integers(0, 3), radius=st.integers(0, 4))
 def test_connected_verdicts_recheck(d, levels, radius):
-    window = {n: d.indexing.default_interval(radius) for n in range(levels + 1)}
-    v = verdict(connected_probe, d, levels, LevelWindow(window))
+    window = LevelWindow({n: d.indexing.default_interval(radius)
+                          for n in range(levels + 1)})
+    v = verdict(connected_probe, d, levels, window)
     if v is not None:
-        assert "False" not in recheck(d, v)
+        assert "False" not in recheck_connected(d, v, levels, window)
 
 
 @PROPERTY
@@ -96,7 +98,8 @@ def test_connected_verdicts_recheck(d, levels, radius):
 def test_orbit_visit_verdicts_recheck(d, kind, start, j, depth):
     v = verdict(visit, d, kind, start, j, depth)
     if v is not None:
-        assert "False" not in recheck(d, v)
+        x = make_generator(d, kind, vertex=start)
+        assert "False" not in recheck_visit(d, v, x, cylinder_at(d, j), depth)
 
 
 @PROPERTY
