@@ -394,12 +394,19 @@ def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> tuple
 
 
 def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
-    """Diagram carrying the same edges under relabeled vertex ids."""
+    """Diagram carrying the same edges under relabeled vertex ids.
+
+    Its columns are d's pushed through g where d has a column rule or the
+    derived flags bound no row width; otherwise the handle derives each
+    column from its own rows within that width, as for a catalog band."""
     _check_compatible(d, g)
     tgt = g.target_indexing
+    flags = _relabeled_flags(d, g)
 
     def rows(n, v_new):
-        return pushed_row(d, g, n, g.inverse(n + 1, v_new))
+        # the handle's in_edges has checked v_new, and d's checks the
+        # vertex pulled back, with the error `g.inverse` would raise
+        return pushed_row(d, g, n, g.map_at(n + 1).inverse(v_new))
 
     def cols(n, w_new):
         w = g.inverse(n, w_new)
@@ -410,11 +417,12 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
             return ColumnSupport.finite(g.push(n + 1, sup.entries))
         return sup
 
+    derives_columns = any(isinstance(f, (BoundedSizeFlag, BandedFlag)) for f in flags)
     return DiagramHandle(
         tgt, rows,
         stationary=_relabeled_stationary(d, g),
-        flags=_relabeled_flags(d, g),
-        col_rule=cols,
+        flags=flags,
+        col_rule=cols if d.has_column_rule or not derives_columns else None,
         name=f"relabel({d.name},{g.kind})",
         params={"base": d.name, "base_params": d.params, "bijection": g.kind,
                 **g.params})

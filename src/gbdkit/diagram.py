@@ -255,6 +255,28 @@ class Translates:
 
 # --- the handle -------------------------------------------------------------
 
+def _canonical(raw, indexing: VertexIndexing) -> bool:
+    """Whether a row a rule handed over is already what validation makes
+    of it: (source, mult) tuples of exact ints, sources strictly
+    ascending from a first inside `indexing`, multiplicities at least 1,
+    and at least one entry.  Such a row needs no sort; any other takes
+    the sorting path, which raises for its faults."""
+    prev = None
+    for e in raw:
+        if type(e) is not tuple or len(e) != 2:
+            return False
+        w, m = e
+        if type(w) is not int or type(m) is not int or m < 1:
+            return False
+        if prev is None:
+            if not indexing.contains(w):
+                return False
+        elif w <= prev:
+            return False
+        prev = w
+    return prev is not None
+
+
 class DiagramHandle:
     """Immutable evaluable incidence rule for a generalized Bratteli diagram.
 
@@ -328,6 +350,9 @@ class DiagramHandle:
 
     def _validated_row(self, n: int, v: int) -> tuple:
         raw = self._row_rule(n, v)
+        if type(raw) is tuple or type(raw) is list:
+            if _canonical(raw, self.indexing):
+                return raw if type(raw) is tuple else tuple(raw)
         row = sorted((int(w), int(m)) for w, m in raw)
         if not row:
             raise InvariantError(f"empty incidence row at level {n}, vertex {v}")
@@ -352,6 +377,8 @@ class DiagramHandle:
         vertex next to v that the sweep from v reads over any two or
         more levels does not hold: v - step when an offset is negative,
         v + step when one is positive.  A failing read of v's row raises.
+        Only those two rows are read beyond v's, so a caller can turn
+        down v's offsets before the rest of the cone is read.
 
         Each vertex keeps its own record, so the rows a query reads do
         not depend on which other vertices were asked before, and a
@@ -362,8 +389,9 @@ class DiagramHandle:
             band = Translates(
                 tuple([(src - v, mult) for src, mult in self.in_edges(n, v)]), v)
             offs = band.offs
-            if not band.covers(self, n, v + min(0, offs[0][0]),
-                               v + max(0, offs[-1][0])):
+            lo = v - band.step if offs[0][0] < 0 else v
+            hi = v + band.step if offs[-1][0] > 0 else v
+            if not band.covers(self, n, lo, hi):
                 band = False
             self._band_cache[key] = band
         return band or None
@@ -416,6 +444,11 @@ class DiagramHandle:
             mat.append(line)
         return mat
 
+    @property
+    def has_column_rule(self) -> bool:
+        """Whether the handle was built with a column-support rule."""
+        return self._col_rule is not None
+
     def column_support(self, n: int, w: int) -> Optional[ColumnSupport]:
         """Exact column knowledge, else None: the column rule's answer when
         it gives one, else, under a row-width bound t (`width`), the
@@ -431,10 +464,11 @@ class DiagramHandle:
         if key not in self._col_cache:
             sup = None if self._col_rule is None else self._col_rule(n, w)
             if sup is None and t is not None:
+                # targets ascend, and rows hold validated ints: no sort
                 lo, hi = self.indexing.clamp(w - t, w + t)
-                sup = ColumnSupport.finite(
+                sup = ColumnSupport("finite", tuple([
                     (v, m) for v in range(lo, hi + 1)
-                    for src, m in self.in_edges(n, v) if src == w)
+                    for src, m in self.in_edges(n, v) if src == w]))
             self._col_cache[key] = sup
         return self._col_cache[key]
 

@@ -32,7 +32,8 @@ class VertexIndexing:
         return v >= self.base
 
     def check(self, v: int, what: str = "vertex"):
-        if not self.contains(v):
+        # `contains`, inline: every row read and push runs this
+        if self.mode == ONE_SIDED and v < self.base:
             raise InvalidVertexError(f"{what} {v} below one-sided base {self.base}")
 
     def clamp(self, lo: int, hi: int) -> tuple[int, int]:

@@ -196,8 +196,10 @@ def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     checked (`DiagramHandle.translates`), so each row is read for this
     once per handle, and a vertex known not to hold costs a lookup.  The
     sweep also takes offsets too wide for a `_sumset` table, whose sparse
-    layers read fewer rows than the cone.  A read that raises (a vertex
-    out of range, an undeclared row) leaves the question to the sweep.
+    layers read fewer rows than the cone; `translates` reads only the
+    vertices next to v, so such offsets are turned down before the cone
+    is read.  A read that raises (a vertex out of range, an undeclared
+    row) leaves the question to the sweep.
     """
     if not (d.stationary and 0 <= n < m and d.level_known(m - 1)):
         return None

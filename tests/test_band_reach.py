@@ -211,6 +211,17 @@ def test_a_count_on_offsets_too_wide_for_the_table_reads_the_sweep(row_reads):
     assert row_reads[0] <= 4000
 
 
+def test_offsets_too_wide_for_the_table_are_turned_down_before_the_cone(row_reads):
+    """`translates` reads the rows next to the target alone, so the band
+    check reads 2 rows before the table bound turns the offsets down, and
+    the call reads 2,602 in all: 3,634 when the check read the target's
+    one-step cone of 1,001 vertices first."""
+    d = make_diagram("banded", offsets={0: 1, 999: 1, 1000: 1})
+    row_reads[0] = 0
+    assert paths.count_paths(d, 12000, 0, 0, 24) == math.comb(24, 12)
+    assert row_reads[0] <= 2700
+
+
 @pytest.mark.parametrize("name", sorted(REACH_CASES))
 def test_reach_and_witness_raise_what_the_sweep_raises(name):
     d, (w, n, v, m) = REACH_CASES[name]

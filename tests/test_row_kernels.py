@@ -15,6 +15,7 @@ from gbdkit import (
     DiagramHandle,
     InvariantError,
     LevelWindow,
+    identity,
     iso_search,
     level_shift,
     make_diagram,
@@ -24,6 +25,7 @@ from gbdkit import (
     two_sided,
 )
 from gbdkit.bijections import affine_levels
+from gbdkit.diagram import ColumnSupport
 
 from conftest import NAMES, dict_incidence_window
 from test_count_properties import offsets
@@ -116,8 +118,8 @@ def seen_set_row(indexing, n, v, raw):
     return tuple(row)
 
 
-def read_row(raw, indexing=one_sided(1)):
-    d = DiagramHandle(indexing, lambda n, v: raw, name="hostile")
+def read_row(raw, indexing=one_sided(1), container=list):
+    d = DiagramHandle(indexing, lambda n, v: container(raw), name="hostile")
     return outcome(lambda: d.in_edges(2, 5))
 
 
@@ -144,12 +146,22 @@ def test_hostile_rows_raise_as_before(fault, at):
     assert got == outcome(lambda: seen_set_row(one_sided(1), 2, 5, raw))
 
 
+entries = st.tuples(st.one_of(st.integers(-2, 6), st.booleans()),
+                   st.one_of(st.integers(-1, 2), st.booleans()))
+containers = {"list": list, "tuple": tuple, "generator": iter}
+
+
 @PROPERTY
-@given(raw=st.lists(st.tuples(st.integers(-2, 6), st.integers(-1, 2)), max_size=6),
-       indexing=indexings)
-def test_any_row_validates_as_before(raw, indexing):
-    assert read_row(raw, indexing) == outcome(
-        lambda: seen_set_row(indexing, 2, 5, raw))
+@given(raw=st.one_of(rows, st.lists(st.one_of(entries, entries.map(list)), max_size=6)),
+       container=st.sampled_from(sorted(containers)), indexing=indexings)
+def test_any_row_validates_as_before(raw, container, indexing):
+    """Canonical rows, which validation hands back without a sort, and
+    every other kind: unsorted, duplicate sources, nonpositive or bool
+    entries, list pairs, a source below a one-sided base, from a list, a
+    tuple or a one-shot iterator.  The reprs are compared, so a bool
+    handed back as it came would show."""
+    got = read_row(raw, indexing, containers[container])
+    assert repr(got) == repr(outcome(lambda: seen_set_row(indexing, 2, 5, raw)))
 
 
 def test_relabeling_pushes_once_per_row_or_column(level_map_calls, monkeypatch):
@@ -168,6 +180,58 @@ def test_relabeling_pushes_once_per_row_or_column(level_map_calls, monkeypatch):
         d.incidence_window(n, (-12, 12), (-12, 12))
     assert level_map_calls["forward"] == 0
     assert 0 < level_map_calls["push"] <= reads["in_edges"] + reads["column_support"]
+
+
+@PROPERTY
+@given(spec=st.one_of(offsets, st.sampled_from(NAMES)), g=bijections,
+       n=st.integers(0, 3), rank=st.integers(0, 12))
+def test_a_relabeled_column_is_the_pushed_base_column(handles, spec, g, n, rank):
+    """Whether the handle keeps `relabel`'s pushed column rule or derives
+    its columns from its own rows under a derived width.  A one-sided
+    catalog handle is relabeled by its identity."""
+    if isinstance(spec, str):
+        d = handles[spec]
+    else:
+        d = make_diagram("banded", offsets=spec, side="two")
+    if d.indexing.mode == "one_sided":
+        g = identity(d.indexing)
+    w = g.target_indexing.from_rank(rank)
+    want = d.column_support(n, g.inverse(n, w))
+    if want is not None and want.is_finite:
+        want = ColumnSupport.finite(g.push(n + 1, want.entries))
+    assert relabel(d, g).column_support(n, w) == want
+
+
+def test_a_width_bounded_relabeling_builds_from_its_rows(level_map_calls, monkeypatch):
+    """The build reads the new handle's window rows once each, pushes
+    each once, and, with a derived width, asks no column."""
+    td = make_diagram("tridiag_B")
+    counts = {"rows": 0, "columns": 0}
+    in_edges, column_support = DiagramHandle.in_edges, DiagramHandle.column_support
+
+    def counted_rows(self, n, v):
+        counts["rows"] += self is not td
+        return in_edges(self, n, v)
+
+    def counted_columns(self, n, w):
+        counts["columns"] += 1
+        return column_support(self, n, w)
+
+    monkeypatch.setattr(DiagramHandle, "in_edges", counted_rows)
+    monkeypatch.setattr(DiagramHandle, "column_support", counted_columns)
+    d = relabel(td, level_shift(1))
+    assert 0 < counts["rows"] <= 34
+    assert level_map_calls["push"] <= counts["rows"]
+    assert counts["columns"] == 0 and not d.has_column_rule
+
+
+def test_a_relabeling_keeps_and_checks_the_base_column_rule(monkeypatch):
+    rs = make_diagram("renewal_shift")
+    assert relabel(rs, identity(rs.indexing)).has_column_rule
+    # vertex 1 feeds every vertex, not itself alone
+    monkeypatch.setattr(rs, "column_support", lambda n, w: ColumnSupport.finite([(w, 1)]))
+    with pytest.raises(InvariantError, match="column rule disagrees with rows"):
+        relabel(rs, identity(rs.indexing))
 
 
 def test_the_exhausted_search_reads_at_most_a_row_per_node(row_reads):
