@@ -176,7 +176,7 @@ class VertexBijectionSeq:
                  target_indexing: VertexIndexing,
                  map_at: Callable[[int], _LevelMap],
                  *, level_const: bool = False,
-                 step: Optional[int] = None,
+                 step: Optional[int] = None, step_from: int = 0,
                  params: Optional[dict] = None):
         self.kind = kind
         self.source_indexing = source_indexing
@@ -184,9 +184,10 @@ class VertexBijectionSeq:
         self._map_at = map_at
         self._cache: dict = {}
         self.level_const = level_const
-        # step = offset(n+1) - offset(n) at every n, for shift families
-        # whose offset grows by a constant; None otherwise
+        # step = offset(n+1) - offset(n) at every n >= step_from, for shift
+        # families whose offset grows by a constant; None otherwise
         self.step = step
+        self.step_from = step_from
         self.params = dict(params or {})
 
     def map_at(self, n: int) -> _LevelMap:
@@ -226,6 +227,7 @@ class VertexBijectionSeq:
             lambda n: self.map_at(n).inverted(),
             level_const=self.level_const,
             step=None if self.step is None else -self.step,
+            step_from=self.step_from,
             params={**self.params, "inverse_of": self.kind})
 
     def __repr__(self):
@@ -273,6 +275,7 @@ def cone_shift(t, tail=0) -> VertexBijectionSeq:
 
     return VertexBijectionSeq("cone_shift", ix.two_sided(), ix.two_sided(),
                               lambda n: AffineMap(offset(n)),
+                              step=-tail, step_from=len(table),
                               params={"t": table, "tail": tail})
 
 
@@ -350,7 +353,7 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
     flags = []
     banded = d.get_flag(BandedFlag)
     bsize = d.get_flag(BoundedSizeFlag)
-    if g.step is not None:
+    if g.step is not None and g.step_from == 0:
         delta = g.step
         if banded is not None:
             flags.append(BandedFlag(tuple(sorted(
@@ -372,19 +375,20 @@ def _relabeled_flags(d: DiagramHandle, g: VertexBijectionSeq) -> tuple:
             flags.append(FullOutColumnFlag(g.forward(0, f.vertex)))
     if d.get_flag(InfiniteOutDegreesFlag) is not None:
         flags.append(InfiniteOutDegreesFlag())
-    # the extension policy carries over only where replaying the last
-    # declared level is still right: nothing is replayed, or g is the same
-    # map at every level
-    exp = d.get_flag(ExplicitLevelsFlag)
-    if exp is not None and (exp.extension == "error_beyond" or g.level_const):
-        flags.append(exp)
+    flags.extend(d.get_flags(ExplicitLevelsFlag))
     # drop duplicates, such as a triangular flag derived twice
     return tuple(dict.fromkeys(flags))
 
 
-def _relabeled_stationary(d: DiagramHandle, g: VertexBijectionSeq) -> bool:
-    return d.stationary and (g.level_const or (
-        g.step is not None and d.get_flag(BandedFlag) is not None))
+def _relabeled_stationary_from(d: DiagramHandle, g: VertexBijectionSeq) -> Optional[int]:
+    """d's stationary_from when g is the same map at every level; the later
+    of it and g's step_from when g shifts a band by a step; else None."""
+    s = d.stationary_from
+    if s is None or g.level_const:
+        return s
+    if g.step is not None and d.get_flag(BandedFlag) is not None:
+        return max(s, g.step_from)
+    return None
 
 
 def pushed_row(d: DiagramHandle, g: VertexBijectionSeq, n: int, v: int) -> tuple:
@@ -420,7 +424,7 @@ def relabel(d: DiagramHandle, g: VertexBijectionSeq) -> DiagramHandle:
     derives_columns = any(isinstance(f, (BoundedSizeFlag, BandedFlag)) for f in flags)
     return DiagramHandle(
         tgt, rows,
-        stationary=_relabeled_stationary(d, g),
+        stationary_from=_relabeled_stationary_from(d, g),
         flags=flags,
         col_rule=cols if d.has_column_rule or not derives_columns else None,
         name=f"relabel({d.name},{g.kind})",

@@ -1,7 +1,7 @@
 """Built-in diagram families.
 
-Each entry constructs a stationary handle whose incidence matrix is a
-named infinite matrix pattern, together with the structural flags the
+Each entry constructs a handle stationary from level 0 whose matrix is
+a named infinite pattern, together with the structural flags the
 pattern pins down.  A width-bounded family's columns follow from its
 rows; only the families without a row-width bound (`renewal_shift`,
 `b_infinity`, `star_odometer`) state a column-support rule.
@@ -78,7 +78,7 @@ def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict)
         flags.append(TriangularFlag("upper", 0))
     # one-sided truncation near the base can empty a row; the flag check
     # reads the base row first and rejects it at build time
-    return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
+    return DiagramHandle(idx, rows, stationary_from=0, flags=tuple(flags),
                          name=name, params=params)
 
 
@@ -114,7 +114,7 @@ def build_interleaved_Bprime():
         return [(v - 2, 1), (v, 2), (v + 2, 1)]
 
     flags = (BoundedSizeFlag(2, 4),)
-    return DiagramHandle(idx, rows, stationary=True, flags=flags,
+    return DiagramHandle(idx, rows, stationary_from=0, flags=flags,
                          name="interleaved_Bprime", params={})
 
 
@@ -137,7 +137,7 @@ def build_renewal_shift():
             return ColumnSupport.all_targets()
         return ColumnSupport.finite(((w - 1, 1),))
 
-    return DiagramHandle(idx, rows, stationary=True,
+    return DiagramHandle(idx, rows, stationary_from=0,
                          flags=(FullOutColumnFlag(1),),
                          col_rule=cols, name="renewal_shift", params={})
 
@@ -154,7 +154,7 @@ def build_b_infinity():
             return ColumnSupport.all_targets()
         return ColumnSupport.infinite()
 
-    return DiagramHandle(idx, rows, stationary=True,
+    return DiagramHandle(idx, rows, stationary_from=0,
                          flags=(TriangularFlag("lower", 0), FullOutColumnFlag(1),
                                 InfiniteOutDegreesFlag()),
                          col_rule=cols, name="b_infinity", params={})
@@ -175,7 +175,7 @@ def build_star_odometer():
             return ColumnSupport.all_targets()
         return ColumnSupport.finite(((w, 3),))
 
-    return DiagramHandle(idx, rows, stationary=True,
+    return DiagramHandle(idx, rows, stationary_from=0,
                          flags=(TriangularFlag("lower", 0), FullOutColumnFlag(1)),
                          col_rule=cols, name="star_odometer", params={})
 
@@ -195,7 +195,7 @@ def _odometer_handle(side: str, params: dict, name: str):
     else:
         flags.append(BoundedSizeFlag(1))
     # the parameters as parsed, so a report echoes no raw spec text
-    return DiagramHandle(idx, rows, stationary=True, flags=tuple(flags),
+    return DiagramHandle(idx, rows, stationary_from=0, flags=tuple(flags),
                          name=name, params={"a": a_param} if "a" in params else {})
 
 

@@ -153,18 +153,7 @@ class ExplicitLevelsFlag:
     declared_levels: int = 0
 
     def verify(self, d, n, rows, cols):
-        """Nothing to spot-check: `level_of` enforces the levels."""
-
-    def level_of(self, n: int) -> int:
-        """The declared level whose rules serve level n: the last one past
-        the declared levels under 'repeat_last', an error under
-        'error_beyond'."""
-        if n < self.declared_levels:
-            return n
-        if self.extension == "error_beyond":
-            raise UnsupportedLevelError(
-                f"level {n} beyond the {self.declared_levels} declared levels")
-        return self.declared_levels - 1
+        """Nothing to spot-check: the handle ends or repeats the levels."""
 
 
 # --- column support ---------------------------------------------------------
@@ -282,7 +271,8 @@ class DiagramHandle:
 
     All queries are pure; the only internal state is a transparent row
     cache, column cache and band cache (`translates`), safe under
-    concurrent reads.
+    concurrent reads.  Every level from stationary_from on has that level's
+    rows (from 0 on a catalog family); None: rows may change at any level.
     """
 
     def __init__(
@@ -290,16 +280,20 @@ class DiagramHandle:
         indexing: VertexIndexing,
         row_rule: Callable[[int, int], list],
         *,
-        stationary: bool = False,
+        stationary_from: Optional[int] = None,
         flags: tuple = (),
         col_rule: Optional[Callable[[int, int], Optional[ColumnSupport]]] = None,
         name: str = "custom",
         params: Optional[dict] = None,
     ):
         self.indexing = indexing
-        self.stationary = stationary
+        self.stationary_from = stationary_from
         self.flags = tuple(flags)
-        self._explicit = self.get_flag(ExplicitLevelsFlag)
+        # the number of levels when an explicit spec ends them, else None
+        exp = self.get_flag(ExplicitLevelsFlag)
+        ends = exp is not None and exp.extension == "error_beyond"
+        self._end = exp.declared_levels if ends else None
+        self._repeats = stationary_from if self._end is None else None
         # the row-width bound of every level: a BoundedSize flag's t, else
         # a Banded flag's width, else None
         bs = self.get_flag(BoundedSizeFlag)
@@ -319,19 +313,22 @@ class DiagramHandle:
 
     # -- basic queries --------------------------------------------------
 
+    @property
+    def stationary(self) -> bool:
+        """Whether every level has level 0's rows."""
+        return self.stationary_from == 0
+
     def level_known(self, n: int) -> bool:
         """Whether level n's incidence is defined (explicit specs may end)."""
-        exp = self._explicit
-        if exp is None or exp.extension == "repeat_last":
-            return n >= 0
-        return 0 <= n < exp.declared_levels
+        return n >= 0 and (self._end is None or n < self._end)
 
     def in_edges(self, n: int, v: int) -> tuple:
         """Complete row of F_n at target v: ((source, mult), ...), sources
         ascending; the cached tuple itself, without a copy."""
         if n < 0:
             raise InvalidVertexError(f"negative level {n}")
-        key = (self._stored_level(n), v)
+        s = self._repeats  # stationary_from unless the levels end
+        key = (s if s is not None and n >= s else self._stored_level(n), v)
         row = self._row_cache.get(key)
         if row is None:
             self.indexing.check(v)  # so only vertices in range are cached
@@ -341,12 +338,13 @@ class DiagramHandle:
 
     def _stored_level(self, n: int) -> int:
         """The level whose rules serve level n, and under which `in_edges` and
-        `column_support` cache it: an explicit spec's declared level
-        (`ExplicitLevelsFlag.level_of`), then level 0 on a stationary
-        handle, whose levels all have the same rows."""
-        if self._explicit is not None:
-            n = self._explicit.level_of(n)
-        return 0 if self.stationary else n
+        `column_support` cache it: min(n, stationary_from), after an
+        UnsupportedLevelError for a level past an explicit spec's end."""
+        if self._end is not None and n >= self._end:
+            raise UnsupportedLevelError(
+                f"level {n} beyond the {self._end} declared levels")
+        s = self.stationary_from
+        return n if s is None or n < s else s
 
     def _validated_row(self, n: int, v: int) -> tuple:
         raw = self._row_rule(n, v)

@@ -6,9 +6,9 @@ lazily against the diagram's rows.  For certificate purposes a
 generator can report an *eventual trace*: a start level, period and
 step such that the trace is provably periodic-with-shift from there on.
 The proof obligations are checked, never assumed: either the rule never
-consults the diagram (vertical, alternating), or the rule's state
-recurs on a stationary diagram, or the diagram is stationary banded so
-the stepping rule commutes with translation.
+consults the diagram (vertical, alternating), or, past the level from
+which the diagram is stationary, the rule's state recurs, or the
+diagram is banded so the stepping rule commutes with translation.
 """
 
 from __future__ import annotations
@@ -221,24 +221,24 @@ class PathGenerator(TraceGenerator):
             while start > 0 and trace[start - 1 + q] - trace[start - 1] == step:
                 start -= 1
             if start < horizon // 2:
-                certified = self._certify_eventual(step)
+                certified = self._certify_eventual(step, horizon + 1 - q)
                 return EventualTrace(start, q, step, certified,
                                      tuple(trace[start:start + q]))
         return None
 
-    def _certify_eventual(self, step) -> bool:
+    def _certify_eventual(self, step, seen_to) -> bool:
         if self._rule in ("vertical", "alternating"):
             # the rule never consults the diagram; the pattern is forced
             return True
-        if not self.d.stationary:
+        s = self.d.stationary_from
+        if s is None or s > seen_to:  # the pattern was not seen from level s
             return False
         if step == 0:
-            # the stepping rule is a function of the vertex alone on a
-            # stationary diagram, and its state recurs
+            # from level s the rule is a function of the vertex: it recurs
             return True
         if self.d.get_flag(BandedFlag) is not None \
                 and self.d.indexing.mode == "two_sided":
-            # stationary banded on two-sided levels: the stepping rule
+            # banded on two-sided levels: from level s the stepping rule
             # commutes with translation, so one observed period persists
             return True
         return False
@@ -263,10 +263,10 @@ class PushedGenerator(TraceGenerator):
         if ev is None:
             return None
         if self.g.step is not None:
+            start = max(ev.start, self.g.step_from)
             return EventualTrace(
-                ev.start, ev.period, ev.step + ev.period * self.g.step, ev.certified,
-                tuple(self.vertex_at(m)
-                      for m in range(ev.start, ev.start + ev.period)))
+                start, ev.period, ev.step + ev.period * self.g.step, ev.certified,
+                tuple(self.vertex_at(m) for m in range(start, start + ev.period)))
         return None
 
 

@@ -9,21 +9,10 @@ Forward cones go through `forward_layers`, whose docstring states when
 a forward step is exact.
 
 Probes that ask for the first level m at which w@n reaches a target
-t(m)@m go through `first_reach`, which enumerates the witness path once,
-at the hit.  A band answers by arithmetic: when the handle is stationary
-and every row the sweep from t@m to level n could read is a translate
-of t's row, as on the catalog's bands, their level shifts and
-`odometer_one_sided` (`_band_offsets` checks those rows, and the handle
-keeps what it has checked, `DiagramHandle.translates`), w@n reaches
-t@m exactly when w - t is a sum of m - n offsets, which `_sumset`
-answers from a small table without a sweep; `enumerate_paths(...,
-cap=1)` walks the first path greedily by the same test.  Every other
-level is tested on the reach set `reach_frontiers` yields, which alone
-chooses how a reach set is found: on a stationary handle the rows are
-the same at every level, so the k-step backward reach set of a vertex
-is too, and one frontier per distinct target is kept for the whole
-query and extended a step at a time as m grows; on any other handle the
-rows may change with the level, so every m restarts the sweep.
+t(m)@m go through `first_reach`: on a band w@n reaches t@m exactly when
+w - t is a sum of m - n offsets (`_band_offsets`, `_sumset`); elsewhere
+it tests the reach sets of `reach_frontiers`, the one place that
+chooses how a reach set is found.
 
 `count_paths` answers on the same bands from the polynomial power
 instead of sweeping: the count is one coefficient of the (m - n)-th
@@ -170,8 +159,8 @@ def forward_layers(d: DiagramHandle, w: int, n: int, steps: int):
     declare.
 
     Each step reads its own level, so the walk is exact on any handle;
-    but a layer equal to the one before proves the cone stays put only on
-    a stationary handle.
+    but a layer equal to the one before proves the cone stays put only
+    from the level from which the handle is stationary.
     """
     d.indexing.check(w)
     layer: Optional[set] = {w}
@@ -185,23 +174,20 @@ def forward_layers(d: DiagramHandle, w: int, n: int, steps: int):
 
 def _band_offsets(d: DiagramHandle, n: int, v: int, m: int) -> Optional[tuple]:
     """v's row at level n as ascending (offset, mult) pairs, when the
-    handle is stationary, 0 <= n < m, level m - 1 is known and every row
-    the sweep from v@m to level n could read is a translate of it; else
-    None.
+    handle is stationary from a level s <= n, n < m, level m - 1 is known
+    and every row the sweep from v@m to level n could read is a translate
+    of it; else None.
 
     The sweep's layer j holds v plus sums of j offsets, so it reads rows
     only at the vertices u = v (mod g) in [v + min(0, (k-1) o_min),
     v + max(0, (k-1) o_max)], k = m - n and g the gcd of the offsets:
     v's row alone when k = 1.  Beyond that the handle keeps what it has
-    checked (`DiagramHandle.translates`), so each row is read for this
-    once per handle, and a vertex known not to hold costs a lookup.  The
-    sweep also takes offsets too wide for a `_sumset` table, whose sparse
-    layers read fewer rows than the cone; `translates` reads only the
-    vertices next to v, so such offsets are turned down before the cone
-    is read.  A read that raises (a vertex out of range, an undeclared
-    row) leaves the question to the sweep.
+    checked (`DiagramHandle.translates`).  Offsets too wide for a
+    `_sumset` table are left to the sweep before the cone is read, and so
+    is a read that raises (a vertex out of range, an undeclared row).
     """
-    if not (d.stationary and 0 <= n < m and d.level_known(m - 1)):
+    s = d.stationary_from
+    if s is None or not (s <= n < m and d.level_known(m - 1)):
         return None
     try:
         if m - n == 1:  # the sweep reads v's row alone
@@ -391,29 +377,36 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
 
 def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict) -> set:
     """The vertices at level n with a path to t@m, from the frontier of t
-    kept in fronts on a stationary handle (`reach_frontiers`), else from
-    a fresh sweep."""
-    if d.stationary and 0 <= n < m and d.level_known(m - 1):
-        d.indexing.check(t)
-        k, reach = fronts.get(t, (0, {t}))
-        for _ in range(m - n - k):
-            reach = _step(d, n, reach, counting=False)
-        fronts[t] = (m - n, reach)
-        return reach
-    return backward_reach_set(d, t, m, n)
+    kept in fronts (`reach_frontiers`), else from a fresh sweep."""
+    s = d.stationary_from
+    if s is None or not (0 <= n < m and s < m and d.level_known(m - 1)):
+        return backward_reach_set(d, t, m, n)
+    top = n if n >= s else s
+    d.indexing.check(t)
+    k, front = fronts.get(t, (0, {t}))
+    for _ in range(m - top - k):
+        front = _step(d, top, front, counting=False)
+    fronts[t] = (m - top, front)
+    if top == n:
+        return front
+    swept, reach = fronts.get((t, n), (None, None))  # the last sweep below
+    if swept != front:
+        reach = front
+        for level in range(top - 1, n - 1, -1):
+            reach = _step(d, level, reach, counting=False)
+        fronts[t, n] = front, reach
+    return reach
 
 
 def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
     and reach the set of vertices at level n with a path to t@m.
 
-    On a stationary handle every level has the same rows, so the reach set
-    of t after k backward steps is the same for every m with m - n == k.
-    One frontier per distinct target is kept for the whole call and
-    extended a step at a time as m grows, reading rows at level n, the
-    level a fresh sweep reads last.  On other handles the rows may change
-    with the level, so every m sweeps afresh; so do levels that need no
-    step (m <= n) or that the handle does not declare.
+    From level top = max(n, s), s the level from which the handle is
+    stationary, the rows repeat, so one frontier per target is kept at
+    top for the whole call and extended a step at a time as m grows; the
+    levels below top are swept again only when a step changed it.  With
+    no s, and at levels m <= top or undeclared, every m sweeps afresh.
     """
     fronts: dict = {}
     for m in levels:

@@ -170,15 +170,20 @@ def recheck_connected(d: DiagramHandle, v: Verdict, levels: int = 4,
     return f"window re-walked breadth first from one vertex: {ok}"
 
 
-def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
-    """gcd of return-path lengths from i back to i, with the lengths found."""
-    if not d.stationary:
+def _period_level(d: DiagramHandle) -> int:
+    """The level s from which d is stationary, where return lengths count."""
+    if d.stationary_from is None:
         raise NotStationaryError("period is defined for stationary diagrams")
+    return d.stationary_from
+
+
+def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
+    """gcd of return-path lengths from i@s back to i, with the lengths found."""
+    s = _period_level(d)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lengths = [m for m, _, reach in reach_frontiers(d, 0, range(1, horizon + 1),
-                                                     lambda m: i)
-               if i in reach]
+    lengths = [m - s for m, _, reach in reach_frontiers(
+        d, s, range(s + 1, s + horizon + 1), lambda m: i) if i in reach]
     if not lengths:
         return None, []
     return math.gcd(*lengths), lengths
@@ -186,10 +191,11 @@ def period_of_index(d: DiagramHandle, i: int, horizon: int = 8):
 
 def recheck_period(d: DiagramHandle, i: int, horizon: int, g, lengths) -> str:
     """Whether `period_of_index(d, i, horizon)` answered (g, lengths): the
-    return lengths are swept afresh, one backward sweep per length m, not
-    from a kept frontier, and compared with lengths and their gcd with g."""
+    return lengths from level s are swept afresh, one backward sweep per
+    length m, and compared with lengths and their gcd with g."""
+    s = _period_level(d)
     swept = [m for m in range(1, horizon + 1)
-             if i in backward_reach_set(d, i, m, 0)]
+             if i in backward_reach_set(d, i, s + m, s)]
     ok = swept == lengths and g == (math.gcd(*swept) if swept else None)
     return f"return lengths re-swept level by level: {ok}"
 
@@ -244,9 +250,9 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                            horizon: int = 64) -> Verdict:
     """Is the cylinder of this prefix compact (finite forward cone at
     every level)?  No when the cone provably reaches a vertex with
-    infinitely many outgoing edges.  Yes when the cone repeats a layer on
-    a stationary handle; on any other handle a repeated layer proves
-    nothing, so the walk goes on to the horizon."""
+    infinitely many outgoing edges.  Yes when the cone repeats a layer at
+    a level from which the handle is stationary; any other repeated layer
+    proves nothing, so the walk goes on to the horizon."""
     c.validate(d)
     j, ell = c.end_vertex, c.end_level
     if d.width is not None:
@@ -260,9 +266,10 @@ def compact_cylinder_check(d: DiagramHandle, c: FinitePath,
                 "reason": "ids never increase along edges; cones stay below "
                           "the prefix end on a one-sided level",
                 "certificate": inv.describe()})
-    layers = []
+    s, layers = d.stationary_from, []
     for cone in forward_layers(d, j, ell, horizon):
-        if d.stationary and layers and cone == layers[-1]:
+        if layers and cone == layers[-1] and s is not None \
+                and ell + len(layers) - 1 >= s:
             return Verdict.yes(witness={
                 "reason": "forward cone stabilizes",
                 "stable_cone": sorted(cone), "at_step": len(layers) - 1,

@@ -167,8 +167,7 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
             rows[v] = tuple(entries)
         matrices.append(rows)
 
-    # levels past the declared ones never reach these rules: the handle
-    # maps them through ExplicitLevelsFlag.level_of
+    # the handle repeats or refuses the levels past the declared ones
     def row_rule(n, v):
         mat = matrices[n]
         if v not in mat:
@@ -178,9 +177,8 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
 
     flags = (_parse_flags(doc.get("flags"))
              + (ExplicitLevelsFlag(extension, len(matrices)),))
-    stationary = len(matrices) == 1 and extension == "repeat_last"
-    return DiagramHandle(indexing, row_rule, stationary=stationary,
-                         flags=flags,
+    last = len(matrices) - 1 if extension == "repeat_last" else None
+    return DiagramHandle(indexing, row_rule, stationary_from=last, flags=flags,
                          name="explicit", params={"levels": len(matrices),
                                                   "extension": extension})
 

@@ -124,4 +124,4 @@ def defective_band(offs, at):
             row[0] = (row[0][0], row[0][1] + 1)
         return row
 
-    return DiagramHandle(two_sided(), rows, stationary=True, name="defective band")
+    return DiagramHandle(two_sided(), rows, stationary_from=0, name="defective band")

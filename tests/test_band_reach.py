@@ -245,7 +245,7 @@ def empty_row_at_1():
     `DiagramHandle.in_edges` rejects with an InvariantError."""
     return DiagramHandle(two_sided(),
                          lambda n, v: [] if v == 1 else [(v + 2, 1), (v + 3, 1)],
-                         stationary=True, name="empty row at 1")
+                         stationary_from=0, name="empty row at 1")
 
 
 @pytest.mark.parametrize("name, v", [("one-sided tridiag", 1), ("renewal_shift", 4),
@@ -312,7 +312,7 @@ def test_concurrent_queries_share_one_band_cache():
             time.sleep(1e-4)
             return rows(n, u)
 
-        return DiagramHandle(two_sided(), slow, stationary=True, name="slow band")
+        return DiagramHandle(two_sided(), slow, stationary_from=0, name="slow band")
 
     def queries(d):
         out = []

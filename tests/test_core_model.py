@@ -342,7 +342,7 @@ def test_column_rule_disagreeing_with_rows_rejected():
 
     with pytest.raises(InvariantError,
                        match="column rule disagrees with rows at level 0, source -8"):
-        DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols)
+        DiagramHandle(two_sided(), rows, stationary_from=0, col_rule=cols)
 
 
 def column_claiming_20(n, w):
@@ -362,7 +362,7 @@ def column_all_at_0(n, w):
 ], ids=["finite beyond the window", "all"])
 def test_column_rule_checked_beyond_the_window_rows(cols, message):
     with pytest.raises(InvariantError, match=message):
-        DiagramHandle(two_sided(), lambda n, v: [(v, 1)], stationary=True,
+        DiagramHandle(two_sided(), lambda n, v: [(v, 1)], stationary_from=0,
                       col_rule=cols)
 
 

@@ -132,7 +132,7 @@ def band_with_two_levels():
     """tridiag_B's rows, stationary, on the two levels an error_beyond flag
     declares."""
     return DiagramHandle(two_sided(), lambda n, v: [(v - 1, 1), (v, 2), (v + 1, 1)],
-                         stationary=True, name="two levels",
+                         stationary_from=0, name="two levels",
                          flags=(ExplicitLevelsFlag("error_beyond", 2),))
 
 
@@ -184,7 +184,7 @@ def test_a_bad_row_the_sweep_never_reads_leaves_the_count_to_the_sweep():
     # vertex of [0, 3 (k - 1)]: its failing read is not an answer
     d = DiagramHandle(two_sided(),
                       lambda n, v: [] if v == 1 else [(v + 2, 1), (v + 3, 1)],
-                      stationary=True, name="bad row at 1")
+                      stationary_from=0, name="bad row at 1")
     assert count_paths(d, 9, 0, 0, 4) == sweep_count(d, 9, 0, 0, 4) == 4
 
 

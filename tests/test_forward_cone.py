@@ -56,13 +56,13 @@ def width_rows_only():
     def rows(n, v):
         return [(v - 1, 1), (v, 2)]
 
-    return DiagramHandle(two_sided(), rows, stationary=True,
+    return DiagramHandle(two_sided(), rows, stationary_from=0,
                          flags=(BoundedSizeFlag(1),))
 
 
 def without_columns(d):
     """The same rows and flags as d, without d's column rule."""
-    return DiagramHandle(d.indexing, d.in_edges, stationary=d.stationary,
+    return DiagramHandle(d.indexing, d.in_edges, stationary_from=d.stationary_from,
                          flags=d.flags, name=d.name)
 
 
@@ -231,7 +231,7 @@ def plain_odometer(read=None):
             read.append((n, w))
         return ColumnSupport.finite(((w - 1, 1), (w, 2)))
 
-    return DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols,
+    return DiagramHandle(two_sided(), rows, stationary_from=0, col_rule=cols,
                          name="plain_odometer")
 
 
@@ -268,7 +268,7 @@ def test_anchored_flatten_of_an_empty_cone_names_the_level():
             return ColumnSupport.finite(((1, 1), (3, 1)))
         return ColumnSupport.finite(((w + 1, 1),))
 
-    d = DiagramHandle(two_sided(), rows, stationary=True, col_rule=cols)
+    d = DiagramHandle(two_sided(), rows, stationary_from=0, col_rule=cols)
     with pytest.raises(NoBoundedSizeFlagError, match="empty at level 1"):
         cone_flatten(d, anchor=(0, 0))
 

@@ -278,7 +278,7 @@ def test_a_search_whose_row_read_raises_stores_nothing():
     def rows(n, v):
         return [] if v == 40 else [(v, 1)]
 
-    d = DiagramHandle(two_sided(), rows, stationary=True)
+    d = DiagramHandle(two_sided(), rows, stationary_from=0)
     window = LevelWindow.uniform(d.indexing, 2, 50)
     with pytest.raises(InvariantError):
         find_invariants(d, window)

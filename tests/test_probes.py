@@ -16,7 +16,10 @@ from gbdkit import (
     make_diagram,
     minimality_certificate,
     period_of_index,
+    recheck_period,
     render_dot,
+    toeplitz_reenumeration,
+    vertical_from,
 )
 from gbdkit.dynamics import _generator_battery
 from gbdkit.specfmt import explicit_spec_of_window
@@ -111,11 +114,22 @@ def test_period_divisibility(handles):
 
 def test_period_requires_stationary():
     text_levels = [{1: {1: 1, 2: 1}}, {1: {1: 2}, 2: {1: 1}}]
-    from gbdkit import load_spec
-    d = load_spec({"indexing": {"mode": "one_sided", "base": 1},
-                   "levels": text_levels, "extension": "repeat_last"})
-    with pytest.raises(NotStationaryError):
-        period_of_index(d, 1, 4)
+    spec = {"indexing": {"mode": "one_sided", "base": 1}, "levels": text_levels}
+    # repeating its last level, the spec is stationary from level 1, where
+    # the return lengths count from
+    d = load_spec({**spec, "extension": "repeat_last"})
+    g, lengths = period_of_index(d, 1, 4)
+    assert (g, lengths) == (1, [1, 2, 3, 4])
+    assert recheck_period(d, 1, 4, g, lengths) \
+        == "return lengths re-swept level by level: True"
+    td = make_diagram("tridiag_B")
+    toeplitz = toeplitz_reenumeration(td, [vertical_from(td, 0)], 64)[1]
+    for e in (load_spec({**spec, "extension": "error_beyond"}), toeplitz):
+        assert e.stationary_from is None
+        with pytest.raises(NotStationaryError):
+            period_of_index(e, 1, 4)
+        with pytest.raises(NotStationaryError):
+            recheck_period(e, 1, 4, g, lengths)
 
 
 def test_bounded_size_params():

@@ -297,7 +297,7 @@ def test_rechecks_read_past_a_wrong_push(monkeypatch):
     monkeypatch.setattr(VertexBijectionSeq, "push", altered)
     # no flags, so nothing rejects the altered rows at build time
     d = DiagramHandle(two_sided(), lambda n, v: [(v - 1, 1), (v, 2), (v + 1, 1)],
-                      stationary=True, name="plain tridiagonal")
+                      stationary_from=0, name="plain tridiagonal")
     g = level_shift(1)
     d2 = relabel(d, g)
     # level 1's vertex 1 is level 0's vertex 0, with source -1's edge doubled

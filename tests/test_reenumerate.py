@@ -177,7 +177,7 @@ def test_cone_flatten_anchor_mode():
     def cols(n, w):
         return ColumnSupport.finite(((w - 1, 1), (w, 2)))
 
-    plain = DiagramHandle(ix.two_sided(), rows, stationary=True,
+    plain = DiagramHandle(ix.two_sided(), rows, stationary_from=0,
                           col_rule=cols, name="plain_odometer")
     assert plain.width is None
     g, d2, cert = cone_flatten(plain, anchor=(0, 0), horizon=32)

@@ -68,10 +68,13 @@ def test_inverted_sequences():
             partial_sequence(two_sided(), two_sided(), {1: {0: 1, 1: 0, 2: 2}})]
     kinds = ["affine", "interleave_inv", "affine", "affine", "affine",
              "table_fill", "partial"]
-    steps = [0, None, -2, 1, None, None, None]
-    for g, kind, step in zip(seqs, kinds, steps):
+    # a table of widths shifts by a constant step from the table's end on
+    steps = [0, None, -2, 1, 1, None, None]
+    step_froms = [0, 0, 0, 0, 3, 0, 0]
+    for g, kind, step, step_from in zip(seqs, kinds, steps, step_froms):
         gi = g.inverted()
         assert (gi.kind, gi.step, gi.params["inverse_of"]) == (kind, step, g.kind)
+        assert gi.step_from == g.step_from == step_from
         assert gi.inverted().kind in (g.kind, "affine")
         for v in range(3):
             if g.source_indexing.contains(v):
@@ -287,9 +290,10 @@ def test_relabel_of_a_repeating_spec_by_a_level_dependent_map():
     g = level_shift(1)
     d2 = relabel(d, g)
     # replaying level 0 under g_0 would be wrong past level 0
-    assert d2.get_flag(ExplicitLevelsFlag) is None
+    assert d.stationary_from == 0 and d2.stationary_from is None
+    assert d2.get_flag(ExplicitLevelsFlag) == d.get_flag(ExplicitLevelsFlag)
     assert verify_permutation_identity(d, d2, g, 5)
-    assert relabel(d, identity(d.indexing)).get_flag(ExplicitLevelsFlag) is not None
+    assert relabel(d, identity(d.indexing)).stationary_from == 0
 
 
 def test_relabeled_handles_of_different_diagrams_have_different_fingerprints():

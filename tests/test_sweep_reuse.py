@@ -138,9 +138,10 @@ def test_reenumerations_answer_as_a_restart_per_level(name, monkeypatch):
 
 def test_handles_cover_both_kinds():
     handles = extra_handles()
-    assert handles["interleaved tridiag_B"].stationary
-    assert not handles["cone-shifted tridiag_B"].stationary
-    assert not handles["explicit error_beyond"].stationary
+    # stationary from level 0, from the end of the width table, and never
+    assert handles["interleaved tridiag_B"].stationary_from == 0
+    assert handles["cone-shifted tridiag_B"].stationary_from == 3
+    assert handles["explicit error_beyond"].stationary_from is None
 
 
 def test_deep_no_probe_reads_few_rows(row_reads):
