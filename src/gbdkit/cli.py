@@ -66,6 +66,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4  # a crash, which must not read as a verdict
 
 
 # --- argument types ----------------------------------------------------------------
@@ -424,6 +425,10 @@ def main(argv=None) -> int:
     except GbdError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        first = str(exc).splitlines()[:1]
+        sys.stderr.write(f"internal error: {': '.join([type(exc).__name__] + first)}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

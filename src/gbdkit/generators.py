@@ -69,6 +69,7 @@ class TraceGenerator:
     kind: str
     params: dict
     _validated = 0  # edges x_0 .. x_{_validated - 1} are known to exist
+    _eventual: dict  # horizon -> the eventual trace found, set by __init__
 
     def edge_at(self, m: int) -> Edge:
         """x_m, validated against the diagram's rows."""
@@ -88,6 +89,17 @@ class TraceGenerator:
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
+
+    def eventual(self, horizon: int = DEFAULT_HORIZON) -> Optional[EventualTrace]:
+        """The eventual trace `_scan_eventual` finds up to horizon, scanned
+        once per horizon: neither the trace nor the rows change.  A None is
+        kept too; a scan that raises is not, so it raises again.  Threads
+        that race on a new horizon may each scan it; they keep equal
+        answers."""
+        memo = self._eventual
+        if horizon not in memo:
+            memo[horizon] = self._scan_eventual(horizon)
+        return memo[horizon]
 
 
 _RULES = ("vertical", "leftmost_slant", "rightmost_slant", "alternating",
@@ -117,6 +129,7 @@ class PathGenerator(TraceGenerator):
         self._phase = len(table) - 1
         self._trace: list = table
         self._extending = threading.Lock()  # one thread extends _trace at a time
+        self._eventual = {}
 
     def _vertex(self, v) -> int:
         v = int(v)
@@ -205,7 +218,10 @@ class PathGenerator(TraceGenerator):
 
     # -- eventual behavior -----------------------------------------------
 
-    def eventual(self, horizon: int = DEFAULT_HORIZON) -> Optional[EventualTrace]:
+    # bench/tracer.py times `eventual` from this class's own namespace
+    eventual = TraceGenerator.eventual
+
+    def _scan_eventual(self, horizon: int) -> Optional[EventualTrace]:
         """Detect and, where provable, certify eventual linearity of the
         trace: for period q = 1, else 2, the least start below horizon // 2
         from which trace(m + q) - trace(m) stays the same through level
@@ -254,11 +270,12 @@ class PushedGenerator(TraceGenerator):
         self.d = d2
         self.kind = f"pushed({x.kind},{g.kind})"
         self.params = {"base": x.describe(), "bijection": g.kind}
+        self._eventual = {}
 
     def vertex_at(self, m: int) -> int:
         return self.g.forward(m, self.base.vertex_at(m))
 
-    def eventual(self, horizon: int = DEFAULT_HORIZON):
+    def _scan_eventual(self, horizon: int) -> Optional[EventualTrace]:
         ev = self.base.eventual(horizon)
         if ev is None:
             return None

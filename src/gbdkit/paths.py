@@ -384,13 +384,20 @@ def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict) -> set:
     top = n if n >= s else s
     d.indexing.check(t)
     k, front = fronts.get(t, (0, {t}))
-    for _ in range(m - top - k):
-        front = _step(d, top, front, counting=False)
-    fronts[t] = (m - top, front)
+    if k is not None:  # None: a step returned the frontier unchanged
+        for _ in range(m - top - k):
+            nxt = _step(d, top, front, counting=False)
+            if nxt == front:
+                k = None
+                break
+            front = nxt
+        else:
+            k = m - top
+        fronts[t] = (k, front)
     if top == n:
         return front
     swept, reach = fronts.get((t, n), (None, None))  # the last sweep below
-    if swept != front:
+    if swept is not front and swept != front:
         reach = front
         for level in range(top - 1, n - 1, -1):
             reach = _step(d, level, reach, counting=False)
@@ -405,8 +412,11 @@ def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     From level top = max(n, s), s the level from which the handle is
     stationary, the rows repeat, so one frontier per target is kept at
     top for the whole call and extended a step at a time as m grows; the
-    levels below top are swept again only when a step changed it.  With
-    no s, and at levels m <= top or undeclared, every m sweeps afresh.
+    levels below top are swept again only when a step changed it.  Every
+    step from top applies the same rows, so a step that returns the
+    frontier unchanged marks it fixed, and later levels read no row.
+    With no s, and at levels m <= top or undeclared, every m sweeps
+    afresh.
     """
     fronts: dict = {}
     for m in levels:

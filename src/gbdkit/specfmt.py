@@ -51,14 +51,17 @@ def read_input(path) -> str:
 
 
 def load_yaml(text: str):
-    """The YAML value of text; unparseable or too deeply nested text is
-    a ParseError."""
+    """The YAML value of text; unparseable or too deeply nested text, or a
+    scalar that cannot be built, such as an integer longer than the
+    interpreter converts from text, is a ParseError."""
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"unparseable spec: {exc}") from exc
     except RecursionError:
         raise ParseError("unparseable spec: nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"unparseable spec: {exc}") from None
 
 
 def parse_document(src) -> dict:
@@ -76,16 +79,25 @@ def parse_document(src) -> dict:
     return doc
 
 
-def _reject_floats(obj, where):
+def _reject_floats(obj, where, seen=None):
+    """SchemaError at the first float in obj, depth first.  Each container
+    is walked once, by identity: YAML aliases share one node, and a chain
+    of them would otherwise be walked once per path through it."""
     if isinstance(obj, float):
         raise SchemaError(f"float {obj!r} at {where}: the format is integer-only")
+    if not isinstance(obj, (dict, list, tuple)):
+        return
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _reject_floats(k, where)
-            _reject_floats(v, f"{where}.{k}")
-    elif isinstance(obj, (list, tuple)):
+            _reject_floats(k, where, seen)
+            _reject_floats(v, f"{where}.{k}", seen)
+    else:
         for i, v in enumerate(obj):
-            _reject_floats(v, f"{where}[{i}]")
+            _reject_floats(v, f"{where}[{i}]", seen)
 
 
 def _banded_flag(p) -> BandedFlag:

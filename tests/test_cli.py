@@ -4,14 +4,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
 
 from gbdkit import (
+    SchemaError,
     cli,
     connected_probe,
     irreducible_probe,
+    load_spec,
     make_diagram,
     minimality_certificate,
     orbit_visits_cylinder,
@@ -577,6 +580,55 @@ def test_hostile_input_files_exit_2(argv, specs, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_a_crash_exits_4_not_as_a_verdict(specs, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ValueError("not a verdict\nsecond line")
+
+    monkeypatch.setattr(cli, "irreducible_probe", crash)
+    code = main(["probe", "irreducible", "--spec", specs["rs"], "--src", "1",
+                 "--dst", "2"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: not a verdict\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter reads integers of any length")
+def test_an_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    spec = tmp_path / "huge.yaml"
+    spec.write_text("family: odometer_one_sided\na: " + "7" * 5001 + "\n")
+    assert main(["probe", "irreducible", "--spec", str(spec), "--src", "1",
+                 "--dst", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unparseable spec: ")
+
+
+def alias_chain(k, leaf="0"):
+    """A spec of k anchors, each a list of ten aliases of the one before:
+    10^k paths through a few hundred bytes."""
+    lines = ["family: tridiag_B", f"x0: &x0 [{leaf}]"]
+    lines += [f"x{i}: &x{i} [" + ", ".join([f"*x{i - 1}"] * 10) + "]"
+              for i in range(1, k + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_an_alias_chain_is_walked_once_per_node(tmp_path, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="unknown tridiag_B params"):
+        load_spec(alias_chain(9))
+    # the float is found at the first path that reaches it
+    with pytest.raises(SchemaError, match=r"float 0\.5 at top level\.x0\[0\]"):
+        load_spec(alias_chain(9, "0.5"))
+    spec = tmp_path / "chain.yaml"
+    spec.write_text(alias_chain(9))
+    assert main(["probe", "irreducible", "--spec", str(spec), "--src", "1",
+                 "--dst", "2"]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err.startswith("error: unknown tridiag_B params")
 
 
 @pytest.mark.parametrize("command", ["probe classify", "probe bounded-size",

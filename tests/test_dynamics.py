@@ -29,8 +29,9 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
+from gbdkit import dynamics
 from gbdkit.dynamics import _generator_battery
-from gbdkit.generators import PushedGenerator
+from gbdkit.generators import PathGenerator, PushedGenerator
 
 from conftest import NAMES
 from test_sweep_reuse import explicit_error_beyond
@@ -197,6 +198,87 @@ def test_eventual_matches_the_quadratic_scan(horizon):
         assert seen > 0
 
 
+def counted_scans(monkeypatch, cls):
+    """[count]: the calls of cls._scan_eventual, the scan behind the
+    kept `eventual`, made while the test runs."""
+    count = [0]
+    scan = cls._scan_eventual
+
+    def counted(self, horizon):
+        count[0] += 1
+        return scan(self, horizon)
+
+    monkeypatch.setattr(cls, "_scan_eventual", counted)
+    return count
+
+
+def test_eventual_scans_once_per_generator_and_horizon(monkeypatch):
+    scans = counted_scans(monkeypatch, PathGenerator)
+    star = make_diagram("star_odometer")
+    x = vertical_from(star, 4)
+    for horizon in (64, 64, 16, 64, 16):
+        x.eventual(horizon)
+    assert scans[0] == 2
+    # a No visit asks for the default horizon; a second visit scans nothing
+    c = cylinder_at(star, 8)
+    assert orbit_visits_cylinder(star, x, c).is_no
+    assert scans[0] == 3
+    assert orbit_visits_cylinder(star, x, c).is_no
+    assert scans[0] == 3
+    # a None is kept too
+    bi = make_diagram("b_infinity")
+    y = make_generator(bi, "table_then_rule", table=[1, 2, 1, 3, 1, 4],
+                       tail={"kind": "vertical"})
+    assert y.eventual(4) is None and y.eventual(4) is None
+    assert scans[0] == 4
+
+
+def test_horizons_in_any_order_agree_with_fresh_generators():
+    for name, d, spec in eventual_cases():
+        spec = dict(spec)
+        kind = spec.pop("kind")
+        kept = make_generator(d, kind, **spec)
+        for horizon in (64, 16, 64):
+            got = outcome(lambda: kept.eventual(horizon))
+            fresh = outcome(lambda: make_generator(d, kind, **spec).eventual(horizon))
+            assert got == fresh, (name, kind, spec, horizon)
+            want = outcome(lambda: reference_eventual(
+                make_generator(d, kind, **spec), horizon))
+            if got is not None and not isinstance(got, tuple):
+                got = got.start, got.period, got.step, got.base_vertices
+            assert got == want, (name, kind, spec, horizon)
+
+
+def test_a_raising_eventual_raises_again(monkeypatch):
+    scans = counted_scans(monkeypatch, PathGenerator)
+    # past the spec's three declared levels the slant finds no column
+    x = leftmost_slant_from(explicit_error_beyond(), 1)
+    for _ in range(2):
+        with pytest.raises(GbdError):
+            x.eventual(16)
+    assert scans[0] == 2
+
+
+def test_a_pushed_eventual_reads_the_kept_eventual_of_its_base(monkeypatch):
+    cases = [("odometer_two_sided", level_shift(1), "leftmost_slant", 2),
+             ("odometer_two_sided", cone_shift(1), "alternating", 0),
+             ("tridiag_B", level_shift(2), "vertical", 1)]
+    for name, g, kind, v in cases:
+        d = make_diagram(name)
+        d2 = relabel(d, g)
+        x = make_generator(d, kind, vertex=v)
+        pushed = PushedGenerator(x, g, d2)
+        scans = counted_scans(monkeypatch, PathGenerator)
+        for horizon in (64, 16, 64):
+            fresh = PushedGenerator(make_generator(d, kind, vertex=v), g, d2)
+            assert pushed.eventual(horizon) == fresh.eventual(horizon)
+            assert x.eventual(horizon) is pushed.base.eventual(horizon)
+        # the kept base answered the pushed generator: one scan per horizon
+        # for it, and one per horizon for each fresh base
+        assert scans[0] == 2 + 3
+        monkeypatch.undo()
+
+
 # --- metric and tail equivalence ----------------------------------------------
 
 def test_metric_values():
@@ -336,6 +418,22 @@ def test_battery_keeps_only_generators_that_are_paths():
         {"kind": "vertical", "params": {"vertex": 1}}]
     # past its three declared levels no candidate is a path
     assert _generator_battery(explicit_error_beyond()) == []
+
+
+def test_minimality_builds_one_battery_per_handle(monkeypatch):
+    builds = []
+    monkeypatch.setattr(dynamics, "_build_battery",
+                        lambda d, build=dynamics._build_battery:
+                        builds.append(d) or build(d))
+    star = make_diagram("star_odometer")
+    first = _generator_battery(star)
+    assert [minimality_certificate(star).is_no for _ in range(3)] == [True] * 3
+    again = _generator_battery(star)
+    assert len(builds) == 1 and again is not first
+    assert all(g is h for g, h in zip(first, again, strict=True))
+    # a fresh handle gets its own battery
+    assert minimality_certificate(make_diagram("star_odometer")).is_no
+    assert len(builds) == 2
 
 
 def test_trisection():

@@ -2,6 +2,8 @@
 exactly as a fresh sweep per level does, and read far fewer rows."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbdkit import (
     backward_reach_set,
@@ -21,10 +23,13 @@ from gbdkit import (
     toeplitz_reenumeration,
     vertical_from,
 )
-from gbdkit import dynamics, probes
+from gbdkit import dynamics, paths, probes
 from gbdkit.specfmt import load_spec
 
-from conftest import NAMES, restart_first_reach
+from conftest import NAMES, defective_band, restart_first_reach
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=100)
 
 
 def restart_frontiers(d, n, levels, target):
@@ -159,3 +164,68 @@ def test_in_edges_hands_out_the_cached_row():
     assert d.in_edges(3, 0) is cached
     with pytest.raises(TypeError):
         cached[0] = (-99, 7)
+
+
+# --- the frontier stops at its fixed point -----------------------------------------
+
+@st.composite
+def stationary_handles(draw):
+    """(handle, vertices): a `repeat_last` spec of 1-3 one-sided levels on
+    five vertices, a one-sided band, whose rows are cut at the base, or a
+    two-sided band with one defective row; every one stationary."""
+    kind = draw(st.sampled_from(["explicit", "one-sided band", "defective band"]))
+    if kind == "explicit":
+        vs = list(range(5))
+        row = st.dictionaries(st.sampled_from(vs), st.integers(1, 2),
+                              min_size=1, max_size=3)
+        mats = draw(st.lists(st.fixed_dictionaries({v: row for v in vs}),
+                             min_size=1, max_size=3))
+        return load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                          "levels": mats, "extension": "repeat_last"}), vs
+    offs = draw(st.dictionaries(st.integers(-3, 3), st.integers(1, 2),
+                                min_size=1, max_size=3))
+    if kind == "one-sided band":
+        offs[draw(st.integers(0, 3))] = 1  # the base row is not empty
+        return make_diagram("banded", offsets=offs, side="one", base=0), \
+            list(range(12))
+    return defective_band(offs, draw(st.integers(-6, 6))), list(range(-9, 10))
+
+
+@PROPERTY
+@given(stationary_handles(), st.data())
+def test_the_fixed_point_stop_answers_as_a_restart_per_level(handle, data):
+    d, vs = handle
+    pick = st.sampled_from(vs)
+    w, n = data.draw(pick), data.draw(st.integers(0, 4))
+    levels = range(n + 1, n + data.draw(st.integers(1, 40)) + 1)
+    targets = data.draw(st.lists(pick, min_size=1, max_size=3))
+
+    def target(m):
+        return targets[m % len(targets)]
+
+    assert outcome(lambda: paths.first_reach(d, w, n, levels, target)) \
+        == outcome(lambda: restart_first_reach(d, w, n, levels, target))
+    assert outcome(lambda: list(paths.reach_frontiers(d, n, levels, target))) \
+        == outcome(lambda: list(restart_frontiers(d, n, levels, target)))
+
+
+def test_a_fixed_frontier_reads_no_more_rows(row_reads):
+    # the backward layers of 4 on star_odometer are {4}, then {1, 4} at
+    # every later level, which 8 never enters
+    star = make_diagram("star_odometer")
+    reads = {}
+    for depth in (30, 30, 3000):
+        start = row_reads[0]
+        assert paths.first_reach(star, 8, 0, range(1, depth + 1),
+                                 lambda m: 4) is None
+        reads[depth] = row_reads[0] - start
+    assert 0 < reads[3000] == reads[30] < 10
+    x = vertical_from(star, 4)
+    for depth in (24, 24, 2400):
+        orbit_visits_cylinder(star, x, cylinder_at(star, 8), depth)
+    start = row_reads[0]
+    for depth in (24, 2400):
+        assert orbit_visits_cylinder(star, x, cylinder_at(star, 8), depth).is_no
+        reads[depth] = row_reads[0] - start
+        start = row_reads[0]
+    assert 0 < reads[2400] == reads[24] < 10
