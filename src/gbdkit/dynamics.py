@@ -12,7 +12,6 @@ comparison.
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 from typing import Optional
 
@@ -292,24 +291,12 @@ def _forced_hit_bound(d: DiagramHandle, w: int, u: int,
     return None
 
 
-_BATTERIES = weakref.WeakKeyDictionary()  # handle -> its generator battery
-
-
 def _generator_battery(d: DiagramHandle) -> list:
     """Small deterministic family of generators for obstruction search:
     vertical loops at the radius-6 window's vertices, two off the
     full-out columns and one on them, then both slants from the center.
     A candidate counts only when it is a path through DEFAULT_DEPTH + 1
-    levels.  The battery is built once per handle, so its generators
-    keep their traces and eventual traces from call to call; each call
-    gets a fresh list."""
-    if d not in _BATTERIES:
-        _BATTERIES[d] = tuple(_build_battery(d))
-    return list(_BATTERIES[d])
-
-
-def _build_battery(d: DiagramHandle) -> list:
-    """The battery of `_generator_battery`, built afresh from the rows."""
+    levels."""
     def path(kind, v):
         try:
             g = PathGenerator(d, kind, {"vertex": v})

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 import yaml
@@ -22,6 +21,7 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
+from gbdkit import specfmt
 from gbdkit.cli import main
 
 
@@ -616,18 +616,33 @@ def alias_chain(k, leaf="0"):
     return "\n".join(lines) + "\n"
 
 
-def test_an_alias_chain_is_walked_once_per_node(tmp_path, capsys):
-    start = time.perf_counter()
+def test_an_alias_chain_is_walked_once_per_node(tmp_path, capsys, monkeypatch):
+    # each container may be reached once per reference to it (at most 11
+    # here: ten aliases and one key), not once per path through the chain;
+    # the first extra reach fails, before an exponential walk could run long
+    reached = {}
+    check = specfmt._reject_floats
+
+    def counted(obj, where, seen=None):
+        if isinstance(obj, (dict, list, tuple)):
+            reached[id(obj)] = reached.get(id(obj), 0) + 1
+            assert reached[id(obj)] <= 11, f"{where} reached too often"
+        return check(obj, where, seen)
+
+    monkeypatch.setattr(specfmt, "_reject_floats", counted)
     with pytest.raises(SchemaError, match="unknown tridiag_B params"):
         load_spec(alias_chain(9))
+    assert len(reached) == 9 + 2  # the top mapping and the ten lists x0..x9
     # the float is found at the first path that reaches it
+    reached.clear()
     with pytest.raises(SchemaError, match=r"float 0\.5 at top level\.x0\[0\]"):
         load_spec(alias_chain(9, "0.5"))
+    reached.clear()
     spec = tmp_path / "chain.yaml"
     spec.write_text(alias_chain(9))
     assert main(["probe", "irreducible", "--spec", str(spec), "--src", "1",
                  "--dst", "2"]) == 2
-    assert time.perf_counter() - start < 0.1
+    assert len(reached) == 9 + 2
     assert capsys.readouterr().err.startswith("error: unknown tridiag_B params")
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,6 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
-from gbdkit import dynamics
 from gbdkit.dynamics import _generator_battery
 from gbdkit.generators import PathGenerator, PushedGenerator
 
@@ -420,20 +421,15 @@ def test_battery_keeps_only_generators_that_are_paths():
     assert _generator_battery(explicit_error_beyond()) == []
 
 
-def test_minimality_builds_one_battery_per_handle(monkeypatch):
-    builds = []
-    monkeypatch.setattr(dynamics, "_build_battery",
-                        lambda d, build=dynamics._build_battery:
-                        builds.append(d) or build(d))
+def test_minimality_keeps_no_handle_alive():
+    # generators keep their traces and eventual memos, but nothing
+    # module-level keeps the generators, so the handle can be freed
     star = make_diagram("star_odometer")
-    first = _generator_battery(star)
-    assert [minimality_certificate(star).is_no for _ in range(3)] == [True] * 3
-    again = _generator_battery(star)
-    assert len(builds) == 1 and again is not first
-    assert all(g is h for g, h in zip(first, again, strict=True))
-    # a fresh handle gets its own battery
-    assert minimality_certificate(make_diagram("star_odometer")).is_no
-    assert len(builds) == 2
+    assert minimality_certificate(star).is_no
+    alive = weakref.ref(star)
+    del star
+    gc.collect()
+    assert alive() is None
 
 
 def test_trisection():

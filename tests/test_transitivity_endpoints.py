@@ -16,7 +16,7 @@ from gbdkit import (
     transitivity_probe,
 )
 from gbdkit import dynamics
-from gbdkit.dynamics import _build_battery
+from gbdkit.dynamics import _generator_battery
 from gbdkit.specfmt import load_spec
 
 from conftest import NAMES
@@ -91,7 +91,7 @@ def both(d, make_gens, cyl_depths, windows, depth=10):
 def test_catalog_battery_matches_the_per_cylinder_loop(name):
     d = make_diagram(name)
     windows = [d.indexing.default_interval(r) for r in (1, 2)]
-    new, ref = both(d, lambda: _build_battery(d), range(4), windows)
+    new, ref = both(d, lambda: _generator_battery(d), range(4), windows)
     assert new == ref
     for window in windows:
         for length in range(4):
