@@ -28,6 +28,7 @@ from .errors import (
     InvariantError,
     UnknownKindError,
     WindowTooSmallError,
+    echo,
     int_keyed,
     reject_unknown_keys,
 )
@@ -316,7 +317,7 @@ def builtin_bijection(kind: str, params: Optional[dict] = None) -> VertexBijecti
     """Named bijection constructors usable from spec files."""
     params = dict(params or {})
     if not isinstance(kind, str) or kind not in _BIJECTION_KEYS:
-        raise UnknownKindError(f"unknown bijection kind {kind!r}")
+        raise UnknownKindError(f"unknown bijection kind {echo(kind)}")
     known = _BIJECTION_KEYS[kind]
     if kind == "cone_shift" and not isinstance(params.get("t"), (list, tuple)):
         known = ("t",)  # a tail follows only a table of widths

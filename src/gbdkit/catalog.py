@@ -22,7 +22,7 @@ from .diagram import (
     InfiniteOutDegreesFlag,
     TriangularFlag,
 )
-from .errors import InvariantError, SchemaError, int_keyed, reject_unknown_keys
+from .errors import InvariantError, SchemaError, echo, int_keyed, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,14 @@ def _diag_rule(params) -> tuple:
             slope = int(a.get("slope", 0))
             offset = int(a.get("offset", 2))
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed a-rule {a!r}: {exc}") from None
+            raise SchemaError(f"malformed a-rule {echo(a)}: {exc}") from None
         def rule(v, s=slope, c=offset):
             val = s * v + c
             if val < 2:
                 raise SchemaError(f"a-rule gives {val} < 2 at vertex {v}")
             return val
         return rule, {"slope": slope, "offset": offset}
-    raise SchemaError(f"bad a-rule {a!r}")
+    raise SchemaError(f"bad a-rule {echo(a)}")
 
 
 def _banded_handle(offsets: dict, side: str, base: int, name: str, params: dict):
@@ -86,7 +86,7 @@ def build_banded(offsets=None, side: str = "two", base: int = 1):
     if offsets is None:
         raise SchemaError("banded family requires offsets")
     if side not in ("one", "two"):
-        raise SchemaError(f"banded side must be 'one' or 'two', got {side!r}")
+        raise SchemaError(f"banded side must be 'one' or 'two', got {echo(side)}")
     try:
         offsets = {o: int(m) for o, m in
                    int_keyed(dict(offsets), "banded offsets").items()}
@@ -243,7 +243,7 @@ CATALOG = {
 def make_diagram(name: str, **params) -> DiagramHandle:
     entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
-        raise SchemaError(f"unknown catalog family {name!r}")
+        raise SchemaError(f"unknown catalog family {echo(name)}")
     unknown = sorted(set(params) - set(entry.param_names))
     if unknown:
         raise SchemaError(f"unknown {name} params {unknown}")

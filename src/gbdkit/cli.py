@@ -32,7 +32,7 @@ from .dynamics import (
     recheck_visit,
     transitivity_probe,
 )
-from .errors import GbdError, OutputError, SchemaError, reject_unknown_keys
+from .errors import GbdError, OutputError, SchemaError, echo, reject_unknown_keys
 from .generators import PathGenerator, cylinder_at, parse_generator, prefix_from_trace
 from .iso import (
     IsoWitness,
@@ -135,7 +135,7 @@ def _cylinder(d: DiagramHandle, arg: str) -> FinitePath:
             vertex = int(doc["vertex"])
         except (TypeError, ValueError):
             raise SchemaError(
-                f"cylinder vertex must be an integer, got {doc['vertex']!r}") from None
+                f"cylinder vertex must be an integer, got {echo(doc['vertex'])}") from None
         return cylinder_at(d, vertex)
     trace = doc.get("trace")
     if not isinstance(trace, list) or not trace \

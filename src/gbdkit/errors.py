@@ -1,4 +1,39 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the bounded repr of a
+parsed value that their messages echo."""
+
+import reprlib
+from itertools import islice
+
+
+class _Echo(reprlib.Repr):
+    """reprlib's bounded repr, with a mapping's keys in its own order, as
+    repr prints them, not sorted."""
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{...}"
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                  for k, v in islice(x.items(), self.maxdict)]
+        if len(x) > self.maxdict:
+            pieces.append("...")
+        return "{" + ", ".join(pieces) + "}"
+
+
+_ECHO = _Echo()
+_ECHO.maxlevel = 3
+_ECHO.maxdict = _ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxset = 6
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 80
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut to three levels of nesting,
+    six items a container and 80 characters a scalar.  A spec's YAML
+    aliases can share one node along exponentially many paths, which a
+    whole repr would print in full; values within those bounds print as
+    repr prints them."""
+    return _ECHO.repr(value)
 
 
 class GbdError(Exception):
@@ -45,7 +80,7 @@ def int_keyed(doc: dict, what: str) -> dict:
     for key, value in doc.items():
         n = int(key)
         if n in out:
-            raise SchemaError(f"key {key!r} repeats {n} in {what}")
+            raise SchemaError(f"key {echo(key)} repeats {n} in {what}")
         out[n] = value
     return out
 

@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     SchemaError,
     UnknownKindError,
+    echo,
     reject_unknown_keys,
 )
 from .paths import Edge, FinitePath
@@ -139,14 +140,14 @@ class PathGenerator(TraceGenerator):
     def _vertices(self, p: dict, key: str) -> list:
         vs = p[key]
         if not isinstance(vs, (list, tuple)):
-            raise SchemaError(f"{self.kind} {key} must be a list, got {vs!r}")
+            raise SchemaError(f"{self.kind} {key} must be a list, got {echo(vs)}")
         return [int(v) for v in vs]
 
     def _table_and_rule(self, p: dict) -> tuple:
         """The vertex table, the step rule and the parameters as parsed:
         `describe` echoes these, not the document they were read from."""
         if not isinstance(self.kind, str) or self.kind not in _GENERATOR_KEYS:
-            raise UnknownKindError(f"unknown generator kind {self.kind!r}")
+            raise UnknownKindError(f"unknown generator kind {echo(self.kind)}")
         reject_unknown_keys(p, _GENERATOR_KEYS[self.kind], f"the {self.kind} generator")
         if self.kind in _RULES:
             v = self._vertex(p["vertex"])
@@ -163,7 +164,7 @@ class PathGenerator(TraceGenerator):
         reject_unknown_keys(tail, ("kind", "vertex"), "the table_then_rule tail")
         rule = tail["kind"]
         if rule not in _RULES:
-            raise UnknownKindError(f"unsupported tail rule {rule!r}")
+            raise UnknownKindError(f"unsupported tail rule {echo(rule)}")
         # the tail starts where the table ends; it may restate that vertex
         start = self._vertex(tail.get("vertex", table[-1]))
         if start != table[-1]:
@@ -302,7 +303,7 @@ def parse_generator(d: DiagramHandle, spec) -> PathGenerator:
     except KeyError as exc:
         raise SchemaError(f"{kind} generator spec needs {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed {kind} generator spec {spec}: {exc}") from None
+        raise SchemaError(f"malformed {kind} generator spec {echo(spec)}: {exc}") from None
 
 
 def vertical_from(d, i):

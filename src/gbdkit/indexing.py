@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError, SchemaError, reject_unknown_keys
+from .errors import InvalidVertexError, SchemaError, echo, reject_unknown_keys
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
@@ -90,5 +90,5 @@ def _parse_indexing(desc) -> VertexIndexing:
             return one_sided(int(desc.get("base", 1)))
         except (TypeError, ValueError):
             raise SchemaError(
-                f"one-sided base must be an integer, got {desc['base']!r}") from None
-    raise SchemaError(f"unknown indexing mode {mode!r}")
+                f"one-sided base must be an integer, got {echo(desc['base'])}") from None
+    raise SchemaError(f"unknown indexing mode {echo(mode)}")

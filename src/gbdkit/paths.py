@@ -12,7 +12,11 @@ Probes that ask for the first level m at which w@n reaches a target
 t(m)@m go through `first_reach`: on a band w@n reaches t@m exactly when
 w - t is a sum of m - n offsets (`_band_offsets`, `_sumset`); elsewhere
 it tests the reach sets of `reach_frontiers`, the one place that
-chooses how a reach set is found.
+chooses how a reach set is found.  Its witness is walked once, at the
+hit, one column step per level (`_first_path`), through the layers the
+kept frontier already took where that frontier sits at level n, else
+through the layers of one sweep; `enumerate_paths` stays the reference
+it matches.
 
 `count_paths` answers on the same bands from the polynomial power
 instead of sweeping: the count is one coefficient of the (m - n)-th
@@ -26,6 +30,7 @@ raised are the sweep's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -214,21 +219,15 @@ SUMSET_TABLE_MAX = 4096
 def _sumset(offs):
     """holds(x, h): whether x is a sum of h offsets of offs, which on a
     band (`_band_offsets`) is whether w@l reaches v@(l + h), x = w - v;
-    None when the table below would exceed SUMSET_TABLE_MAX entries.
+    None when the table of `_fewest` would exceed SUMSET_TABLE_MAX
+    entries.
 
     Shift the offsets to start at 0 and divide them by the gcd g of their
     gaps: y = (x - h o_min) / g must be a sum of h elements of the
     shifted set T, that is of at most h of its nonzero elements, the
     coins.  So holds compares fewest(y), the least number of coins that
-    sum to y, with h.  Fewer than a coins of an optimal sum are below the
-    largest coin a: a of them hold a block summing to a multiple of a,
-    which fewer coins a replace.  So for y >= Y = (a - 1) b, b the
-    largest coin below a, an optimal sum of y + a holds a coin a and
-    fewest(y + a) = fewest(y) + 1, and one table of fewest over
-    [0, Y + a) answers every y and h.  For large h this gives hT the
-    shape M. B. Nathanson found (Sums of finite sets of integers, Amer.
-    Math. Monthly 79, 1972): a fixed finite set, an interval, and a fixed
-    finite set below hT's top.
+    sum to y, with h.  When the coins are exactly 1..a, fewest(y) is
+    ceil(y / a), so y holds exactly when y <= h a, and no table is built.
     """
     base = offs[0][0]
     if len(offs) == 1:
@@ -237,25 +236,53 @@ def _sumset(offs):
     g = math.gcd(*gaps)
     coins = [gap // g for gap in gaps]
     a = coins[-1]
-    start = (a - 1) * (coins[-2] if len(coins) > 1 else 0)
-    if start + a > SUMSET_TABLE_MAX:
+    if len(coins) == a:  # the coins are 1..a
+        def holds(x: int, h: int) -> bool:
+            y, r = divmod(x - h * base, g)
+            return not r and 0 <= y <= h * a
+
+        return holds
+    fewest = _fewest(coins)
+    if fewest is None:
         return None
-    fewest = [0]
-    for y in range(1, start + a):
-        fewest.append(1 + min([fewest[y - c] for c in coins if c <= y],
-                              default=math.inf))
 
     def holds(x: int, h: int) -> bool:
         y, r = divmod(x - h * base, g)
-        if r or y < 0:
-            return False
-        q = 0
-        if y >= start:
-            q, y = divmod(y - start, a)
-            y += start
-        return fewest[y] + q <= h
+        return not r and y >= 0 and fewest(y) <= h
 
     return holds
+
+
+def _fewest(coins):
+    """fewest(y): the least number of coins, ascending positive integers
+    with gcd 1, that sum to y >= 0; None when its table would exceed
+    SUMSET_TABLE_MAX entries.
+
+    Fewer than a coins of an optimal sum are below the largest coin a: a
+    of them hold a block summing to a multiple of a, which fewer coins a
+    replace.  So for y >= Y = (a - 1) b, b the largest coin below a, an
+    optimal sum of y + a holds a coin a and fewest(y + a) = fewest(y) +
+    1, and one table of fewest over [0, Y + a) answers every y.  For
+    large h this gives hT the shape M. B. Nathanson found (Sums of finite
+    sets of integers, Amer. Math. Monthly 79, 1972): a fixed finite set,
+    an interval, and a fixed finite set below hT's top.
+    """
+    a = coins[-1]
+    start = (a - 1) * (coins[-2] if len(coins) > 1 else 0)
+    if start + a > SUMSET_TABLE_MAX:
+        return None
+    table = [0]
+    for y in range(1, start + a):
+        table.append(1 + min([table[y - c] for c in coins if c <= y],
+                             default=math.inf))
+
+    def fewest(y: int):
+        if y < start:
+            return table[y]
+        q, y = divmod(y - start, a)
+        return table[y + start] + q
+
+    return fewest
 
 
 def _band_count(offs, k: int, t: int) -> int:
@@ -375,9 +402,17 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
     return [FinitePath(n, w, tuple(edges))], more
 
 
-def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict) -> set:
+def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict,
+           history: Optional[dict] = None) -> set:
     """The vertices at level n with a path to t@m, from the frontier of t
-    kept in fronts (`reach_frontiers`), else from a fresh sweep."""
+    kept in fronts (`reach_frontiers`), else from a fresh sweep.
+
+    When the frontier is kept at level n itself (top == n), history, if
+    given, keeps every frontier of t as a sorted list: history[t] = [F_0,
+    F_1, ...], F_0 = [t] and F_j the frontier after j steps, one entry
+    per step that changed it.  So the layer at level n + k for t@m is
+    F_(m-n-k), or the last entry once the frontier is fixed; a list takes
+    an eighth of the memory of a set on deep profiles."""
     s = d.stationary_from
     if s is None or not (0 <= n < m and s < m and d.level_known(m - 1)):
         return backward_reach_set(d, t, m, n)
@@ -385,12 +420,19 @@ def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict) -> set:
     d.indexing.check(t)
     k, front = fronts.get(t, (0, {t}))
     if k is not None:  # None: a step returned the frontier unchanged
+        hist = None
+        if history is not None and top == n:
+            hist = history.get(t)
+            if hist is None:
+                hist = history[t] = [[t]]
         for _ in range(m - top - k):
             nxt = _step(d, top, front, counting=False)
             if nxt == front:
                 k = None
                 break
             front = nxt
+            if hist is not None:
+                hist.append(sorted(front))
         else:
             k = m - top
         fronts[t] = (k, front)
@@ -434,11 +476,16 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     target) and sweeps nothing; any other level, the first one above n
     included, is tested on the reach set of the kept frontier
     (`reach_frontiers`).  A cone only grows with m, so a target whose
-    cone left the band once keeps the frontier.  enumerate_paths finds
-    the witness once, at the hit.
+    cone left the band once keeps the frontier.
+
+    The witness is walked once, at the hit, one step per level: on a band
+    by the sumset (`_first_band_path`); where the frontier is kept at
+    level n, through the layers its history holds; elsewhere through the
+    layers of one sweep from the hit (`_first_path`).
     """
     d.indexing.check(w)
     fronts: dict = {}
+    history: dict = {}
     sums: dict = {}  # target -> its sumset test, None once it left the band
     for m in levels:
         t = target(m)
@@ -448,10 +495,70 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
             holds = None if offs is None else sums.get(t) or _sumset(offs)
             sums[t] = holds
         if holds is not None:
-            hit = holds(w - t, m - n)
-        else:
-            hit = w in _reach(d, n, m, t, fronts)
-        if hit:
-            paths, _ = enumerate_paths(d, w, n, t, m, cap=1)
-            return m, paths[0]
+            if holds(w - t, m - n):
+                paths, _ = _first_band_path(d, w, n, t, m, offs)
+                return m, paths[0]
+        elif w in _reach(d, n, m, t, fronts, history):
+            hist = history.get(t)
+            if hist is None:
+                reach = [sorted(s) for s in _sweep(d, t, m, n, counting=False)][::-1]
+            else:  # the frontier after m - level steps, or the fixed one
+                last = len(hist) - 1
+                reach = [hist[min(m - level, last)] for level in range(n, m + 1)]
+            return m, _first_path(d, w, n, reach)
+    return None
+
+
+def _first_path(d: DiagramHandle, w: int, n: int, reach: list) -> FinitePath:
+    """The first path enumerate_paths yields from w@n through reach, where
+    reach[k] is the sorted list of the vertices at level n + k with a path
+    to the one vertex of reach[-1], and w is in reach[0].
+
+    Every vertex of a layer reaches the end, so that depth-first search
+    never backtracks: from each vertex `at` it takes the least u of the
+    next layer whose row holds at, copy 0.  Where the column rule knows
+    at's column, u is its first target in the layer, or, when the column
+    is all of the next level, the layer's first vertex confirmed on its
+    row; else u is the first vertex of the layer within the row width of
+    at, else of the whole layer, whose row holds at.  The walk reads the
+    rows of layer vertices only, which the sweep read to build the layers.
+    """
+    column = d.column_support if d.has_column_rule else None
+    width = d.width
+    edges, at = [], w
+    for level, layer in enumerate(reach[1:], n):
+        sup = u = None
+        if column is not None:
+            try:
+                sup = column(level, at)
+            except GbdError:
+                pass
+        if sup is not None and sup.kind == "finite":
+            for v, _ in sup.entries:
+                i = bisect_left(layer, v)
+                if i < len(layer) and layer[i] == v:
+                    u = v
+                    break
+        elif sup is not None and sup.kind == "all":
+            u = _first_holding(d, level, at, layer, 0, 1)
+        elif width is not None:
+            u = _first_holding(d, level, at, layer, bisect_left(layer, at - width),
+                               bisect_right(layer, at + width))
+        if u is None:
+            u = _first_holding(d, level, at, layer, 0, len(layer))
+        edges.append(Edge(level, at, u, 0))
+        at = u
+    return FinitePath(n, w, tuple(edges))
+
+
+def _first_holding(d: DiagramHandle, level: int, at: int, layer: list,
+                   lo: int, hi: int) -> Optional[int]:
+    """The first u of layer[lo:hi] whose row at level holds the source at
+    (found by bisect: sources ascend), else None."""
+    key = (at,)
+    for k in range(lo, hi):
+        row = d.in_edges(level, layer[k])
+        i = bisect_left(row, key)
+        if i < len(row) and row[i][0] == at:
+            return layer[k]
     return None

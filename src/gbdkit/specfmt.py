@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SchemaError,
     UndeclaredRowError,
+    echo,
     int_keyed,
     reject_unknown_keys,
 )
@@ -109,7 +110,7 @@ def _banded_flag(p) -> BandedFlag:
 def _triangular_flag(p) -> TriangularFlag:
     if p["direction"] not in ("lower", "upper"):
         raise SchemaError(f"triangular direction must be 'lower' or 'upper', "
-                          f"got {p['direction']!r}")
+                          f"got {echo(p['direction'])}")
     return TriangularFlag(p["direction"], int(p.get("slack", 0)))
 
 
@@ -131,10 +132,10 @@ def _parse_flags(descs) -> tuple:
     flags = []
     for desc in descs:
         if not isinstance(desc, dict):
-            raise SchemaError(f"a flag is a mapping, got {desc!r}")
+            raise SchemaError(f"a flag is a mapping, got {echo(desc)}")
         kind = desc.get("kind")
         if not isinstance(kind, str) or kind not in _FLAG_PARSERS:
-            raise SchemaError(f"unknown flag kind {kind!r}")
+            raise SchemaError(f"unknown flag kind {echo(kind)}")
         parse, keys = _FLAG_PARSERS[kind]
         reject_unknown_keys(desc, ("kind",) + keys, f"the {kind} flag")
         try:
@@ -142,7 +143,7 @@ def _parse_flags(descs) -> tuple:
         except KeyError as exc:
             raise SchemaError(f"{kind} flag needs {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed {kind} flag {desc}: {exc}") from None
+            raise SchemaError(f"malformed {kind} flag {echo(desc)}: {exc}") from None
     return tuple(flags)
 
 
@@ -154,7 +155,7 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
         raise SchemaError("explicit spec needs a nonempty 'levels' list")
     extension = doc.get("extension", "error_beyond")
     if extension not in ("error_beyond", "repeat_last"):
-        raise SchemaError(f"unknown extension policy {extension!r}")
+        raise SchemaError(f"unknown extension policy {echo(extension)}")
     indexing = ix._parse_indexing(doc.get("indexing", {"mode": "two_sided"}))
     matrices = []
     for n, mat in enumerate(raw_levels):
@@ -171,7 +172,7 @@ def _explicit_handle(doc: dict) -> DiagramHandle:
                     dict(row), f"row {v} at level {n}").items())
             except (TypeError, ValueError) as exc:
                 raise SchemaError(
-                    f"malformed row {v!r} at level {n}: {exc}") from None
+                    f"malformed row {echo(v)} at level {n}: {exc}") from None
             if not entries:
                 raise SchemaError(
                     f"declared row {v} at level {n} is empty: every row "
@@ -220,7 +221,7 @@ def parse_bijection(src) -> VertexBijectionSeq:
         return builtin_bijection(kind, params)
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(
-            f"malformed {kind} bijection parameters {params}: {exc}") from None
+            f"malformed {kind} bijection parameters {echo(params)}: {exc}") from None
 
 
 def to_text(obj) -> str:

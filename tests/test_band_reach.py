@@ -52,6 +52,27 @@ def test_the_sumset_table_answers_the_h_fold_sumset(offs, h):
     assert {x for x in range(-9 * h - 3, 9 * h + 4) if holds(x, h)} == sums
 
 
+@pytest.mark.parametrize("a", range(1, 13))
+def test_contiguous_coins_answer_as_the_table(a):
+    # offsets base + g * (0..a): the closed form fewest(y) = ceil(y / a)
+    # against the table of fewest that every other offset set builds
+    fewest = paths._fewest(list(range(1, a + 1)))
+    for base, g in ((0, 1), (-2, 1), (3, 2), (-1, 3)):
+        holds = paths._sumset(tuple((base + g * i, 1) for i in range(a + 1)))
+        for h in range(0, 9):
+            for x in range(h * base - 2 * g, h * (base + g * a) + 2 * g + 1):
+                y, r = divmod(x - h * base, g)
+                assert holds(x, h) == (not r and y >= 0 and fewest(y) <= h), (x, h)
+
+
+def test_contiguous_offsets_need_no_table():
+    # 65 offsets would fill a table of 4,033 entries; 5,000 would exceed it
+    for width in (64, 4999):
+        holds = paths._sumset(tuple((o, 1) for o in range(width + 1)))
+        assert holds(width * 3, 3) and not holds(width * 3 + 1, 3)
+    assert paths._fewest(list(range(1, 5001))) is None
+
+
 def band(offs, side, base, shifted):
     """A `banded` handle, or its level_shift(1) relabeling (two-sided)."""
     d = make_diagram("banded", offsets=offs, side=side, base=base)

@@ -23,6 +23,7 @@ from gbdkit import (
 )
 from gbdkit import specfmt
 from gbdkit.cli import main
+from gbdkit.errors import echo
 
 
 @pytest.fixture()
@@ -644,6 +645,40 @@ def test_an_alias_chain_is_walked_once_per_node(tmp_path, capsys, monkeypatch):
                  "--dst", "2"]) == 2
     assert len(reached) == 9 + 2
     assert capsys.readouterr().err.startswith("error: unknown tridiag_B params")
+
+
+def flags_chain(k):
+    """An explicit spec whose one flag is a list of k anchors, each a list
+    of ten aliases of the one before: a whole repr of it prints 10^(k-1)
+    lists."""
+    anchors = ["&x0 [0]"] + [f"&x{i} [" + ", ".join([f"*x{i - 1}"] * 10) + "]"
+                             for i in range(1, k)]
+    return "levels: [{0: {0: 1}}]\nflags: [[" + ", ".join(anchors) + "]]\n"
+
+
+def test_an_aliased_flag_is_echoed_in_bounded_size(tmp_path, capsys):
+    spec = tmp_path / "flags.yaml"
+    spec.write_text(flags_chain(9))
+    assert main(["probe", "irreducible", "--spec", str(spec), "--src", "0",
+                 "--dst", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a flag is a mapping, got [[0], [[0], ")
+    assert len(captured.err.encode()) < 2048
+
+
+@pytest.mark.parametrize("value", [
+    "banded", "x" * 78, 7, -(10 ** 40), None, True, [], {}, [1, [2, [3]]],
+    {"kind": "banded", "offsets": {1: 1, -1: 2}}, {"b": 1, "a": 2},
+    list(range(6)), {i: i for i in range(6)}])
+def test_a_short_value_is_echoed_as_repr_prints_it(value):
+    assert echo(value) == repr(value)
+
+
+def test_a_long_value_is_echoed_cut():
+    assert echo(list(range(7))) == "[0, 1, 2, 3, 4, 5, ...]"
+    assert echo([[[[0]]]]) == "[[[[...]]]]"
+    assert len(echo("x" * 10_000)) < 100
 
 
 @pytest.mark.parametrize("command", ["probe classify", "probe bounded-size",

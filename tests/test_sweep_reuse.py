@@ -1,6 +1,8 @@
 """The kept reach frontiers of `paths.first_reach`/`reach_frontiers` answer
 exactly as a fresh sweep per level does, and read far fewer rows."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,3 +231,58 @@ def test_a_fixed_frontier_reads_no_more_rows(row_reads):
         reads[depth] = row_reads[0] - start
         start = row_reads[0]
     assert 0 < reads[2400] == reads[24] < 10
+
+
+# --- the witness walks the layers the frontier took ----------------------------------
+
+def walk_handles():
+    """Handles with column rules, with columns derived from a row width,
+    and one with neither that is stationary from no level."""
+    rs = make_diagram("renewal_shift")
+    named = ("renewal_shift", "star_odometer", "b_infinity",
+             "interleaved_Bprime", "growth_odometer")
+    return {**{name: make_diagram(name) for name in named},
+            "dense renewal_shift": relabel(
+                rs, dense_orbit_reenumeration(rs, vertical_from(rs, 1)))}
+
+
+WALK_HANDLES = walk_handles()
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(WALK_HANDLES)), st.data())
+def test_the_walk_answers_as_a_restart_per_level(name, data):
+    d = WALK_HANDLES[name]
+    lo, hi = d.indexing.default_interval(6)
+    pick = st.integers(lo, hi)
+    w, n = data.draw(pick), data.draw(st.integers(0, 4))
+    levels = range(n + 1, n + data.draw(st.integers(1, 30)) + 1)
+    targets = data.draw(st.lists(pick, min_size=1, max_size=3))
+
+    def target(m):
+        return targets[m % len(targets)]
+
+    assert outcome(lambda: paths.first_reach(d, w, n, levels, target)) \
+        == outcome(lambda: restart_first_reach(d, w, n, levels, target))
+
+
+def test_the_walk_reads_the_rows_of_one_sweep(row_reads):
+    # the frontier from 1 takes 300 steps before 300 enters it; enumerating
+    # the witness from a second sweep read 134,585 rows in all
+    start = row_reads[0]
+    v = irreducible_probe(make_diagram("renewal_shift"), 300, 1, 0, 310)
+    assert v.is_yes and v.detail["level"] == 299
+    assert 0 < row_reads[0] - start <= 134_585 // 2
+
+
+def test_a_deep_witness_keeps_its_layers_as_lists():
+    # the history holds one sorted list per step; sets would take 24 MiB
+    rs = make_diagram("renewal_shift")
+    tracemalloc.start()
+    try:
+        v = irreducible_probe(rs, 1000, 1, 0, 1010)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.is_yes and len(v.witness) == 999
+    assert peak < 8 * 2 ** 20
