@@ -54,6 +54,7 @@ from .errors import (
     UndeclaredRowError,
     UnknownKindError,
     UnsupportedLevelError,
+    WindowTooLargeError,
     WindowTooSmallError,
 )
 from .generators import (

@@ -25,6 +25,7 @@ from .errors import (
     InvariantError,
     UndeclaredRowError,
     UnsupportedLevelError,
+    WindowTooLargeError,
 )
 from .indexing import VertexIndexing
 from .windows import LevelWindow
@@ -36,6 +37,8 @@ FLAG_VERIFY_RADIUS = 16
 DEFAULT_DEPTH = 24
 DEFAULT_RADIUS = 16
 DEFAULT_HORIZON = 512
+# the most cells a dense incidence window may hold
+MAX_WINDOW_CELLS = 1_000_000
 
 
 # --- structural flags -------------------------------------------------------
@@ -426,13 +429,20 @@ class DiagramHandle:
                 for src, m in row if src == w]
 
     def incidence_window(self, n: int, row_win, col_win) -> list:
-        """Dense matrix M[v][w] = f^(n)_{vw} for v in row_win, w in col_win."""
+        """Dense matrix M[v][w] = f^(n)_{vw} for v in row_win, w in col_win;
+        WindowTooLargeError, before any row is read, past
+        MAX_WINDOW_CELLS cells."""
         rlo, rhi = row_win
         clo, chi = col_win
         for v in (rlo, rhi):
             self.indexing.check(v, "row vertex")
         for w in (clo, chi):
             self.indexing.check(w, "column vertex")
+        cells = max(0, rhi - rlo + 1) * max(0, chi - clo + 1)
+        if cells > MAX_WINDOW_CELLS:
+            raise WindowTooLargeError(
+                f"a dense window of {cells} cells is over the limit of "
+                f"{MAX_WINDOW_CELLS}")
         mat = []
         for v in range(rlo, rhi + 1):
             line = [0] * (chi - clo + 1)

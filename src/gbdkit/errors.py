@@ -101,6 +101,10 @@ class WindowTooSmallError(GbdError):
     """
 
 
+class WindowTooLargeError(GbdError):
+    """A dense window holds more cells than `diagram.MAX_WINDOW_CELLS`."""
+
+
 class EmptyWindowError(GbdError, ValueError):
     """A vertex window holds no vertex: inverted, or wholly below a
     one-sided base."""

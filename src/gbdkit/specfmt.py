@@ -7,6 +7,8 @@ only: any float anywhere is rejected, keeping every artifact bit-exact.
 
 from __future__ import annotations
 
+import functools
+
 import yaml
 
 from . import indexing as ix
@@ -31,14 +33,19 @@ from .errors import (
 )
 from .windows import clamped_interval
 
-# Reports go through libyaml's emitter, the faster one, when PyYAML was
-# built with it, and through the pure-Python one otherwise.  Both write
-# the same bytes for a report payload: a mapping whose keys are ints or
-# short identifiers and whose strings are printable ASCII
-# (tests/test_report_emitters.py names where the two differ).  Specs
-# still load through the pure-Python SafeLoader, which turns deep
-# nesting into a ParseError.
-_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+# Reports are written by `to_text` itself, in the bytes libyaml's emitter
+# (`yaml.CSafeDumper`) writes for them; tests/test_report_emitters.py
+# checks it against both of PyYAML's emitters.  Specs still load through
+# the pure-Python SafeLoader, which turns deep nesting into a ParseError.
+# A plain-looking string is written plain when PyYAML's resolver reads it
+# back as a string; the answer is kept per string, since a report repeats
+# its keys and verdict words.
+_resolve = yaml.resolver.Resolver().resolve
+_STR_TAG = "tag:yaml.org,2002:str"
+# first characters that make a string an indicator in block context
+_INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
+# the containers a report holds, each as written when empty
+_EMPTY = {dict: "{}", list: "[]", tuple: "[]"}
 
 
 def read_input(path) -> str:
@@ -224,10 +231,129 @@ def parse_bijection(src) -> VertexBijectionSeq:
             f"malformed {kind} bijection parameters {echo(params)}: {exc}") from None
 
 
+@functools.lru_cache(maxsize=1024)
+def _str_text(s: str) -> str:
+    """s as a report writes it before folding: plain where libyaml's
+    block-context analysis allows it and PyYAML's resolver reads s back as
+    a string, else single-quoted with each quote doubled.  ValueError
+    outside printable ASCII, a line break included."""
+    if not (s.isascii() and s.isprintable()):
+        raise ValueError(f"a report string is printable ASCII on one line, "
+                         f"got {echo(s)}")
+    if (s and s[0] != " " and s[-1] != " " and s[0] not in _INDICATORS
+            and not (s[0] in "?:-" and s[1:2] in ("", " "))
+            and not s.startswith(("---", "..."))
+            and ": " not in s and " #" not in s and s[-1] != ":"
+            and _resolve(yaml.ScalarNode, s, (True, False)) == _STR_TAG):
+        return s
+    return "'" + s.replace("'", "''") + "'"
+
+
+def _scalar(x) -> str:
+    t = type(x)
+    if t is str:
+        return _str_text(x)
+    if t is int:
+        return str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"a report holds no {t.__name__}: {echo(x)}")
+
+
+def _fold(text: str, col: int, indent: int) -> str:
+    """text written from column col: each single space reached past
+    column 80, except a quoted string's first or last character, breaks
+    the line, and the next line starts at indent."""
+    if col + len(text) <= 81:
+        return text
+    lo, hi = (2, len(text) - 3) if text[0] == "'" else (1, len(text) - 2)
+    pieces, start = [], 0
+    i = text.find(" ", lo)
+    while 0 <= i <= hi:
+        if (col + i - start > 80 and text[i - 1] != " "
+                and text[i + 1] != " "):
+            pieces.append(text[start:i])
+            start, col = i + 1, indent
+        i = text.find(" ", i + 1)
+    pieces.append(text[start:])
+    return ("\n" + " " * indent).join(pieces)
+
+
+def _item(lines: list, x, indent: int, line: str) -> None:
+    """x after an indicator (`-`, or the `:` of a long key) that ends line
+    at column indent."""
+    if type(x) in _EMPTY:
+        if x:
+            _block(lines, x, indent + 2, line + " ")
+        else:
+            lines.append(line + " " + _EMPTY[type(x)])
+    else:
+        lines.append(line + " " + _fold(_scalar(x), indent + 2, indent + 2))
+
+
+def _block(lines: list, x, indent: int, head: str) -> None:
+    """The nonempty mapping or sequence x with its keys or dashes at
+    indent, its first line continuing head (indent characters)."""
+    pad = " " * indent
+    if type(x) is not dict:
+        for v in x:
+            if type(v) is int:  # the cells of a matrix
+                lines.append(f"{head}- {v}")
+            else:
+                _item(lines, v, indent, head + "-")
+            head = pad
+        return
+    try:
+        items = sorted(x.items())
+    except TypeError:
+        items = x.items()
+    for k, v in items:
+        if type(k) in _EMPTY:
+            raise TypeError(f"a report key is a scalar, got {echo(k)}")
+        key = _scalar(k)
+        if len(k if type(k) is str else key) > 128:
+            # libyaml writes a key this long as `? key`, then `: value`
+            lines.append(head + "? " + _fold(key, indent + 2, indent + 2))
+            _item(lines, v, indent, pad + ":")
+        elif type(v) not in _EMPTY:
+            line = head + key + ":"
+            lines.append(line + " " + _fold(_scalar(v), len(line) + 1,
+                                            indent + 2))
+        elif not v:
+            lines.append(head + key + ": " + _EMPTY[type(v)])
+        else:
+            lines.append(head + key + ":")
+            # a sequence under a key keeps the key's column
+            if type(v) is dict:
+                _block(lines, v, indent + 2, pad + "  ")
+            else:
+                _block(lines, v, indent, pad)
+        head = pad
+
+
 def to_text(obj) -> str:
-    """Deterministic structured-text rendering of a plain payload."""
-    return yaml.dump(obj, Dumper=_DUMPER, sort_keys=True,
-                     default_flow_style=False)
+    """Deterministic structured-text rendering of a plain payload: a tree
+    of dict, list, tuple, str, int, bool and None, in one pass.  The
+    bytes are those PyYAML dumps through libyaml (`yaml.CSafeDumper`, keys
+    sorted, block style), which writes each scalar as `_scalar` and
+    `_fold` do and nests as `_block` and `_item` do.
+
+    Keys are sorted where they compare, else kept in insertion order.  A
+    float, a set, any other object, a container as a key, or a string
+    outside printable ASCII or holding a line break raises TypeError or
+    ValueError.  A container reached twice is written in full at each
+    place, where PyYAML writes an anchor and an alias; no report holds
+    one, since `verdicts._plain` copies each result and the catalog
+    builders rebuild their params."""
+    if type(obj) not in _EMPTY:
+        return _fold(_scalar(obj), 0, 2) + "\n"
+    if not obj:
+        return _EMPTY[type(obj)] + "\n"
+    lines: list = []
+    _block(lines, obj, 0, "")
+    return "\n".join(lines) + "\n"
 
 
 def witness_text(tables: dict) -> str:

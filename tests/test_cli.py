@@ -417,6 +417,23 @@ def test_export_matrix(specs, capsys):
     assert "- - 2" in out  # first row of the 1/2/1 band
 
 
+def test_a_dense_window_past_the_cell_limit_exits_2(specs, capsys, row_reads):
+    # 200,001 x 200,001 cells: refused before any row is read, beyond
+    # the flag spot-checks that build the handle
+    specfmt.load_spec_file(specs["td"])
+    handle_reads, row_reads[0] = row_reads[0], 0
+    assert main(["export", "matrix", "--spec", specs["td"],
+                 "--rows=-100000:100000", "--cols=-100000:100000"]) == 2
+    captured = capsys.readouterr()
+    assert row_reads[0] == handle_reads
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a dense window of 40000400001 cells is over the limit of 1000000"]
+    assert main(["construct", "flatten", "--spec", specs["td"],
+                 "--window=-1000:1000"]) == 2
+    assert "4004001 cells" in capsys.readouterr().err
+
+
 def test_report_determinism(specs, capsys):
     code1, out1 = run_cli(["report", "--suite", "quick"], capsys)
     code2, out2 = run_cli(["report", "--suite", "quick"], capsys)
