@@ -162,8 +162,7 @@ def _run(args) -> int:
     started = time.perf_counter()
     d = specfmt.load_spec_file(args.spec)
     payload, code, *artifact = args.fn(args, d)
-    text = probe_report(f"{args.group} {args.cmd}", d, payload,
-                        time.perf_counter() - started)
+    text = probe_report(f"{args.group} {args.cmd}", d, payload, started)
     _write(args, text, *artifact)
     return code
 

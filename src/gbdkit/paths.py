@@ -12,11 +12,12 @@ Probes that ask for the first level m at which w@n reaches a target
 t(m)@m go through `first_reach`: on a band w@n reaches t@m exactly when
 w - t is a sum of m - n offsets (`_band_offsets`, `_sumset`); elsewhere
 it tests the reach sets of `reach_frontiers`, the one place that
-chooses how a reach set is found.  Its witness is walked once, at the
-hit, one column step per level (`_first_path`), through the layers the
-kept frontier already took where that frontier sits at level n, else
-through the layers of one sweep; `enumerate_paths` stays the reference
-it matches.
+chooses how a reach set is found, from one `_Frontier` record per
+target.  Its witness is walked once, at the hit, one column step per
+level (`_first_path`), through the layers that record already holds
+(the sweep below the level from which the handle is stationary, the
+steps above it), else through the layers of one sweep;
+`enumerate_paths` stays the reference it matches.
 
 `count_paths` answers on the same bands from the polynomial power
 instead of sweeping: the count is one coefficient of the (m - n)-th
@@ -402,68 +403,105 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
     return [FinitePath(n, w, tuple(edges))], more
 
 
-def _reach(d: DiagramHandle, n: int, m: int, t: int, fronts: dict,
-           history: Optional[dict] = None) -> set:
-    """The vertices at level n with a path to t@m, from the frontier of t
-    kept in fronts (`reach_frontiers`), else from a fresh sweep.
+class _Frontier:
+    """What one call of `reach_frontiers` or `first_reach` keeps of a
+    target t, with top = max(n, s) and s the level from which the handle
+    is stationary (`_reach`):
 
-    When the frontier is kept at level n itself (top == n), history, if
-    given, keeps every frontier of t as a sorted list: history[t] = [F_0,
-    F_1, ...], F_0 = [t] and F_j the frontier after j steps, one entry
-    per step that changed it.  So the layer at level n + k for t@m is
-    F_(m-n-k), or the last entry once the frontier is fixed; a list takes
-    an eighth of the memory of a set on deep profiles."""
+    - front, the vertices at level top with a path to t@(top + k), after
+      k steps of the rows at top, or with k = None once a step returned
+      it unchanged: then it answers every later level;
+    - steps, when a witness is walked: F_0 = [t], F_1, ..., the front
+      after each step that changed it, as sorted lists, so the layer at
+      level top + j for t@m is F_(m-top-j), or the last one once fixed;
+    - below, the layers at levels top, top - 1, ..., n of the last sweep
+      down from the front `swept`, when top > n: all of them while steps
+      is kept, else the last one;
+    - holds, `first_reach`'s sumset test (`_sumset`): None before the
+      first test, False once t's cone left the band.
+
+    A list takes an eighth of the memory of a set on deep profiles.
+    """
+
+    __slots__ = ("k", "front", "steps", "swept", "below", "holds")
+
+    def __init__(self, t: int, walk: bool):
+        self.k, self.front, self.holds = 0, {t}, None
+        self.steps = [[t]] if walk else None
+        self.swept = self.below = None
+
+    def forget(self):
+        """Drop the layers a witness walks; keep the front and the reach
+        set at level n."""
+        self.steps = None
+        self.below = self.below and deque(self.below, maxlen=1)
+
+    def layers(self, d: DiagramHandle, t: int, n: int, m: int) -> list:
+        """reach for `_first_path` to t@m.  While the steps are kept, the
+        layers the record holds: the sweep from top down to n, then the
+        steps above top.  Else, or while k = 0 (`_reach` answered t@m by
+        a fresh sweep: levels ascend, so a front stepped once answers
+        every later level), the layers of one sweep from t@m."""
+        if self.steps is None or self.k == 0:
+            return [sorted(s) for s in _sweep(d, t, m, n, counting=False)][::-1]
+        last = len(self.steps) - 1
+        below = [sorted(layer) for layer in reversed(self.below or ())]
+        return below + [self.steps[min(m - level, last)]
+                        for level in range(n + len(below), m + 1)]
+
+
+def _reach(d: DiagramHandle, n: int, m: int, t: int, f: _Frontier) -> set:
+    """The vertices at level n with a path to t@m, from t's record f
+    (`_Frontier`) when the handle is stationary from a level s < m, else
+    from a fresh sweep.
+
+    The front at top = max(n, s) is stepped on from where f left it, up
+    to m - top steps; from top the rows repeat, so that is t's reach set
+    at top for any m.  When top > n, the levels below top are swept
+    again only when a step changed the front."""
     s = d.stationary_from
     if s is None or not (0 <= n < m and s < m and d.level_known(m - 1)):
         return backward_reach_set(d, t, m, n)
     top = n if n >= s else s
     d.indexing.check(t)
-    k, front = fronts.get(t, (0, {t}))
-    if k is not None:  # None: a step returned the frontier unchanged
-        hist = None
-        if history is not None and top == n:
-            hist = history.get(t)
-            if hist is None:
-                hist = history[t] = [[t]]
-        for _ in range(m - top - k):
-            nxt = _step(d, top, front, counting=False)
-            if nxt == front:
-                k = None
+    if f.k is not None:  # None: a step returned the front unchanged
+        for _ in range(m - top - f.k):
+            nxt = _step(d, top, f.front, counting=False)
+            if nxt == f.front:
+                f.k = None
                 break
-            front = nxt
-            if hist is not None:
-                hist.append(sorted(front))
+            f.front = nxt
+            if f.steps is not None:
+                f.steps.append(sorted(nxt))
         else:
-            k = m - top
-        fronts[t] = (k, front)
+            f.k = m - top
     if top == n:
-        return front
-    swept, reach = fronts.get((t, n), (None, None))  # the last sweep below
-    if swept is not front and swept != front:
-        reach = front
+        return f.front
+    if f.swept is not f.front and f.swept != f.front:
+        f.swept, f.below = f.front, deque([f.front], None if f.steps else 1)
         for level in range(top - 1, n - 1, -1):
-            reach = _step(d, level, reach, counting=False)
-        fronts[t, n] = front, reach
-    return reach
+            f.below.append(_step(d, level, f.below[-1], counting=False))
+    return f.below[-1]
 
 
 def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
     and reach the set of vertices at level n with a path to t@m.
 
-    From level top = max(n, s), s the level from which the handle is
-    stationary, the rows repeat, so one frontier per target is kept at
-    top for the whole call and extended a step at a time as m grows; the
-    levels below top are swept again only when a step changed it.  Every
-    step from top applies the same rows, so a step that returns the
-    frontier unchanged marks it fixed, and later levels read no row.
+    One `_Frontier` per target is kept for the whole call (`_reach`):
+    from level top = max(n, s), s the level from which the handle is
+    stationary, its front is extended a step at a time as m grows, and
+    the levels below top are swept again only when a step changed it.
+    Every step from top applies the same rows, so a step that returns
+    the front unchanged marks it fixed, and later levels read no row.
     With no s, and at levels m <= top or undeclared, every m sweeps
     afresh.
     """
-    fronts: dict = {}
+    fronts: dict = {}  # target -> its _Frontier
     for m in levels:
         t = target(m)
-        yield m, t, _reach(d, n, m, t, fronts)
+        f = fronts.get(t) or fronts.setdefault(t, _Frontier(t, False))
+        yield m, t, _reach(d, n, m, t, f)
 
 
 def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
@@ -471,41 +509,39 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     (m, path) where path is the first one enumerate_paths yields; None when
     no level has one.
 
-    A level m >= n + 2 whose target's cone is a band (`_band_offsets`) is
-    tested by the sumset of the offsets (`_sumset`, taken once per
-    target) and sweeps nothing; any other level, the first one above n
-    included, is tested on the reach set of the kept frontier
-    (`reach_frontiers`).  A cone only grows with m, so a target whose
-    cone left the band once keeps the frontier.
+    Each target t keeps one `_Frontier` for the call.  A level m >= n + 2
+    whose target's cone is a band (`_band_offsets`) is tested by the
+    sumset of the offsets (`_sumset`) and sweeps nothing; any other
+    level, the first one above n included, is tested on the reach set of
+    t's front (`_reach`).  A cone only grows with m, so a target whose
+    cone left the band once keeps the front.
 
     The witness is walked once, at the hit, one step per level: on a band
-    by the sumset (`_first_band_path`); where the frontier is kept at
-    level n, through the layers its history holds; elsewhere through the
-    layers of one sweep from the hit (`_first_path`).
+    by the sumset (`_first_band_path`); else through the layers the
+    record holds, the sweep below top and the steps from top, so a hit
+    from a kept front sweeps nothing again; else through the layers of
+    one sweep from the hit (`_Frontier.layers`, `_first_path`).  Only
+    the target being asked keeps its layers: when the target changes,
+    the last one forgets them, and if it comes back its hit sweeps.
     """
     d.indexing.check(w)
-    fronts: dict = {}
-    history: dict = {}
-    sums: dict = {}  # target -> its sumset test, None once it left the band
+    fronts: dict = {}  # target -> its _Frontier
+    asked = None  # the record of the last target asked
     for m in levels:
         t = target(m)
-        holds = None
-        if m - n > 1 and sums.get(t, True) is not None:
+        f = fronts.get(t) or fronts.setdefault(t, _Frontier(t, True))
+        if asked is not f and asked is not None:
+            asked.forget()
+        asked, holds = f, None
+        if m - n > 1 and f.holds is not False:
             offs = _band_offsets(d, n, t, m)
-            holds = None if offs is None else sums.get(t) or _sumset(offs)
-            sums[t] = holds
-        if holds is not None:
+            holds = f.holds = offs is not None and (f.holds or _sumset(offs))
+        if holds:
             if holds(w - t, m - n):
                 paths, _ = _first_band_path(d, w, n, t, m, offs)
                 return m, paths[0]
-        elif w in _reach(d, n, m, t, fronts, history):
-            hist = history.get(t)
-            if hist is None:
-                reach = [sorted(s) for s in _sweep(d, t, m, n, counting=False)][::-1]
-            else:  # the frontier after m - level steps, or the fixed one
-                last = len(hist) - 1
-                reach = [hist[min(m - level, last)] for level in range(n, m + 1)]
-            return m, _first_path(d, w, n, reach)
+        elif w in _reach(d, n, m, t, f):
+            return m, _first_path(d, w, n, f.layers(d, t, n, m))
     return None
 
 

@@ -9,15 +9,16 @@ from .specfmt import load_yaml, read_input, to_text
 from .verdicts import _plain
 
 
-def probe_report(command: str, diagram, payload: dict, seconds: float) -> str:
-    """Deterministic structured report; wall time sits in a footer outside
-    the comparable payload."""
+def probe_report(command: str, diagram, payload: dict, started: float) -> str:
+    """Deterministic structured report; the wall time since `started` (a
+    `time.perf_counter()` reading), taken once the text is written, sits
+    in a footer outside the comparable payload."""
     body = {"command": command,
             "diagram": {"name": diagram.name, "params": diagram.params,
                         "fingerprint": diagram.fingerprint()},
             "result": _plain(payload)}
     text = to_text(body)
-    return text + f"# wall_time_s: {seconds:.3f}\n"
+    return text + f"# wall_time_s: {time.perf_counter() - started:.3f}\n"
 
 
 # gbdkit.acceptance is imported by the functions that run a suite, not

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
@@ -21,7 +22,7 @@ from gbdkit import (
     transitivity_probe,
     vertical_from,
 )
-from gbdkit import specfmt
+from gbdkit import report, specfmt
 from gbdkit.cli import main
 from gbdkit.errors import echo
 
@@ -415,6 +416,22 @@ def test_export_matrix(specs, capsys):
                          "--rows=-1:1", "--cols=-1:1"], capsys)
     assert code == 0
     assert "- - 2" in out  # first row of the 1/2/1 band
+
+
+def test_the_wall_time_footer_counts_the_report_text(specs, capsys, monkeypatch):
+    to_text = report.to_text
+
+    def slow_to_text(doc):
+        time.sleep(0.05)
+        return to_text(doc)
+
+    monkeypatch.setattr(report, "to_text", slow_to_text)
+    code, out = run_cli(["export", "matrix", "--spec", specs["td"],
+                         "--rows=-1:1", "--cols=-1:1"], capsys)
+    assert code == 0
+    footer = out.splitlines()[-1]
+    assert footer.startswith("# wall_time_s: ")
+    assert float(footer.split(": ")[1]) >= 0.05
 
 
 def test_a_dense_window_past_the_cell_limit_exits_2(specs, capsys, row_reads):

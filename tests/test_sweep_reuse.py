@@ -2,6 +2,7 @@
 exactly as a fresh sweep per level does, and read far fewer rows."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -235,15 +236,27 @@ def test_a_fixed_frontier_reads_no_more_rows(row_reads):
 
 # --- the witness walks the layers the frontier took ----------------------------------
 
+def chain(size):
+    """A 3-level `repeat_last` spec, stationary from level 2, on vertices
+    0..size-1: 0 feeds 0 and each v feeds v + 1."""
+    mat = {0: {0: 1}, **{v: {v - 1: 1} for v in range(1, size)}}
+    return load_spec({"indexing": {"mode": "one_sided", "base": 0},
+                      "levels": [mat] * 3, "extension": "repeat_last"})
+
+
 def walk_handles():
     """Handles with column rules, with columns derived from a row width,
-    and one with neither that is stationary from no level."""
+    one with neither that is stationary from no level, and two with
+    neither that are stationary from a level s > 0, so that a walk from
+    n < s crosses the layers swept below s."""
     rs = make_diagram("renewal_shift")
     named = ("renewal_shift", "star_odometer", "b_infinity",
              "interleaved_Bprime", "growth_odometer")
     return {**{name: make_diagram(name) for name in named},
             "dense renewal_shift": relabel(
-                rs, dense_orbit_reenumeration(rs, vertical_from(rs, 1)))}
+                rs, dense_orbit_reenumeration(rs, vertical_from(rs, 1))),
+            "cone-shifted tridiag_B": extra_handles()["cone-shifted tridiag_B"],
+            "3-level chain": chain(16)}
 
 
 WALK_HANDLES = walk_handles()
@@ -273,6 +286,48 @@ def test_the_walk_reads_the_rows_of_one_sweep(row_reads):
     v = irreducible_probe(make_diagram("renewal_shift"), 300, 1, 0, 310)
     assert v.is_yes and v.detail["level"] == 299
     assert 0 < row_reads[0] - start <= 134_585 // 2
+
+
+@pytest.mark.parametrize("handle, w, t, level, most", [
+    (lambda: chain(301), 0, 300, 300, 1_197),
+    (lambda: extra_handles()["cone-shifted tridiag_B"], 0, -60, 30, 3_502),
+    (lambda: extra_handles()["cone-shifted tridiag_B"], 5, -30, 18, 1_177),
+], ids=["chain 0 -> 300", "cone-shifted 0 -> -60", "cone-shifted 5 -> -30"])
+def test_a_hit_above_the_stationary_level_sweeps_nothing_again(handle, w, t, level,
+                                                              most, row_reads):
+    # the hit walks the layers swept below s and stepped above it; a
+    # second sweep from the hit read 1,497 / 4,402 / 1,501 rows in all
+    d = handle()
+    levels = range(1, level + 11)
+    start = row_reads[0]
+    with mock.patch.object(paths, "_sweep", wraps=paths._sweep) as sweep, \
+            mock.patch.object(paths, "backward_reach_set",
+                              wraps=paths.backward_reach_set) as fresh:
+        hit = paths.first_reach(d, w, 0, levels, lambda m: t)
+    reads = row_reads[0] - start
+    assert hit[0] == level
+    assert outcome(lambda: hit) == outcome(
+        lambda: restart_first_reach(d, w, 0, levels, lambda m: t))
+    # one fresh sweep per level m <= s, none at the hit
+    assert sweep.call_count == fresh.call_count == d.stationary_from
+    assert 0 < reads <= most
+
+
+def test_a_moving_target_keeps_the_layers_of_one_target():
+    # the trace runs down the table 200..1 and stays at 1; every target
+    # kept a sorted list per step until the call ended, 13.4 MiB here
+    rs = make_diagram("renewal_shift")
+    x = make_generator(rs, "table_then_rule", table=list(range(200, 0, -1)),
+                       tail={"kind": "vertical", "vertex": 1})
+    c = cylinder_at(rs, 400)
+    tracemalloc.start()
+    try:
+        v = orbit_visits_cylinder(rs, x, c, 420)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.is_yes and v.witness["level"] == 399
+    assert peak < 4 * 2 ** 20
 
 
 def test_a_deep_witness_keeps_its_layers_as_lists():
