@@ -312,6 +312,9 @@ class DiagramHandle:
         # (stored level, v) -> the Translates of v's row, or False when v
         # holds no cone beyond itself
         self._band_cache: dict = {}
+        # target -> the `paths._Frontier` of its backward front from
+        # stationary_from on, kept across calls (`paths._keep`)
+        self._fronts: dict = {}
         self._verify_flags()
 
     # -- basic queries --------------------------------------------------

@@ -13,11 +13,11 @@ t(m)@m go through `first_reach`: on a band w@n reaches t@m exactly when
 w - t is a sum of m - n offsets (`_band_offsets`, `_sumset`); elsewhere
 it tests the reach sets of `reach_frontiers`, the one place that
 chooses how a reach set is found, from one `_Frontier` record per
-target.  Its witness is walked once, at the hit, one column step per
-level (`_first_path`), through the layers that record already holds
-(the sweep below the level from which the handle is stationary, the
-steps above it), else through the layers of one sweep;
-`enumerate_paths` stays the reference it matches.
+target that the handle keeps across calls.  Its witness is walked once,
+at the hit, one column step per level (`_first_path`), down the
+record's entry log above the level from which the handle is stationary
+and through the call's sweep below it, else through the layers of one
+sweep; `enumerate_paths` stays the reference it matches.
 
 `count_paths` answers on the same bands from the polynomial power
 instead of sweeping: the count is one coefficient of the (m - n)-th
@@ -31,10 +31,11 @@ raised are the sweep's.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .diagram import DiagramHandle
@@ -403,105 +404,204 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
     return [FinitePath(n, w, tuple(edges))], more
 
 
+# the least front on which `_Frontier` keeps counts: below it, stepping the
+# whole front by a set comprehension is faster
+COUNT_FROM = 16
+
+
 class _Frontier:
-    """What one call of `reach_frontiers` or `first_reach` keeps of a
-    target t, with top = max(n, s) and s the level from which the handle
-    is stationary (`_reach`):
+    """The backward front of a target t on a handle stationary from s, kept
+    across calls (`_keep`): the rows repeat from s on, so F_j, the vertices
+    at any level top >= s with a path to t@(top + j), depends on j alone.
 
-    - front, the vertices at level top with a path to t@(top + k), after
-      k steps of the rows at top, or with k = None once a step returned
-      it unchanged: then it answers every later level;
-    - steps, when a witness is walked: F_0 = [t], F_1, ..., the front
-      after each step that changed it, as sorted lists, so the layer at
-      level top + j for t@m is F_(m-top-j), or the last one once fixed;
-    - below, the layers at levels top, top - 1, ..., n of the last sweep
-      down from the front `swept`, when top > n: all of them while steps
-      is kept, else the last one;
-    - holds, `first_reach`'s sumset test (`_sumset`): None before the
-      first test, False once t's cone left the band.
+    - front: F_k after k steps, and F_j for every j >= k once fixed;
+    - count: how many rows of F_(k-1) hold each source, so F_k is its keys
+      and a step reads only the rows of new and gone, the vertices that
+      entered and left F_k; None while whole fronts are stepped;
+    - log: the entry log, (entered, left) at each step 1..k, along which
+      `layer` moves a set to F_j and `walk` undoes it; None after `forget`.
 
-    A list takes an eighth of the memory of a set on deep profiles.
+    holds, below and cur (at step cj) belong to the call that has the
+    record out.  No record refers to its handle.
     """
 
-    __slots__ = ("k", "front", "steps", "swept", "below", "holds")
+    __slots__ = ("t", "k", "fixed", "front", "count", "new", "gone", "log",
+                 "holds", "below", "cur", "cj")
 
-    def __init__(self, t: int, walk: bool):
-        self.k, self.front, self.holds = 0, {t}, None
-        self.steps = [[t]] if walk else None
-        self.swept = self.below = None
+    def __init__(self, t: int):
+        self.t = t
+        self.k = 0
+        self.fixed = False
+        self.front = {t}
+        self.log = []
+        self.count = self.holds = self.below = self.cur = None
 
-    def forget(self):
-        """Drop the layers a witness walks; keep the front and the reach
-        set at level n."""
-        self.steps = None
-        self.below = self.below and deque(self.below, maxlen=1)
+    def layer(self, j: int) -> set:
+        """F_j, for j <= k or once fixed: the front from step k on, else cur
+        moved along the log; neither is the caller's to keep."""
+        if j >= self.k:
+            return self.front
+        cur = self.cur
+        if cur is None or self.cj > j:
+            cur, self.cj = {self.t}, 0
+        for entered, left in self.log[self.cj:j]:
+            cur.difference_update(left)
+            cur.update(entered)
+        self.cur, self.cj = cur, j
+        return cur
 
-    def layers(self, d: DiagramHandle, t: int, n: int, m: int) -> list:
-        """reach for `_first_path` to t@m.  While the steps are kept, the
-        layers the record holds: the sweep from top down to n, then the
-        steps above top.  Else, or while k = 0 (`_reach` answered t@m by
-        a fresh sweep: levels ascend, so a front stepped once answers
-        every later level), the layers of one sweep from t@m."""
-        if self.steps is None or self.k == 0:
-            return [sorted(s) for s in _sweep(d, t, m, n, counting=False)][::-1]
-        last = len(self.steps) - 1
-        below = [sorted(layer) for layer in reversed(self.below or ())]
-        return below + [self.steps[min(m - level, last)]
-                        for level in range(n + len(below), m + 1)]
+    def walk(self, j: int):
+        """Yield F_(j-1), ..., F_0: one set, undoing the log a step at a time."""
+        cur = set(self.front) if j >= self.k else self.layer(j)
+        self.cur = None
+        for i in range(j - 1, -1, -1):
+            if i < self.k:
+                entered, left = self.log[i]
+                cur.difference_update(entered)
+                cur.update(left)
+            yield cur
+
+    def advance(self, d: DiagramHandle, top: int, j: int):
+        """Step on to F_j, or until fixed, by the rows at top: by the counts
+        when fewer vertices moved than the front holds, else by the whole
+        front, counted again only when it has COUNT_FROM vertices or more
+        and less than a quarter of them moved.  A step reads its rows
+        before it changes the record, so a read that raises changes none."""
+        rows = d.in_edges
+        while self.k < j and not self.fixed:
+            front, count = self.front, self.count
+            counted = count is not None and len(self.new) + len(self.gone) < len(front)
+            if counted:
+                moves = [(rows(top, u), 1) for u in self.new] + \
+                    [(rows(top, u), -1) for u in self.gone]
+                was: dict = {}  # each touched source's count before the step
+                for row, step in moves:
+                    for x, _ in row:
+                        c = count.get(x, 0)
+                        was.setdefault(x, c)
+                        if c + step:
+                            count[x] = c + step
+                        else:
+                            del count[x]
+                entered = [x for x, c in was.items() if not c and x in count]
+                left = [x for x, c in was.items() if c and x not in count]
+            else:
+                nxt = {x for u in front for x, _ in rows(top, u)}
+                entered, left = nxt - front, front - nxt
+            if not entered and not left:
+                self.fixed = True
+                return
+            if counted:
+                front.update(entered)
+                front.difference_update(left)
+            else:
+                self.count = None
+                if len(front) >= COUNT_FROM and 4 * (len(entered) + len(left)) < len(front):
+                    self.count = Counter(x for u in front for x, _ in rows(top, u))
+                self.front = nxt
+            self.k += 1
+            self.new, self.gone = entered, left
+            if self.log is not None:
+                self.log.append((entered, left))
+
+    def forget(self, j: int):
+        """Drop the log, the counts and the call's layers, and keep F_j: the
+        call asks this target again only at later steps."""
+        if j < self.k:
+            j = max(j, 0)
+            self.front, self.k, self.fixed = set(self.layer(j)), j, False
+        self.log = self.count = self.below = self.cur = None
 
 
-def _reach(d: DiagramHandle, n: int, m: int, t: int, f: _Frontier) -> set:
-    """The vertices at level n with a path to t@m, from t's record f
-    (`_Frontier`) when the handle is stationary from a level s < m, else
-    from a fresh sweep.
+def _keep(d: DiagramHandle) -> Optional[dict]:
+    """The handle's records by target, or None when it is stationary from
+    no level.  A call takes the records it asks out and puts the last one
+    back (`_put_back`), so no two calls step one record."""
+    return d._fronts if d.stationary_from is not None else None
 
-    The front at top = max(n, s) is stepped on from where f left it, up
-    to m - top steps; from top the rows repeat, so that is t's reach set
-    at top for any m.  When top > n, the levels below top are swept
-    again only when a step changed the front."""
+
+def _put_back(keep: Optional[dict], f: Optional[_Frontier]):
+    """Return the record of the last target a call asked to the keep,
+    without the call's state, unless it has forgotten its log, as every
+    target the call left has."""
+    if keep is not None and f is not None and f.log is not None:
+        f.holds = f.below = f.cur = None
+        keep[f.t] = f
+
+
+def _top(d: DiagramHandle, n: int, m: int) -> Optional[int]:
+    """top = max(n, s) when the reach at level n of a target at m comes from
+    the target's record: the handle is stationary from a level s < m and
+    level m - 1 is known; else None."""
     s = d.stationary_from
     if s is None or not (0 <= n < m and s < m and d.level_known(m - 1)):
+        return None
+    return n if n >= s else s
+
+
+def _reach(d: DiagramHandle, n: int, m: int, t: int, f: _Frontier):
+    """The vertices at level n with a path to t@m: from t's record f, stepped
+    on to F_(m - top), when `_top` gives a top, else from a fresh sweep.
+    When top = n that is `f.layer(m - n)`, the caller's to read but not to
+    keep.  When top > n, f.below keeps j and the layers swept from F_j at
+    top down to n, swept again only when the front changed.  A read that
+    raises raises what a fresh sweep from t@m raises first."""
+    top = _top(d, n, m)
+    if top is None:
         return backward_reach_set(d, t, m, n)
-    top = n if n >= s else s
     d.indexing.check(t)
-    if f.k is not None:  # None: a step returned the front unchanged
-        for _ in range(m - top - f.k):
-            nxt = _step(d, top, f.front, counting=False)
-            if nxt == f.front:
-                f.k = None
-                break
-            f.front = nxt
-            if f.steps is not None:
-                f.steps.append(sorted(nxt))
-        else:
-            f.k = m - top
-    if top == n:
-        return f.front
-    if f.swept is not f.front and f.swept != f.front:
-        f.swept, f.below = f.front, deque([f.front], None if f.steps else 1)
-        for level in range(top - 1, n - 1, -1):
-            f.below.append(_step(d, level, f.below[-1], counting=False))
-    return f.below[-1]
+    j = m - top
+    try:
+        if f.k < j and not f.fixed:
+            f.advance(d, top, j)
+        if top == n:
+            return f.layer(j)
+        below = f.below
+        if below is None or below[0] != j and not (f.fixed and below[0] >= f.k):
+            front = set(f.layer(j))
+            if below is None or below[1][0] != front:
+                layers = [front]
+                for level in range(top - 1, n - 1, -1):
+                    layers.append(_step(d, level, layers[-1], counting=False))
+                below = j, layers
+            f.below = below = j, below[1]
+        return below[1][-1]
+    except Exception:
+        backward_reach_set(d, t, m, n)
+        raise
 
 
 def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
-    and reach the set of vertices at level n with a path to t@m.
+    and reach a new set of the vertices at level n with a path to t@m.
 
-    One `_Frontier` per target is kept for the whole call (`_reach`):
-    from level top = max(n, s), s the level from which the handle is
-    stationary, its front is extended a step at a time as m grows, and
-    the levels below top are swept again only when a step changed it.
-    Every step from top applies the same rows, so a step that returns
-    the front unchanged marks it fixed, and later levels read no row.
-    With no s, and at levels m <= top or undeclared, every m sweeps
-    afresh.
+    On a handle stationary from a level s, each target's record
+    (`_Frontier`) is taken out of the handle's keep for the call, and the
+    one asked last goes back when the call ends, so the front one call
+    stepped serves the next (`_reach`).  A target the call leaves forgets
+    its log and counts.  With no s, and at levels m <= max(n, s) or
+    undeclared, every m sweeps afresh.
     """
-    fronts: dict = {}  # target -> its _Frontier
-    for m in levels:
-        t = target(m)
-        f = fronts.get(t) or fronts.setdefault(t, _Frontier(t, False))
-        yield m, t, _reach(d, n, m, t, f)
+    keep = _keep(d)
+    s = d.stationary_from
+    top = n if s is None or n >= s else s
+    fronts: dict = {}  # target -> its record, out of the keep for the call
+    asked = None  # the record of the last target asked
+    try:
+        for m in levels:
+            t = target(m)
+            f = fronts.get(t)
+            if f is None:
+                f = fronts[t] = keep and keep.pop(t, None) or _Frontier(t)
+            if f is not asked:
+                if asked is not None:
+                    asked.forget(m - top)
+                asked = f
+            yield m, t, set(_reach(d, n, m, t, f))
+    except GeneratorExit:
+        _put_back(keep, asked)
+        raise
+    _put_back(keep, asked)
 
 
 def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
@@ -509,60 +609,79 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     (m, path) where path is the first one enumerate_paths yields; None when
     no level has one.
 
-    Each target t keeps one `_Frontier` for the call.  A level m >= n + 2
-    whose target's cone is a band (`_band_offsets`) is tested by the
-    sumset of the offsets (`_sumset`) and sweeps nothing; any other
-    level, the first one above n included, is tested on the reach set of
-    t's front (`_reach`).  A cone only grows with m, so a target whose
-    cone left the band once keeps the front.
-
-    The witness is walked once, at the hit, one step per level: on a band
-    by the sumset (`_first_band_path`); else through the layers the
-    record holds, the sweep below top and the steps from top, so a hit
-    from a kept front sweeps nothing again; else through the layers of
-    one sweep from the hit (`_Frontier.layers`, `_first_path`).  Only
-    the target being asked keeps its layers: when the target changes,
-    the last one forgets them, and if it comes back its hit sweeps.
+    A level m >= n + 2 whose target's cone is a band (`_band_offsets`) is
+    tested by the sumset of its offsets (`_sumset`); any other level is
+    tested on the reach set of the target's record, kept as in
+    `reach_frontiers` (`_reach`).  A cone only grows with m, so a target
+    whose cone left the band once keeps to its record.  The witness is
+    walked once, at the hit: on a band by the sumset (`_first_band_path`),
+    else down the record's log (`_walk_layers`, `_first_path`), or through
+    one sweep from the hit when the record was not used or, its target
+    left and asked again, has forgotten its log.  A call that raises puts
+    nothing back.
     """
     d.indexing.check(w)
-    fronts: dict = {}  # target -> its _Frontier
-    asked = None  # the record of the last target asked
+    keep = _keep(d)
+    s = d.stationary_from
+    top = n if s is None or n >= s else s
+    fronts: dict = {}  # target -> its record, out of the keep for the call
+    asked = hit = None  # the record of the last target asked
     for m in levels:
         t = target(m)
-        f = fronts.get(t) or fronts.setdefault(t, _Frontier(t, True))
-        if asked is not f and asked is not None:
-            asked.forget()
-        asked, holds = f, None
+        f = fronts.get(t)
+        if f is None:
+            f = fronts[t] = keep and keep.pop(t, None) or _Frontier(t)
+        if f is not asked:
+            if asked is not None:
+                asked.forget(m - top)
+            asked = f
+        holds = None
         if m - n > 1 and f.holds is not False:
             offs = _band_offsets(d, n, t, m)
             holds = f.holds = offs is not None and (f.holds or _sumset(offs))
         if holds:
             if holds(w - t, m - n):
                 paths, _ = _first_band_path(d, w, n, t, m, offs)
-                return m, paths[0]
+                hit = m, paths[0]
+                break
         elif w in _reach(d, n, m, t, f):
-            return m, _first_path(d, w, n, f.layers(d, t, n, m))
-    return None
+            hit = m, _first_path(d, w, n, _walk_layers(d, n, m, t, f))
+            break
+    _put_back(keep, asked)
+    return hit
 
 
-def _first_path(d: DiagramHandle, w: int, n: int, reach: list) -> FinitePath:
-    """The first path enumerate_paths yields from w@n through reach, where
-    reach[k] is the sorted list of the vertices at level n + k with a path
-    to the one vertex of reach[-1], and w is in reach[0].
+def _walk_layers(d: DiagramHandle, n: int, m: int, t: int, f: _Frontier):
+    """The reach layers at levels n + 1..m for t@m, right after `_reach`:
+    the call's sweep below top, then the record's walk down its log; else
+    the layers of one sweep from t@m."""
+    top = _top(d, n, m)
+    if top is None or f.log is None:
+        return list(_sweep(d, t, m, n, counting=False))[-2::-1]
+    if top == n:
+        return f.walk(m - n)
+    return chain(f.below[1][-2::-1], f.walk(m - top))
+
+
+def _first_path(d: DiagramHandle, w: int, n: int, layers) -> FinitePath:
+    """The first path enumerate_paths yields from w@n through layers, the
+    sets of the vertices at levels n + 1, n + 2, ... with a path to the one
+    vertex of the last, where w@n has one; each is read before the next is
+    drawn, so they may be one set moved in place.
 
     Every vertex of a layer reaches the end, so that depth-first search
     never backtracks: from each vertex `at` it takes the least u of the
     next layer whose row holds at, copy 0.  Where the column rule knows
-    at's column, u is its first target in the layer, or, when the column
-    is all of the next level, the layer's first vertex confirmed on its
-    row; else u is the first vertex of the layer within the row width of
-    at, else of the whole layer, whose row holds at.  The walk reads the
-    rows of layer vertices only, which the sweep read to build the layers.
+    at's column, u is its first target in the layer; else, unless the
+    column is all of the next level, the first vertex in the layer within
+    the row width of at whose row holds at; else the first such vertex of
+    the whole layer, sorted.  The walk reads the rows of layer vertices
+    only, which the steps read to build the layers.
     """
     column = d.column_support if d.has_column_rule else None
     width = d.width
     edges, at = [], w
-    for level, layer in enumerate(reach[1:], n):
+    for level, layer in enumerate(layers, n):
         sup = u = None
         if column is not None:
             try:
@@ -571,30 +690,28 @@ def _first_path(d: DiagramHandle, w: int, n: int, reach: list) -> FinitePath:
                 pass
         if sup is not None and sup.kind == "finite":
             for v, _ in sup.entries:
-                i = bisect_left(layer, v)
-                if i < len(layer) and layer[i] == v:
+                if v in layer:
                     u = v
                     break
-        elif sup is not None and sup.kind == "all":
-            u = _first_holding(d, level, at, layer, 0, 1)
-        elif width is not None:
-            u = _first_holding(d, level, at, layer, bisect_left(layer, at - width),
-                               bisect_right(layer, at + width))
+        elif width is not None and (sup is None or sup.kind != "all"):
+            lo, hi = at - width, at + width
+            near = (range(lo, hi + 1) if hi - lo < len(layer)
+                    else sorted(v for v in layer if lo <= v <= hi))
+            u = _first_holding(d, level, at, (v for v in near if v in layer))
         if u is None:
-            u = _first_holding(d, level, at, layer, 0, len(layer))
+            u = _first_holding(d, level, at, sorted(layer))
         edges.append(Edge(level, at, u, 0))
         at = u
     return FinitePath(n, w, tuple(edges))
 
 
-def _first_holding(d: DiagramHandle, level: int, at: int, layer: list,
-                   lo: int, hi: int) -> Optional[int]:
-    """The first u of layer[lo:hi] whose row at level holds the source at
+def _first_holding(d: DiagramHandle, level: int, at: int, candidates) -> Optional[int]:
+    """The first u of candidates whose row at level holds the source at
     (found by bisect: sources ascend), else None."""
     key = (at,)
-    for k in range(lo, hi):
-        row = d.in_edges(level, layer[k])
+    for u in candidates:
+        row = d.in_edges(level, u)
         i = bisect_left(row, key)
         if i < len(row) and row[i][0] == at:
-            return layer[k]
+            return u
     return None

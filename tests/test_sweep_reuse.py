@@ -28,6 +28,7 @@ from gbdkit import (
 )
 from gbdkit import dynamics, paths, probes
 from gbdkit.specfmt import load_spec
+from gbdkit.verdicts import find_invariants
 
 from conftest import NAMES, defective_band, restart_first_reach
 
@@ -214,23 +215,27 @@ def test_the_fixed_point_stop_answers_as_a_restart_per_level(handle, data):
 
 def test_a_fixed_frontier_reads_no_more_rows(row_reads):
     # the backward layers of 4 on star_odometer are {4}, then {1, 4} at
-    # every later level, which 8 never enters
-    star = make_diagram("star_odometer")
+    # every later level, which 8 never enters.  Each call has its own
+    # handle, since a handle keeps its fronts across calls
     reads = {}
-    for depth in (30, 30, 3000):
+    for depth in (30, 3000):
+        star = make_diagram("star_odometer")
         start = row_reads[0]
         assert paths.first_reach(star, 8, 0, range(1, depth + 1),
                                  lambda m: 4) is None
         reads[depth] = row_reads[0] - start
     assert 0 < reads[3000] == reads[30] < 10
-    x = vertical_from(star, 4)
-    for depth in (24, 24, 2400):
-        orbit_visits_cylinder(star, x, cylinder_at(star, 8), depth)
-    start = row_reads[0]
     for depth in (24, 2400):
-        assert orbit_visits_cylinder(star, x, cylinder_at(star, 8), depth).is_no
-        reads[depth] = row_reads[0] - start
+        # warm what the visit reads besides the front: the invariant search,
+        # the eventual trace and the rows along the generator
+        star = make_diagram("star_odometer")
+        x, c = vertical_from(star, 4), cylinder_at(star, 8)
+        find_invariants(star, star.default_window())
+        x.eventual()
+        x.validate_to(2401)
         start = row_reads[0]
+        assert orbit_visits_cylinder(star, x, c, depth).is_no
+        reads[depth] = row_reads[0] - start
     assert 0 < reads[2400] == reads[24] < 10
 
 
@@ -341,3 +346,153 @@ def test_a_deep_witness_keeps_its_layers_as_lists():
         tracemalloc.stop()
     assert v.is_yes and len(v.witness) == 999
     assert peak < 8 * 2 ** 20
+
+
+# --- the handle keeps each target's front across calls -------------------------------
+
+def keep_handles():
+    """Builders of handles stationary from some level, a fresh handle per
+    call: families with and without column rules or a band, a band
+    relabeled by a width table (stationary from 3), a chain spec
+    (stationary from 2) and a band with one defective row."""
+    named = ("renewal_shift", "star_odometer", "b_infinity", "growth_odometer",
+             "interleaved_Bprime", "parity_1", "odometer_one_sided")
+    return {**{name: (lambda name=name: make_diagram(name)) for name in named},
+            "cone-shifted tridiag_B": lambda: relabel(
+                make_diagram("tridiag_B"), cone_shift((0, 1, 2), tail=1)),
+            "3-level chain": lambda: chain(16),
+            "defective band": lambda: defective_band({-1: 1, 0: 2, 1: 1}, 2)}
+
+
+KEEP_HANDLES = keep_handles()
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(KEEP_HANDLES)), st.data())
+def test_a_warm_keep_answers_as_a_fresh_handle(name, data):
+    # random calls, deep and shallow in any order, warm one handle's keep;
+    # each answer (verdict, level and witness) equals a fresh handle's
+    build = KEEP_HANDLES[name]
+    d = build()
+    lo, hi = d.indexing.default_interval(6)
+    pick = st.integers(lo, hi)
+    # a few targets, so that calls come back to the records others stepped
+    pool = st.sampled_from(data.draw(st.lists(pick, min_size=1, max_size=3)))
+    for _ in range(data.draw(st.integers(2, 8))):
+        w, n = data.draw(pick), data.draw(st.integers(0, 4))
+        depth = data.draw(st.integers(1, 30))
+        levels = range(n + 1, n + depth + 1)
+        targets = data.draw(st.lists(pool, min_size=1, max_size=3))
+
+        def target(m, targets=targets):
+            return targets[m % len(targets)]
+
+        kind = data.draw(st.sampled_from(["first_reach", "reach_frontiers", "probe"]))
+        if kind == "first_reach":
+            def ask(h, w=w, n=n, levels=levels, target=target):
+                return paths.first_reach(h, w, n, levels, target)
+        elif kind == "reach_frontiers":
+            def ask(h, n=n, levels=levels, target=target):
+                return list(paths.reach_frontiers(h, n, levels, target))
+        else:
+            def ask(h, w=w, n=n, depth=depth, t=targets[0]):
+                return irreducible_probe(h, w, t, n, depth)
+        assert outcome(lambda: ask(d)) == outcome(lambda: ask(build()))
+
+
+def test_concurrent_readers_share_one_keep():
+    # a call takes each record it steps out of the keep and puts it back
+    # when it ends, so no two readers step one record; every answer must
+    # equal the one a lone reader gets.  Each first read of a row sleeps,
+    # so that the readers interleave inside the steps.
+    import sys
+    import threading
+    import time
+
+    from gbdkit import DiagramHandle
+    from gbdkit.indexing import one_sided
+
+    def handle():
+        rows = make_diagram("renewal_shift")._row_rule
+
+        def slow(n, u):
+            time.sleep(1e-4)
+            return rows(n, u)
+
+        return DiagramHandle(one_sided(1), slow, stationary_from=0, name="slow renewal")
+
+    def queries(d):
+        out = []
+        for t in (1, 4, 9):
+            out.append(paths.first_reach(d, 40, 0, range(1, 60), lambda m: t))
+            out.append(list(paths.reach_frontiers(d, 0, range(1, 30), lambda m: t)))
+            out.append(paths.first_reach(d, t + 5, 0, range(1, 30),
+                                         lambda m: (t, 2)[m % 2]))
+        return out
+
+    want = queries(handle())
+    d = handle()
+    start = threading.Barrier(8, timeout=60)
+    results = []
+
+    def reader():
+        start.wait()
+        results.append(queries(d))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 8
+
+
+def test_the_kept_fronts_keep_no_handle_alive():
+    import gc
+    import weakref
+
+    d = make_diagram("renewal_shift")
+    assert irreducible_probe(d, 30, 1, 0, 40).is_yes
+    assert list(paths.reach_frontiers(d, 0, range(1, 20), lambda m: 3))
+    assert set(d._fronts) == {1, 3}
+    alive = weakref.ref(d)
+    del d
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_second_identical_probe_reads_no_row(row_reads):
+    d = make_diagram("renewal_shift")
+    first = irreducible_probe(d, 300, 1, 0, 310)
+    start = row_reads[0]
+    again = irreducible_probe(d, 300, 1, 0, 310)
+    assert row_reads[0] == start
+    assert outcome(lambda: again) == outcome(lambda: first)
+
+
+def test_a_deep_witness_costs_a_row_per_level(row_reads):
+    # the front of 1 gains a vertex a level; stepping the whole front read
+    # about k^2 / 2 rows, 44,885 at k = 300, and the sorted fronts kept
+    # for the walk grew as k^2 too
+    start = row_reads[0]
+    assert irreducible_probe(make_diagram("renewal_shift"), 300, 1, 0, 310).is_yes
+    assert row_reads[0] - start <= 2_000
+    peaks, reads = {}, {}
+    for k in (2_000, 4_000):
+        tracemalloc.start()
+        start = row_reads[0]
+        try:
+            v = irreducible_probe(make_diagram("renewal_shift"), k, 1, 0, k + 10)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reads[k] = row_reads[0] - start
+        assert v.is_yes and v.detail["level"] == k - 1
+    assert reads[4_000] <= 2.1 * reads[2_000]
+    assert peaks[4_000] <= 2.5 * peaks[2_000]
