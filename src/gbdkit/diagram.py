@@ -272,10 +272,15 @@ def _canonical(raw, indexing: VertexIndexing) -> bool:
 class DiagramHandle:
     """Immutable evaluable incidence rule for a generalized Bratteli diagram.
 
-    All queries are pure; the only internal state is a transparent row
-    cache, column cache and band cache (`translates`), safe under
-    concurrent reads.  Every level from stationary_from on has that level's
-    rows (from 0 on a catalog family); None: rows may change at any level.
+    All queries are pure.  The internal state is a transparent row cache,
+    column cache and band cache (`translates`), safe under concurrent
+    reads, and on a stationary handle the kept fronts (`_fronts`), one
+    record per target that `paths.first_reach` and `paths.reach_frontiers`
+    take out for a call and put back when it ends, so no two calls step one
+    record; it keeps at most `paths.KEEP_RECORDS` records of bounded size
+    (`paths._put_back`).
+    Every level from stationary_from on has that level's rows (from 0 on a
+    catalog family); None: rows may change at any level.
     """
 
     def __init__(
@@ -313,7 +318,7 @@ class DiagramHandle:
         # holds no cone beyond itself
         self._band_cache: dict = {}
         # target -> the `paths._Frontier` of its backward front from
-        # stationary_from on, kept across calls (`paths._keep`)
+        # stationary_from on, kept across calls (`paths._keep`), oldest first
         self._fronts: dict = {}
         self._verify_flags()
 

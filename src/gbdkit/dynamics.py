@@ -11,9 +11,7 @@ comparison.
 
 from __future__ import annotations
 
-import copy
 import math
-import weakref
 from fractions import Fraction
 from typing import Optional
 
@@ -319,12 +317,6 @@ def _generator_battery(d: DiagramHandle) -> list:
         + [g for g in slants if g is not None]
 
 
-# handle -> {(horizon, window): the Yes or No of `minimality_certificate`, or
-# None for an Unknown}; a key holds no reference to its handle, and neither
-# do the verdicts, whose witnesses and certificates are plain values
-_MINIMALITY = weakref.WeakKeyDictionary()
-
-
 def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
                            window=None) -> Verdict:
     """Minimality evidence for the tail equivalence relation.
@@ -333,28 +325,12 @@ def minimality_certificate(d: DiagramHandle, horizon: int | None = None,
     to hit within a bound (every path, not just some).  No: a battery
     generator whose orbit provably misses a cylinder.  Anything else is
     Unknown; no unverifiable claim is emitted.
-
-    The answer depends on the handle, the horizon and the window alone, so
-    it is found once per handle and pair, and each call gets a copy.
     """
     if window is None:
         window = d.indexing.default_interval(DEFAULT_RADIUS)
     lo, hi = clamped_interval(d.indexing, window)
     if horizon is None:
         horizon = max(64, 2 * (window[1] - window[0]) + 2)
-    memo = _MINIMALITY.setdefault(d, {})
-    key = (horizon, tuple(window))
-    if key not in memo:
-        memo[key] = _minimality(d, horizon, lo, hi)
-    found = memo[key]
-    if found is None:  # the Unknown echoes the window as the caller gave it
-        return Verdict.unknown(depth=horizon, windows=window)
-    return copy.deepcopy(found)
-
-
-def _minimality(d: DiagramHandle, horizon: int, lo: int, hi: int) -> Optional[Verdict]:
-    """The Yes or No of `minimality_certificate` on the clamped window
-    [lo, hi], found afresh; None where it answers Unknown."""
     foc = d.get_flag(FullOutColumnFlag)
     if foc is not None:
         u = foc.vertex
@@ -388,7 +364,7 @@ def _minimality(d: DiagramHandle, horizon: int, lo: int, hi: int) -> Optional[Ve
                 return Verdict.no(certificate=v.certificate,
                                   witness={"generator": g.describe(),
                                            "missed_cylinder_vertex": j0})
-    return None
+    return Verdict.unknown(depth=horizon, windows=window)
 
 
 def recheck_minimal(d: DiagramHandle, v: Verdict, horizon: int | None = None,

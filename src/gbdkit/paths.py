@@ -408,6 +408,13 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
 # whole front by a set comprehension is faster
 COUNT_FROM = 16
 
+# what a handle keeps (`_put_back`): records of at most KEEP_SIZE, a larger
+# one being forgotten like a left target, and at most KEEP_RECORDS of them,
+# so that the 15 targets of a 15 x 15 grid of probes (acceptance criterion
+# 4) stay kept
+KEEP_SIZE = 1024
+KEEP_RECORDS = 16
+
 
 class _Frontier:
     """The backward front of a target t on a handle stationary from s, kept
@@ -419,18 +426,21 @@ class _Frontier:
       and a step reads only the rows of new and gone, the vertices that
       entered and left F_k; None while whole fronts are stepped;
     - log: the entry log, (entered, left) at each step 1..k, along which
-      `layer` moves a set to F_j and `walk` undoes it; None after `forget`.
+      `layer` moves a set to F_j and `walk` undoes it; None after `forget`;
+    - size: 1 + k + the vertices the log holds, which bounds the front
+      and the counts too: what the record costs the keep.
 
     holds, below and cur (at step cj) belong to the call that has the
     record out.  No record refers to its handle.
     """
 
     __slots__ = ("t", "k", "fixed", "front", "count", "new", "gone", "log",
-                 "holds", "below", "cur", "cj")
+                 "size", "holds", "below", "cur", "cj")
 
     def __init__(self, t: int):
         self.t = t
         self.k = 0
+        self.size = 1
         self.fixed = False
         self.front = {t}
         self.log = []
@@ -500,6 +510,7 @@ class _Frontier:
                     self.count = Counter(x for u in front for x, _ in rows(top, u))
                 self.front = nxt
             self.k += 1
+            self.size += 1 + len(entered) + len(left)
             self.new, self.gone = entered, left
             if self.log is not None:
                 self.log.append((entered, left))
@@ -523,10 +534,16 @@ def _keep(d: DiagramHandle) -> Optional[dict]:
 def _put_back(keep: Optional[dict], f: Optional[_Frontier]):
     """Return the record of the last target a call asked to the keep,
     without the call's state, unless it has forgotten its log, as every
-    target the call left has."""
-    if keep is not None and f is not None and f.log is not None:
-        f.holds = f.below = f.cur = None
-        keep[f.t] = f
+    target the call left has, has taken no step, or is larger than
+    KEEP_SIZE.  A keep of more than KEEP_RECORDS records drops the one
+    put back longest ago."""
+    if keep is None or f is None or f.log is None or f.size > KEEP_SIZE \
+            or f.k == 0 and not f.fixed:
+        return
+    f.holds = f.below = f.cur = None
+    keep[f.t] = f
+    if len(keep) > KEEP_RECORDS:  # a copy: other calls may take records out
+        keep.pop(list(keep)[0], None)
 
 
 def _top(d: DiagramHandle, n: int, m: int) -> Optional[int]:

@@ -432,31 +432,6 @@ def test_minimality_keeps_no_handle_alive():
     assert alive() is None
 
 
-def test_minimality_is_found_once_per_handle_and_each_call_gets_a_copy():
-    from unittest import mock
-
-    from gbdkit import dynamics
-
-    for name in ("renewal_shift", "star_odometer"):
-        d = make_diagram(name)
-        first = minimality_certificate(d)
-        with mock.patch.object(dynamics, "_minimality",
-                               side_effect=AssertionError("searched again")):
-            again = minimality_certificate(d)
-        assert again == first and again is not first
-        if again.is_yes:  # a caller that edits its verdict changes no other
-            again.witness["forced_bounds"].clear()
-            assert minimality_certificate(d) == first
-        # another horizon is another question
-        with mock.patch.object(dynamics, "_minimality", return_value=None) as fresh:
-            assert minimality_certificate(d, horizon=65).is_unknown
-        assert fresh.call_count == 1
-        alive = weakref.ref(d)
-        del d, fresh  # the mock keeps the arguments it was called with
-        gc.collect()
-        assert alive() is None
-
-
 def test_trisection():
     o2 = make_diagram("odometer_two_sided")
     on, left, right = trace_trisection(alternating_from(o2, 0), 4, (-3, 3))

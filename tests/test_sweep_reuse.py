@@ -467,6 +467,34 @@ def test_the_kept_fronts_keep_no_handle_alive():
     assert alive() is None
 
 
+def test_the_keep_stays_under_its_bound():
+    # a record larger than KEEP_SIZE goes back to no keep and takes no
+    # other out: after the 20,000-level witness the record of 1 held 6.5 MiB
+    # for the handle's life
+    import gc
+
+    d = make_diagram("renewal_shift")
+    assert irreducible_probe(d, 30, 2, 0, 40).is_yes
+    assert irreducible_probe(d, 3_000, 1, 0, 3_010).is_yes
+    assert list(d._fronts) == [2]
+    # twice as many targets as the keep holds, each asked last once with
+    # a record of about KEEP_SIZE: the ones put back longest ago leave
+    tracemalloc.start()
+    try:
+        for t in range(1, 2 * paths.KEEP_RECORDS + 1):
+            assert irreducible_probe(d, t + 250, t, 0, 300).is_yes
+        held = tracemalloc.get_traced_memory()[0]
+        assert list(d._fronts) == list(range(paths.KEEP_RECORDS + 1,
+                                             2 * paths.KEEP_RECORDS + 1))
+        assert all(f.size <= paths.KEEP_SIZE for f in d._fronts.values())
+        d._fronts.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20  # 1.5 MiB here
+
+
 def test_a_second_identical_probe_reads_no_row(row_reads):
     d = make_diagram("renewal_shift")
     first = irreducible_probe(d, 300, 1, 0, 310)
