@@ -276,9 +276,9 @@ class DiagramHandle:
     column cache and band cache (`translates`), safe under concurrent
     reads, and on a stationary handle the kept fronts (`_fronts`), one
     record per target that `paths.first_reach` and `paths.reach_frontiers`
-    take out for a call and put back when it ends, so no two calls step one
-    record; it keeps at most `paths.KEEP_RECORDS` records of bounded size
-    (`paths._put_back`).
+    take out while a call asks that target and put back when the call moves
+    to another target or ends, so no two calls step one record; it keeps
+    at most `paths.KEEP_RECORDS` records of bounded size (`paths._put_back`).
     Every level from stationary_from on has that level's rows (from 0 on a
     catalog family); None: rows may change at any level.
     """
@@ -318,7 +318,8 @@ class DiagramHandle:
         # holds no cone beyond itself
         self._band_cache: dict = {}
         # target -> the `paths._Frontier` of its backward front from
-        # stationary_from on, kept across calls (`paths._keep`), oldest first
+        # stationary_from on, kept across calls (`paths._put_back`), oldest
+        # first; empty unless the handle is stationary from some level
         self._fronts: dict = {}
         self._verify_flags()
 

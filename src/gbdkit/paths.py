@@ -409,16 +409,15 @@ def _first_band_path(d: DiagramHandle, w: int, n: int, v: int, m: int, offs):
 COUNT_FROM = 16
 
 # what a handle keeps (`_put_back`): records of at most KEEP_SIZE, a larger
-# one being forgotten like a left target, and at most KEEP_RECORDS of them,
-# so that the 15 targets of a 15 x 15 grid of probes (acceptance criterion
-# 4) stay kept
+# one going back to no keep, and at most KEEP_RECORDS of them, so that the
+# 15 targets of a 15 x 15 grid of probes (acceptance criterion 4) stay kept
 KEEP_SIZE = 1024
 KEEP_RECORDS = 16
 
 
 class _Frontier:
     """The backward front of a target t on a handle stationary from s, kept
-    across calls (`_keep`): the rows repeat from s on, so F_j, the vertices
+    across calls (`_asked`): the rows repeat from s on, so F_j, the vertices
     at any level top >= s with a path to t@(top + j), depends on j alone.
 
     - front: F_k after k steps, and F_j for every j >= k once fixed;
@@ -426,7 +425,7 @@ class _Frontier:
       and a step reads only the rows of new and gone, the vertices that
       entered and left F_k; None while whole fronts are stepped;
     - log: the entry log, (entered, left) at each step 1..k, along which
-      `layer` moves a set to F_j and `walk` undoes it; None after `forget`;
+      `layer` moves a set to F_j and `walk` undoes it;
     - size: 1 + k + the vertices the log holds, which bounds the front
       and the counts too: what the record costs the keep.
 
@@ -512,33 +511,29 @@ class _Frontier:
             self.k += 1
             self.size += 1 + len(entered) + len(left)
             self.new, self.gone = entered, left
-            if self.log is not None:
-                self.log.append((entered, left))
-
-    def forget(self, j: int):
-        """Drop the log, the counts and the call's layers, and keep F_j: the
-        call asks this target again only at later steps."""
-        if j < self.k:
-            j = max(j, 0)
-            self.front, self.k, self.fixed = set(self.layer(j)), j, False
-        self.log = self.count = self.below = self.cur = None
+            self.log.append((entered, left))
 
 
-def _keep(d: DiagramHandle) -> Optional[dict]:
-    """The handle's records by target, or None when it is stationary from
-    no level.  A call takes the records it asks out and puts the last one
-    back (`_put_back`), so no two calls step one record."""
-    return d._fronts if d.stationary_from is not None else None
+def _asked(keep: dict, f: Optional[_Frontier], t: int) -> _Frontier:
+    """The record of target t for a call that holds f: f when it is t's,
+    else t's record out of the keep (the handle's `_fronts`), or a new
+    one, with f then put back, so that a full keep cannot drop the record
+    the call is taking.  A call holds the records it asks out of the keep,
+    so no two calls step one record."""
+    if f is not None and f.t == t:
+        return f
+    asked = keep.pop(t, None) or _Frontier(t)
+    _put_back(keep, f)
+    return asked
 
 
-def _put_back(keep: Optional[dict], f: Optional[_Frontier]):
-    """Return the record of the last target a call asked to the keep,
-    without the call's state, unless it has forgotten its log, as every
-    target the call left has, has taken no step, or is larger than
-    KEEP_SIZE.  A keep of more than KEEP_RECORDS records drops the one
-    put back longest ago."""
-    if keep is None or f is None or f.log is None or f.size > KEEP_SIZE \
-            or f.k == 0 and not f.fixed:
+def _put_back(keep: dict, f: Optional[_Frontier]):
+    """Return a record that a call stops asking, as it moves to another
+    target or ends, to the keep, without the call's state, unless it has
+    taken no step or is larger than KEEP_SIZE, so the keep of a handle
+    stationary from no level stays empty (`_top`).  A keep of more than
+    KEEP_RECORDS records drops the one put back longest ago."""
+    if f is None or f.size > KEEP_SIZE or f.k == 0 and not f.fixed:
         return
     f.holds = f.below = f.cur = None
     keep[f.t] = f
@@ -592,33 +587,24 @@ def reach_frontiers(d: DiagramHandle, n: int, levels, target):
     """Yield (m, t, reach) for each m in levels, ascending, with t = target(m)
     and reach a new set of the vertices at level n with a path to t@m.
 
-    On a handle stationary from a level s, each target's record
-    (`_Frontier`) is taken out of the handle's keep for the call, and the
-    one asked last goes back when the call ends, so the front one call
-    stepped serves the next (`_reach`).  A target the call leaves forgets
-    its log and counts.  With no s, and at levels m <= max(n, s) or
-    undeclared, every m sweeps afresh.
+    On a handle stationary from a level s, the call takes a target's
+    record (`_Frontier`) out of the handle's keep while it asks that
+    target, and puts it back when it moves to another target or ends
+    (`_asked`, `_put_back`), so the front one call stepped serves the
+    next, and a target that comes back finds the steps it took
+    (`_reach`).  With no s, and at levels m <= max(n, s) or undeclared,
+    every m sweeps afresh.
     """
-    keep = _keep(d)
-    s = d.stationary_from
-    top = n if s is None or n >= s else s
-    fronts: dict = {}  # target -> its record, out of the keep for the call
-    asked = None  # the record of the last target asked
+    f = None  # the record of the target asked last
     try:
         for m in levels:
             t = target(m)
-            f = fronts.get(t)
-            if f is None:
-                f = fronts[t] = keep and keep.pop(t, None) or _Frontier(t)
-            if f is not asked:
-                if asked is not None:
-                    asked.forget(m - top)
-                asked = f
+            f = _asked(d._fronts, f, t)
             yield m, t, set(_reach(d, n, m, t, f))
     except GeneratorExit:
-        _put_back(keep, asked)
+        _put_back(d._fronts, f)
         raise
-    _put_back(keep, asked)
+    _put_back(d._fronts, f)
 
 
 def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
@@ -630,28 +616,20 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
     tested by the sumset of its offsets (`_sumset`); any other level is
     tested on the reach set of the target's record, kept as in
     `reach_frontiers` (`_reach`).  A cone only grows with m, so a target
-    whose cone left the band once keeps to its record.  The witness is
-    walked once, at the hit: on a band by the sumset (`_first_band_path`),
+    whose cone left the band once keeps to its record while it is asked.
+    The witness is walked once, at the hit: on a band by the sumset
+    (`_first_band_path`),
     else down the record's log (`_walk_layers`, `_first_path`), or through
-    one sweep from the hit when the record was not used or, its target
-    left and asked again, has forgotten its log.  A call that raises puts
-    nothing back.
+    one sweep from the hit when the record was not used.  A record the
+    call stops asking goes back to the keep when it moves to another target
+    or ends, as in `reach_frontiers`; the one it holds when it raises goes
+    back to nothing.
     """
     d.indexing.check(w)
-    keep = _keep(d)
-    s = d.stationary_from
-    top = n if s is None or n >= s else s
-    fronts: dict = {}  # target -> its record, out of the keep for the call
-    asked = hit = None  # the record of the last target asked
+    f = hit = None  # the record of the target asked last
     for m in levels:
         t = target(m)
-        f = fronts.get(t)
-        if f is None:
-            f = fronts[t] = keep and keep.pop(t, None) or _Frontier(t)
-        if f is not asked:
-            if asked is not None:
-                asked.forget(m - top)
-            asked = f
+        f = _asked(d._fronts, f, t)
         holds = None
         if m - n > 1 and f.holds is not False:
             offs = _band_offsets(d, n, t, m)
@@ -664,16 +642,16 @@ def first_reach(d: DiagramHandle, w: int, n: int, levels, target):
         elif w in _reach(d, n, m, t, f):
             hit = m, _first_path(d, w, n, _walk_layers(d, n, m, t, f))
             break
-    _put_back(keep, asked)
+    _put_back(d._fronts, f)
     return hit
 
 
 def _walk_layers(d: DiagramHandle, n: int, m: int, t: int, f: _Frontier):
     """The reach layers at levels n + 1..m for t@m, right after `_reach`:
-    the call's sweep below top, then the record's walk down its log; else
-    the layers of one sweep from t@m."""
+    the call's sweep below top, then the record's walk down its log; with
+    no top, the layers of one sweep from t@m."""
     top = _top(d, n, m)
-    if top is None or f.log is None:
+    if top is None:
         return list(_sweep(d, t, m, n, counting=False))[-2::-1]
     if top == n:
         return f.walk(m - n)

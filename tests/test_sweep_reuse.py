@@ -318,21 +318,46 @@ def test_a_hit_above_the_stationary_level_sweeps_nothing_again(handle, w, t, lev
     assert 0 < reads <= most
 
 
-def test_a_moving_target_keeps_the_layers_of_one_target():
-    # the trace runs down the table 200..1 and stays at 1; every target
-    # kept a sorted list per step until the call ended, 13.4 MiB here
+@pytest.mark.parametrize("table, most", [(200, 4), (400, 3)])
+def test_a_moving_target_keeps_the_layers_of_one_target(table, most):
+    # the trace runs down the table T..1 and stays at 1.  A target the call
+    # leaves goes back to the handle's keep, under its bound, so the call
+    # holds one record more than the keep: every target it left used to
+    # stay with it until it ended, 13.4 MiB at T = 200 when each kept a
+    # sorted list per step, and 5.3 MiB at T = 400 when each kept F_j
     rs = make_diagram("renewal_shift")
-    x = make_generator(rs, "table_then_rule", table=list(range(200, 0, -1)),
+    x = make_generator(rs, "table_then_rule", table=list(range(table, 0, -1)),
                        tail={"kind": "vertical", "vertex": 1})
-    c = cylinder_at(rs, 400)
+    c = cylinder_at(rs, table + 200)
     tracemalloc.start()
     try:
-        v = orbit_visits_cylinder(rs, x, c, 420)
+        v = orbit_visits_cylinder(rs, x, c, table + 220)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert v.is_yes and v.witness["level"] == 399
-    assert peak < 4 * 2 ** 20
+    assert v.is_yes and v.witness["level"] == table + 199
+    assert peak < most * 2 ** 20
+    assert len(rs._fronts) <= paths.KEEP_RECORDS
+    assert all(f.size <= paths.KEEP_SIZE for f in rs._fronts.values())
+
+
+@pytest.mark.parametrize("w, level, most", [(6, 6, 66), (7, 7, 91)])
+def test_a_returning_target_walks_without_a_sweep(w, level, most, row_reads):
+    # target 2 (w = 6) or 1 (w = 7) comes back at the hit and finds the
+    # steps its record took: its witness walks down the record's log.
+    # When a left target forgot its log, the hit swept its cone again and
+    # the call read 87 / 119 rows
+    d = make_diagram("renewal_shift")
+    table = [3, 2, 1, 5, 4, 3, 2, 1]
+    start = row_reads[0]
+    with mock.patch.object(paths, "_sweep", wraps=paths._sweep) as sweep:
+        hit = paths.first_reach(d, w, 0, range(1, 8), lambda m: table[m])
+    reads = row_reads[0] - start
+    assert hit[0] == level
+    assert outcome(lambda: hit) == outcome(
+        lambda: restart_first_reach(d, w, 0, range(1, 8), lambda m: table[m]))
+    assert sweep.call_count == 0
+    assert 0 < reads <= most
 
 
 def test_a_deep_witness_keeps_its_layers_as_lists():
